@@ -9,11 +9,10 @@
 
 All three exchange the frozen, JSON-serializable dataclasses in
 :mod:`repro.api.protocol`; ``from repro.api import tune, serve, connect``
-is the supported import surface.  Constructing
-:class:`~repro.autotune.tuner.Autotuner` or
-:class:`~repro.autotune.measure.Measurer` directly still works but is
-deprecated for application code (the classes remain the internal
-engine-room API).
+is the supported import surface;
+:class:`~repro.autotune.tuner.Autotuner` and
+:class:`~repro.autotune.measure.Measurer` are the engine-room API under
+it.
 """
 
 from repro.api.local import run_tune_request, tune

@@ -2,13 +2,18 @@
 
 Every request and response the autotuning service speaks -- and the
 in-process :func:`repro.api.tune` facade returns -- is one of the frozen
-dataclasses below.  They are the *redesigned public API*: where callers
-used to construct ``Autotuner``/``Measurer`` and pass ad-hoc in-process
-dataclasses around, the supported surface is now these wire types plus
-the three verbs ``tune`` / ``serve`` / ``connect``.
+dataclasses below.  They are the public API: the wire types plus the
+three verbs ``tune`` / ``serve`` / ``connect``.
 
 Design rules (enforced by ``tests/test_api_protocol.py``):
 
+- **One codec.**  Each field's annotation names its wire rule (``str``,
+  ``int``, ``bool``, ``float``, :data:`Config`, :data:`SearchArgs`,
+  :data:`Configs`, :data:`Floats`, :data:`History`, :data:`Parameters`,
+  a nested message, or a tuple of them); :class:`Message` encodes and
+  decodes every type from that plan.  A field with a default may be
+  missing or ``null`` on the wire.  The few semantic rules (positive
+  sizes, known modes and states) live in each type's ``_check``.
 - **Strict round-trips.**  ``T.from_json(t.to_json()) == t`` for every
   type, including non-finite floats (an unlaunchable variant measures
   ``inf``; strict wire JSON has no ``Infinity`` literal, so non-finite
@@ -28,6 +33,7 @@ Design rules (enforced by ``tests/test_api_protocol.py``):
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -73,6 +79,8 @@ def check_version(v) -> None:
     Compatibility rule: the major must match ours exactly; any minor
     under that major is accepted.
     """
+    if v == PROTOCOL_VERSION:
+        return
     if v is None:
         raise ProtocolError(
             "document carries no protocol version ('v' field); "
@@ -87,7 +95,41 @@ def check_version(v) -> None:
         )
 
 
-# -- field codecs ------------------------------------------------------------
+# -- wire rules --------------------------------------------------------------
+#
+# The annotation aliases below name a field's wire rule; at runtime they
+# are the plain containers the field holds.
+
+Config = dict
+"""One tuning configuration: string keys, JSON-primitive values taken
+verbatim (never float-decoded, so a config string like ``"Infinity"``
+survives untouched)."""
+SearchArgs = dict
+"""Strategy constructor kwargs: string keys, primitive or null values."""
+Configs = tuple
+"""A tuple of :data:`Config`."""
+Floats = tuple
+"""A tuple of floats; non-finite values travel as strings."""
+History = tuple
+"""``((config, value), ...)`` in evaluation order."""
+Parameters = tuple
+"""``((name, (v, v, ...)), ...)`` -- an ordered parameter space."""
+
+_PRIMITIVE = (int, float, str)
+
+
+def _wrong_type(where: str, v) -> ProtocolError:
+    return ProtocolError(f"field {where!r} has wrong type: {v!r}")
+
+
+def _typed(t: type):
+    """Decoder accepting exactly ``t`` (``bool`` is no ``int`` here)."""
+    def dec(v, where: str):
+        if not isinstance(v, t) or (isinstance(v, bool) and t is not bool):
+            raise _wrong_type(where, v)
+        return v
+    return dec
+
 
 def _enc_float(x: float):
     """A float as strict-JSON: non-finite values travel as strings."""
@@ -113,48 +155,111 @@ def _dec_float(v, where: str) -> float:
     raise ProtocolError(f"{where}: expected a number, got {v!r}")
 
 
-_MISSING = object()
-
-
-def _get(doc: dict, key: str, types, default=_MISSING):
-    """Fetch a typed field; missing + no default, or a type mismatch, is
-    a :class:`ProtocolError` naming the field.  An explicit ``null`` in
-    an *optional* field means "use the default" (our own ``to_json``
-    emits ``None`` for unset optionals)."""
-    if key not in doc:
-        if default is _MISSING:
-            raise ProtocolError(f"missing required field {key!r}")
-        return default
-    v = doc[key]
-    if v is None and default is not _MISSING:
-        return default
-    if v is None:
-        raise ProtocolError(f"missing required field {key!r}")
-    if types is not None and not isinstance(v, types):
-        raise ProtocolError(f"field {key!r} has wrong type: {v!r}")
-    # bool is an int subclass; reject it where an int/float is expected
-    if types is not None and isinstance(v, bool) and bool not in (
-            types if isinstance(types, tuple) else (types,)):
-        raise ProtocolError(f"field {key!r} has wrong type: {v!r}")
-    return v
-
-
-def _config_from(doc, where: str) -> dict:
-    """Validate one tuning configuration: string keys, primitive values.
-    Values are taken verbatim -- never float-decoded -- so a config
-    string like ``"Infinity"`` would survive untouched."""
+def _dec_config(doc, where: str) -> dict:
     if not isinstance(doc, dict):
         raise ProtocolError(f"{where}: config is not an object")
-    out = {}
     for k, v in doc.items():
         if not isinstance(k, str):
             raise ProtocolError(f"{where}: config key {k!r} is not a string")
-        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        if isinstance(v, bool) or not isinstance(v, _PRIMITIVE):
             raise ProtocolError(
                 f"{where}: config value {k}={v!r} is not a JSON primitive"
             )
-        out[k] = v
-    return out
+    return dict(doc)
+
+
+def _dec_search_args(doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise _wrong_type(where, doc)
+    for k, v in doc.items():
+        if not isinstance(k, str):
+            raise ProtocolError(f"{where} key {k!r} is not a string")
+        if v is not None and not isinstance(v, (bool, *_PRIMITIVE)):
+            raise ProtocolError(
+                f"{where} value {k}={v!r} is not a JSON primitive"
+            )
+    return dict(doc)
+
+
+def _dec_history_entry(entry, where: str) -> tuple:
+    if not (isinstance(entry, list) and len(entry) == 2):
+        raise ProtocolError(f"{where}: bad entry {entry!r}")
+    return _dec_config(entry[0], where), _dec_float(entry[1], where)
+
+
+def _dec_parameter(entry, where: str) -> tuple:
+    if not (isinstance(entry, list) and len(entry) == 2):
+        raise ProtocolError(f"{where}: bad parameter entry {entry!r}")
+    name, values = entry
+    if not isinstance(name, str) or not name:
+        raise ProtocolError(f"{where}: bad parameter name {name!r}")
+    if not isinstance(values, list) or not values:
+        raise ProtocolError(f"{where}: parameter {name!r} has no value list")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, _PRIMITIVE):
+            raise ProtocolError(
+                f"{where}: parameter {name!r} value {v!r} is not a "
+                "JSON primitive"
+            )
+    return name, tuple(values)
+
+
+def _each(dec):
+    """Decoder of a JSON list into a tuple, ``dec`` per element."""
+    def dec_all(v, where: str) -> tuple:
+        if not isinstance(v, list):
+            raise _wrong_type(where, v)
+        return tuple(dec(x, f"{where}[{i}]") for i, x in enumerate(v))
+    return dec_all
+
+
+_RULES = {
+    # name: (encode or None for identity, decode(value, where), the type
+    # a wire value of which decodes to itself or None)
+    "str": (None, _typed(str), str),
+    "int": (None, _typed(int), int),
+    "bool": (None, _typed(bool), bool),
+    "float": (_enc_float, _dec_float, float),
+    "Config": (dict, _dec_config, None),
+    "SearchArgs": (dict, _dec_search_args, None),
+    "Configs": (lambda cs: [dict(c) for c in cs], _each(_dec_config), None),
+    "Floats": (lambda xs: [_enc_float(x) for x in xs], _each(_dec_float),
+               None),
+    "History": (lambda h: [[dict(c), _enc_float(v)] for c, v in h],
+                _each(_dec_history_entry), None),
+    "Parameters": (lambda ps: [[n, list(vs)] for n, vs in ps],
+                   _each(_dec_parameter), None),
+}
+
+
+def _rule(annotation: str):
+    """The :data:`_RULES` entry for a field annotation such as ``"int"``,
+    ``"Config | None"``, ``"SpaceSpec | None"`` or
+    ``"tuple[MeasurementRecord, ...]"``."""
+    name = annotation.removesuffix(" | None")
+    if name in _RULES:
+        return _RULES[name]
+    many = name.startswith("tuple[")
+    cls = globals()[name.removeprefix("tuple[").removesuffix(", ...]")]
+    enc, dec = (lambda m: m.to_json()), (lambda v, where: cls.from_json(v))
+    if many:
+        return (lambda ms: [enc(m) for m in ms]), _each(dec), None
+    return enc, dec, None
+
+
+def _plan(cls) -> None:
+    """Build a message type's field plan once: ``_encoders`` holds
+    ``(name, encode)`` for the fields not sent verbatim, ``_decoders``
+    ``(name, decode, verbatim type, required)`` for every field."""
+    encoders, decoders = [], []
+    for f in dataclasses.fields(cls):
+        enc, dec, verbatim = _rule(f.type)
+        if enc is not None:
+            encoders.append((f.name, enc))
+        required = (f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING)
+        decoders.append((f.name, dec, verbatim, required))
+    cls._encoders, cls._decoders = tuple(encoders), tuple(decoders)
 
 
 # -- message base ------------------------------------------------------------
@@ -162,21 +267,25 @@ def _config_from(doc, where: str) -> dict:
 @dataclass(frozen=True)
 class Message:
     """Base of every protocol type: ``to_json`` emits a dict carrying
-    ``type`` and ``v``; ``from_json`` validates both and parses the
-    known fields, tolerating unknown ones."""
+    ``type``, ``v`` and every field in declaration order; ``from_json``
+    validates both and parses the known fields, tolerating unknown
+    ones."""
 
     TYPE: ClassVar[str] = ""
+    _encoders: ClassVar[tuple] = ()
+    _decoders: ClassVar[tuple] = ()
 
-    def _payload(self) -> dict:
-        raise NotImplementedError
-
-    @classmethod
-    def _parse(cls, doc: dict) -> "Message":
-        raise NotImplementedError
+    def _check(self) -> None:
+        """Semantic validation after a parse; raise :class:`ProtocolError`."""
 
     def to_json(self) -> dict:
-        doc = {"type": self.TYPE, "v": PROTOCOL_VERSION}
-        doc.update(self._payload())
+        # a frozen dataclass's __dict__ holds exactly its fields, in
+        # declaration order; re-assigning a key keeps its position
+        doc = {"type": self.TYPE, "v": PROTOCOL_VERSION, **self.__dict__}
+        for name, enc in self._encoders:
+            value = doc[name]
+            if value is not None:
+                doc[name] = enc(value)
         return doc
 
     @classmethod
@@ -191,7 +300,19 @@ class Message:
                 f"expected a {cls.TYPE!r} document, got type {t!r}"
             )
         check_version(doc.get("v"))
-        return cls._parse(doc)
+        kwargs = {}
+        for name, dec, verbatim, required in cls._decoders:
+            value = doc.get(name)
+            if value is not None:
+                kwargs[name] = (value if type(value) is verbatim
+                                else dec(value, name))
+            elif required:
+                # an explicit null in a field with a default means "use
+                # the default" (to_json emits None for unset optionals)
+                raise ProtocolError(f"missing required field {name!r}")
+        message = cls(**kwargs)
+        message._check()
+        return message
 
 
 # -- the types ---------------------------------------------------------------
@@ -203,7 +324,7 @@ class SpaceSpec(Message):
 
     TYPE: ClassVar[str] = "space"
 
-    parameters: tuple
+    parameters: Parameters
     """``((name, (v, v, ...)), ...)`` -- tuples, so instances compare
     and round-trip exactly."""
 
@@ -218,34 +339,6 @@ class SpaceSpec(Message):
             Parameter(name, tuple(values))
             for name, values in self.parameters
         ])
-
-    def _payload(self) -> dict:
-        return {"parameters": [
-            [name, list(values)] for name, values in self.parameters
-        ]}
-
-    @classmethod
-    def _parse(cls, doc: dict) -> "SpaceSpec":
-        raw = _get(doc, "parameters", list)
-        params = []
-        for entry in raw:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise ProtocolError(f"space: bad parameter entry {entry!r}")
-            name, values = entry
-            if not isinstance(name, str) or not name:
-                raise ProtocolError(f"space: bad parameter name {name!r}")
-            if not isinstance(values, list) or not values:
-                raise ProtocolError(
-                    f"space: parameter {name!r} has no value list"
-                )
-            for v in values:
-                if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-                    raise ProtocolError(
-                        f"space: parameter {name!r} value {v!r} is not a "
-                        "JSON primitive"
-                    )
-            params.append((name, tuple(values)))
-        return cls(parameters=tuple(params))
 
 
 @dataclass(frozen=True)
@@ -263,60 +356,20 @@ class TuneRequest(Message):
     use_rule: bool = False
     mode: str = "managed"
     space: SpaceSpec | None = None
-    search_args: dict = field(default_factory=dict)
+    search_args: SearchArgs = field(default_factory=dict)
     """Strategy constructor kwargs (``seed``, ``population``, ...);
     values must be JSON primitives so requests stay serializable."""
     tenant: str = "default"
 
-    def _payload(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "gpu": self.gpu,
-            "size": self.size,
-            "search": self.search,
-            "budget": self.budget,
-            "use_rule": self.use_rule,
-            "mode": self.mode,
-            "space": None if self.space is None else self.space.to_json(),
-            "search_args": dict(self.search_args),
-            "tenant": self.tenant,
-        }
-
-    @classmethod
-    def _parse(cls, doc: dict) -> "TuneRequest":
-        size = _get(doc, "size", int)
-        if size <= 0:
-            raise ProtocolError(f"size must be positive, got {size}")
-        mode = _get(doc, "mode", str, "managed")
-        if mode not in SESSION_MODES:
+    def _check(self) -> None:
+        if self.size <= 0:
+            raise ProtocolError(f"size must be positive, got {self.size}")
+        if self.mode not in SESSION_MODES:
+            raise ProtocolError(f"mode {self.mode!r} not in {SESSION_MODES}")
+        if self.budget is not None and self.budget <= 0:
             raise ProtocolError(
-                f"mode {mode!r} not in {SESSION_MODES}"
+                f"budget must be positive, got {self.budget}"
             )
-        budget = _get(doc, "budget", int, None)
-        if budget is not None and budget <= 0:
-            raise ProtocolError(f"budget must be positive, got {budget}")
-        raw_space = doc.get("space")
-        space = None if raw_space is None else SpaceSpec.from_json(raw_space)
-        args = _get(doc, "search_args", dict, {})
-        for k, v in args.items():
-            if not isinstance(k, str):
-                raise ProtocolError(f"search_args key {k!r} is not a string")
-            if v is not None and not isinstance(v, (bool, int, float, str)):
-                raise ProtocolError(
-                    f"search_args value {k}={v!r} is not a JSON primitive"
-                )
-        return cls(
-            kernel=_get(doc, "kernel", str),
-            gpu=_get(doc, "gpu", str),
-            size=size,
-            search=_get(doc, "search", str, "exhaustive"),
-            budget=budget,
-            use_rule=_get(doc, "use_rule", bool, False),
-            mode=mode,
-            space=space,
-            search_args=dict(args),
-            tenant=_get(doc, "tenant", str, "default"),
-        )
 
 
 @dataclass(frozen=True)
@@ -326,7 +379,7 @@ class MeasurementRecord(Message):
 
     TYPE: ClassVar[str] = "measurement"
 
-    config: dict
+    config: Config
     size: int
     seconds: float
     occupancy: float
@@ -353,31 +406,6 @@ class MeasurementRecord(Message):
             reg_instructions=self.reg_instructions,
         )
 
-    def _payload(self) -> dict:
-        return {
-            "config": dict(self.config),
-            "size": self.size,
-            "seconds": _enc_float(self.seconds),
-            "occupancy": _enc_float(self.occupancy),
-            "regs_per_thread": self.regs_per_thread,
-            "reg_instructions": _enc_float(self.reg_instructions),
-            "key": self.key,
-        }
-
-    @classmethod
-    def _parse(cls, doc: dict) -> "MeasurementRecord":
-        return cls(
-            config=_config_from(_get(doc, "config", dict), "measurement"),
-            size=_get(doc, "size", int),
-            seconds=_dec_float(_get(doc, "seconds", None), "seconds"),
-            occupancy=_dec_float(_get(doc, "occupancy", None), "occupancy"),
-            regs_per_thread=_get(doc, "regs_per_thread", int),
-            reg_instructions=_dec_float(
-                _get(doc, "reg_instructions", None), "reg_instructions"
-            ),
-            key=_get(doc, "key", str, None),
-        )
-
 
 @dataclass(frozen=True)
 class AskBatch(Message):
@@ -388,34 +416,12 @@ class AskBatch(Message):
 
     session_id: str
     round: int
-    configs: tuple
+    configs: Configs
     """Tuple of configuration dicts (tuple, so instances compare)."""
     remaining: int | None = None
     """Budget left after this batch (``None`` = unlimited)."""
     done: bool = False
     """True when the strategy has finished; ``configs`` is then empty."""
-
-    def _payload(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "round": self.round,
-            "configs": [dict(c) for c in self.configs],
-            "remaining": self.remaining,
-            "done": self.done,
-        }
-
-    @classmethod
-    def _parse(cls, doc: dict) -> "AskBatch":
-        raw = _get(doc, "configs", list)
-        return cls(
-            session_id=_get(doc, "session_id", str),
-            round=_get(doc, "round", int),
-            configs=tuple(
-                _config_from(c, f"configs[{i}]") for i, c in enumerate(raw)
-            ),
-            remaining=_get(doc, "remaining", int, None),
-            done=_get(doc, "done", bool, False),
-        )
 
 
 @dataclass(frozen=True)
@@ -427,25 +433,7 @@ class TellResult(Message):
 
     session_id: str
     round: int
-    values: tuple
-
-    def _payload(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "round": self.round,
-            "values": [_enc_float(v) for v in self.values],
-        }
-
-    @classmethod
-    def _parse(cls, doc: dict) -> "TellResult":
-        raw = _get(doc, "values", list)
-        return cls(
-            session_id=_get(doc, "session_id", str),
-            round=_get(doc, "round", int),
-            values=tuple(
-                _dec_float(v, f"values[{i}]") for i, v in enumerate(raw)
-            ),
-        )
+    values: Floats
 
 
 @dataclass(frozen=True)
@@ -458,21 +446,6 @@ class ErrorEnvelope(Message):
     code: str
     message: str
     detail: str | None = None
-
-    def _payload(self) -> dict:
-        return {
-            "code": self.code,
-            "message": self.message,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def _parse(cls, doc: dict) -> "ErrorEnvelope":
-        return cls(
-            code=_get(doc, "code", str),
-            message=_get(doc, "message", str),
-            detail=_get(doc, "detail", str, None),
-        )
 
 
 @dataclass(frozen=True)
@@ -491,54 +464,14 @@ class SessionStatus(Message):
     rounds: int = 0
     evaluations: int = 0
     best_value: float | None = None
-    best_config: dict | None = None
+    best_config: Config | None = None
     error: ErrorEnvelope | None = None
 
-    def _payload(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "state": self.state,
-            "kernel": self.kernel,
-            "gpu": self.gpu,
-            "size": self.size,
-            "search": self.search,
-            "mode": self.mode,
-            "rounds": self.rounds,
-            "evaluations": self.evaluations,
-            "best_value": (None if self.best_value is None
-                           else _enc_float(self.best_value)),
-            "best_config": (None if self.best_config is None
-                            else dict(self.best_config)),
-            "error": None if self.error is None else self.error.to_json(),
-        }
-
-    @classmethod
-    def _parse(cls, doc: dict) -> "SessionStatus":
-        state = _get(doc, "state", str)
-        if state not in SESSION_STATES:
+    def _check(self) -> None:
+        if self.state not in SESSION_STATES:
             raise ProtocolError(
-                f"state {state!r} not in {SESSION_STATES}"
+                f"state {self.state!r} not in {SESSION_STATES}"
             )
-        best = doc.get("best_value")
-        raw_cfg = doc.get("best_config")
-        raw_err = doc.get("error")
-        return cls(
-            session_id=_get(doc, "session_id", str),
-            state=state,
-            kernel=_get(doc, "kernel", str),
-            gpu=_get(doc, "gpu", str),
-            size=_get(doc, "size", int),
-            search=_get(doc, "search", str),
-            mode=_get(doc, "mode", str, "managed"),
-            rounds=_get(doc, "rounds", int, 0),
-            evaluations=_get(doc, "evaluations", int, 0),
-            best_value=(None if best is None
-                        else _dec_float(best, "best_value")),
-            best_config=(None if raw_cfg is None
-                         else _config_from(raw_cfg, "best_config")),
-            error=(None if raw_err is None
-                   else ErrorEnvelope.from_json(raw_err)),
-        )
 
 
 @dataclass(frozen=True)
@@ -555,14 +488,14 @@ class SessionResult(Message):
     TYPE: ClassVar[str] = "session-result"
 
     session_id: str
-    best_config: dict
+    best_config: Config
     best_value: float
     evaluations: int
     space_size: int
     full_space_size: int
-    history: tuple = ()
+    history: History = ()
     """``((config, value), ...)`` in evaluation order."""
-    measurements: tuple = ()
+    measurements: tuple[MeasurementRecord, ...] = ()
     """:class:`MeasurementRecord` per evaluation (empty for external
     sessions, where the client measured)."""
 
@@ -587,48 +520,6 @@ class SessionResult(Message):
             return 0.0
         return 1.0 - self.space_size / self.full_space_size
 
-    def _payload(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "best_config": dict(self.best_config),
-            "best_value": _enc_float(self.best_value),
-            "evaluations": self.evaluations,
-            "space_size": self.space_size,
-            "full_space_size": self.full_space_size,
-            "history": [
-                [dict(c), _enc_float(v)] for c, v in self.history
-            ],
-            "measurements": [m.to_json() for m in self.measurements],
-        }
-
-    @classmethod
-    def _parse(cls, doc: dict) -> "SessionResult":
-        history = []
-        for i, entry in enumerate(_get(doc, "history", list, [])):
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise ProtocolError(f"history[{i}]: bad entry {entry!r}")
-            history.append((
-                _config_from(entry[0], f"history[{i}]"),
-                _dec_float(entry[1], f"history[{i}]"),
-            ))
-        return cls(
-            session_id=_get(doc, "session_id", str),
-            best_config=_config_from(
-                _get(doc, "best_config", dict), "best_config"
-            ),
-            best_value=_dec_float(
-                _get(doc, "best_value", None), "best_value"
-            ),
-            evaluations=_get(doc, "evaluations", int),
-            space_size=_get(doc, "space_size", int),
-            full_space_size=_get(doc, "full_space_size", int),
-            history=tuple(history),
-            measurements=tuple(
-                MeasurementRecord.from_json(m)
-                for m in _get(doc, "measurements", list, [])
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class StoreStats(Message):
@@ -650,35 +541,6 @@ class StoreStats(Message):
     max_entries: int | None = None
     schema_version: int = 0
 
-    def _payload(self) -> dict:
-        return {
-            "entries": self.entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "evicted": self.evicted,
-            "measured": self.measured,
-            "served_from_cache": self.served_from_cache,
-            "sessions": self.sessions,
-            "max_entries": self.max_entries,
-            "schema_version": self.schema_version,
-        }
-
-    @classmethod
-    def _parse(cls, doc: dict) -> "StoreStats":
-        return cls(
-            entries=_get(doc, "entries", int, 0),
-            hits=_get(doc, "hits", int, 0),
-            misses=_get(doc, "misses", int, 0),
-            corrupt=_get(doc, "corrupt", int, 0),
-            evicted=_get(doc, "evicted", int, 0),
-            measured=_get(doc, "measured", int, 0),
-            served_from_cache=_get(doc, "served_from_cache", int, 0),
-            sessions=_get(doc, "sessions", int, 0),
-            max_entries=_get(doc, "max_entries", int, None),
-            schema_version=_get(doc, "schema_version", int, 0),
-        )
-
 
 @dataclass(frozen=True)
 class ServerInfo(Message):
@@ -686,30 +548,14 @@ class ServerInfo(Message):
 
     TYPE: ClassVar[str] = "server-info"
 
-    protocol: str = PROTOCOL_VERSION
+    protocol: str
     server: str = "repro-service/1"
     sessions: int = 0
     store_entries: int = 0
 
-    def _payload(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "server": self.server,
-            "sessions": self.sessions,
-            "store_entries": self.store_entries,
-        }
-
-    @classmethod
-    def _parse(cls, doc: dict) -> "ServerInfo":
-        info = cls(
-            protocol=_get(doc, "protocol", str),
-            server=_get(doc, "server", str, "repro-service/1"),
-            sessions=_get(doc, "sessions", int, 0),
-            store_entries=_get(doc, "store_entries", int, 0),
-        )
+    def _check(self) -> None:
         # the handshake's payload version is the compatibility contract
-        check_version(info.protocol)
-        return info
+        check_version(self.protocol)
 
 
 MESSAGE_TYPES = {
@@ -719,6 +565,8 @@ MESSAGE_TYPES = {
         ErrorEnvelope, SessionStatus, SessionResult, StoreStats, ServerInfo,
     )
 }
+for _cls in MESSAGE_TYPES.values():
+    _plan(_cls)
 
 
 def parse_message(doc) -> Message:

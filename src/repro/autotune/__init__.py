@@ -19,12 +19,9 @@ Mirrors the workflow the paper integrates with (Sec. II-C, III-C, IV-A):
 - :mod:`repro.autotune.tuner` is the user-facing facade.
 """
 
-import warnings
-
 from repro.autotune.spec import parse_perf_tuning, default_tuning_spec
 from repro.autotune.space import ParameterSpace, Parameter
-from repro.autotune.measure import VariantMeasurement
-from repro.autotune.measure import Measurer as _Measurer
+from repro.autotune.measure import Measurer, VariantMeasurement
 from repro.autotune.results import TuningResults, RankedVariant, rank_split
 from repro.autotune.search import (
     SearchResult,
@@ -37,41 +34,7 @@ from repro.autotune.search import (
     get_search,
     SEARCH_REGISTRY,
 )
-from repro.autotune.tuner import Autotuner as _Autotuner
-
-_warned: set = set()
-
-
-def _deprecate(name: str, replacement: str) -> None:
-    """Warn once per process: `repro.api` is the public surface now."""
-    if name in _warned:
-        return
-    _warned.add(name)
-    warnings.warn(
-        f"constructing repro.autotune.{name} directly is deprecated for "
-        f"application code; use {replacement} (from repro.api) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class Autotuner(_Autotuner):
-    """Deprecated alias of :class:`repro.autotune.tuner.Autotuner`:
-    application code should go through :func:`repro.api.tune` (internal
-    modules import the real class from ``repro.autotune.tuner``)."""
-
-    def __init__(self, *args, **kwargs):
-        _deprecate("Autotuner", "repro.api.tune()")
-        super().__init__(*args, **kwargs)
-
-
-class Measurer(_Measurer):
-    """Deprecated alias of :class:`repro.autotune.measure.Measurer`;
-    see :class:`Autotuner` above."""
-
-    def __init__(self, *args, **kwargs):
-        _deprecate("Measurer", "repro.api.tune()")
-        super().__init__(*args, **kwargs)
+from repro.autotune.tuner import Autotuner
 
 __all__ = [
     "parse_perf_tuning",

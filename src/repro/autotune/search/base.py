@@ -136,14 +136,20 @@ class Search:
     def ask(self, k: int | None = None) -> list:
         """The next batch of at most ``k`` configurations to evaluate.
 
-        An empty list means the strategy is finished.  Every returned
-        configuration must be answered by exactly one ``tell``.
-        ``k=None`` defaults to the remaining budget, so manual drivers
-        cannot overrun it by forgetting to thread ``remaining`` through.
+        An empty list means the run is over -- the strategy finished or
+        the budget is spent -- so every driver is ``while configs :=
+        ask(): ...``.  Every returned configuration must be answered by
+        exactly one ``tell``.  ``k=None`` defaults to the remaining
+        budget, so manual drivers cannot overrun it by forgetting to
+        thread ``remaining`` through.
         """
+        remaining = self.remaining
         if k is None:
-            k = self.remaining
+            k = remaining
         if self._done:
+            return []
+        if remaining is not None and remaining <= 0:
+            self._finish()
             return []
         if self._fresh is not None:
             raise RuntimeError("ask() while a batch is awaiting tell()")
@@ -247,13 +253,7 @@ class Search:
         self.reset(space, budget)
         batch_eval = getattr(objective, "batch", None)
         round_no = 0
-        while not self.done:
-            k = self.remaining
-            if k is not None and k <= 0:
-                break
-            configs = self.ask(k)
-            if not configs:
-                break
+        while configs := self.ask():
             # one span per ask/tell round; engine batch spans nest here
             with obs.span("round", key=round_no,
                           args={"strategy": self.name,

@@ -15,12 +15,8 @@ receives the same frozen dataclasses the in-process API uses::
 External (client-measured) sessions drive ask/tell themselves::
 
     status = client.submit_tune(..., mode="external")
-    while True:
-        batch = client.ask(status.session_id)
-        if batch.done:
-            break
-        values = [measure(c) for c in batch.configs]
-        client.tell(batch, values)
+    while not (batch := client.ask(status.session_id)).done:
+        client.tell(batch, [measure(c) for c in batch.configs])
     result = client.result(status.session_id)
 
 Failures raise :class:`ServiceError` carrying the server's structured
@@ -46,7 +42,6 @@ from repro.api.protocol import (
     StoreStats,
     TellResult,
     TuneRequest,
-    check_version,
 )
 
 __all__ = ["ReproClient", "ServiceError", "connect"]
@@ -124,9 +119,7 @@ class ReproClient:
     def hello(self) -> ServerInfo:
         """Handshake: fetch the server's info and verify we can speak
         its protocol (raises :class:`ProtocolError` if not)."""
-        info = ServerInfo.from_json(self._request("GET", "/v1/hello"))
-        check_version(info.protocol)
-        return info
+        return ServerInfo.from_json(self._request("GET", "/v1/hello"))
 
     # -- sessions ------------------------------------------------------------
 
@@ -214,10 +207,7 @@ class ReproClient:
     def run_external(self, session_id: str, measure) -> SessionResult:
         """Drive an external session to completion with a local
         ``measure(config) -> seconds`` callable."""
-        while True:
-            batch = self.ask(session_id)
-            if batch.done:
-                break
+        while not (batch := self.ask(session_id)).done:
             self.tell(batch, [measure(dict(c)) for c in batch.configs])
         return self.result(session_id)
 

@@ -10,7 +10,12 @@ responses.  Strictness rules:
   at the transport instead of emitting invalid JSON;
 - malformed requests answer a structured
   :class:`~repro.api.protocol.ErrorEnvelope`, never a bare string;
-- handlers raise :class:`HttpError` to produce non-200 statuses.
+- a request advertising an incompatible protocol version in the
+  ``X-Repro-Protocol`` header is refused with 426 before its handler
+  runs;
+- handlers (and the session layer under them) raise :class:`HttpError`
+  to produce non-200 statuses; any other exception answers 500 and is
+  counted as ``service.errors{where=handler}``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ import asyncio
 import json
 import re
 
-from repro.api.protocol import ErrorEnvelope, ProtocolError
+from repro import obs
+from repro.api.protocol import ErrorEnvelope, ProtocolError, check_version
 
 __all__ = ["HttpError", "Request", "Router", "serve_connection"]
 
@@ -34,18 +40,17 @@ _REASONS = {
 
 PROTOCOL_HEADER = "x-repro-protocol"
 """Clients advertise their protocol version here; the server rejects an
-incompatible one with 426 before touching the body."""
+incompatible one with 426 before any handler runs."""
 
 
 class HttpError(Exception):
-    """Raise inside a handler to answer a non-200 status."""
+    """Raise inside a handler to answer a non-200 status with a
+    structured :class:`~repro.api.protocol.ErrorEnvelope`."""
 
-    def __init__(self, status: int, code: str, message: str,
-                 detail: str | None = None):
+    def __init__(self, status: int, code: str, message: str):
         super().__init__(message)
         self.status = status
-        self.envelope = ErrorEnvelope(code=code, message=message,
-                                      detail=detail)
+        self.envelope = ErrorEnvelope(code=code, message=message)
 
 
 class Request:
@@ -184,6 +189,13 @@ async def serve_connection(reader: asyncio.StreamReader,
                 handler, params = router.resolve(
                     request.method, request.path
                 )
+                advertised = request.headers.get(PROTOCOL_HEADER)
+                if advertised is not None:
+                    try:
+                        check_version(advertised)
+                    except ProtocolError as e:
+                        raise HttpError(426, "protocol-mismatch",
+                                        str(e)) from None
                 result = await handler(request, **params)
                 status, doc = (
                     result if isinstance(result, tuple) else (200, result)
@@ -199,10 +211,12 @@ async def serve_connection(reader: asyncio.StreamReader,
                 return
             except Exception as e:  # handler bug: answer 500, keep serving
                 status = 500
-                doc = ErrorEnvelope(
-                    code="internal-error",
-                    message=f"{type(e).__name__}: {e}",
-                ).to_json()
+                message = f"{type(e).__name__}: {e}"
+                obs.add("service.errors", where="handler")
+                obs.instant("service.error",
+                            args={"where": "handler", "error": message})
+                doc = ErrorEnvelope(code="internal-error",
+                                    message=message).to_json()
             writer.write(_encode_response(status, doc, keep_alive))
             await writer.drain()
             if not keep_alive:

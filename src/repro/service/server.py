@@ -24,8 +24,9 @@ Endpoints (all JSON, prefix ``/v1``)::
     POST /v1/store/flush                checkpoint + evict, then StoreStats
 
 A client may advertise its protocol version in the ``X-Repro-Protocol``
-header; an incompatible one is refused with 426 before the body is
-read.  Bodies carry their own ``v`` field, enforced the same way.
+header; :func:`~repro.service.http.serve_connection` refuses an
+incompatible one with 426 before any handler runs.  Bodies carry their
+own ``v`` field, enforced the same way.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ from repro.api.protocol import (
     check_version,
 )
 from repro.service.fleet import WorkerFleet
-from repro.service.http import PROTOCOL_HEADER, HttpError, Router, \
-    serve_connection
-from repro.service.sessions import SessionError, SessionManager
+from repro.service.http import HttpError, Router, serve_connection
+from repro.service.sessions import SessionManager
 from repro.service.store import MeasurementStore
 
 __all__ = ["Server", "ThreadedServer", "serve"]
@@ -70,6 +70,9 @@ class Server:
         Concurrent measurement jobs (fleet width).
     jobs:
         Worker processes per drainer engine (1 = inline, supervised).
+    max_sessions:
+        Cap on unfinished sessions; also how many finished sessions are
+        kept for their clients to fetch.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -118,9 +121,9 @@ class Server:
     async def _on_connection(self, reader, writer) -> None:
         await serve_connection(reader, writer, self.router)
 
-    def _eviction_pass(self, _session) -> None:
-        """After every finished session: checkpoint the WAL and trim the
-        store to its LRU cap."""
+    def _eviction_pass(self, _session=None) -> None:
+        """Checkpoint the WAL and trim the store to its LRU cap (after
+        every finished session, and on ``/v1/store/flush``)."""
         if self.store is not None:
             self.store.evict()
             self.store.flush()
@@ -142,32 +145,19 @@ class Server:
         return router
 
     @staticmethod
-    def _check_request_version(request) -> None:
-        advertised = request.headers.get(PROTOCOL_HEADER)
-        if advertised is None:
-            return
-        try:
-            check_version(advertised)
-        except ProtocolError as e:
-            raise HttpError(426, "protocol-mismatch", str(e)) from None
-
-    def _parse_body(self, request, message_type):
-        self._check_request_version(request)
+    def _parse_body(request, message_type):
         doc = request.json()
         if "v" in doc:
             try:
                 check_version(doc.get("v"))
             except ProtocolError as e:
                 raise HttpError(426, "protocol-mismatch", str(e)) from None
-        try:
-            return message_type.from_json(doc)
-        except ProtocolError as e:
-            raise HttpError(400, "protocol-error", str(e)) from None
+        # a ProtocolError here answers 400 protocol-error (serve_connection)
+        return message_type.from_json(doc)
 
     # -- handlers -------------------------------------------------------------
 
     async def _hello(self, request):
-        self._check_request_version(request)
         return ServerInfo(
             protocol=PROTOCOL_VERSION,
             sessions=len(self.sessions),
@@ -178,15 +168,11 @@ class Server:
         tr = self._parse_body(request, TuneRequest)
         try:
             session = self.sessions.create(tr)
-        except SessionError as e:
-            raise HttpError(e.status, e.envelope.code,
-                            e.envelope.message) from None
         except ProtocolError as e:
             raise HttpError(400, "bad-request", str(e)) from None
         return session.status().to_json()
 
     async def _list_sessions(self, request):
-        self._check_request_version(request)
         return {
             "type": "session-list", "v": PROTOCOL_VERSION,
             "sessions": [
@@ -194,20 +180,11 @@ class Server:
             ],
         }
 
-    def _get_session(self, sid):
-        try:
-            return self.sessions.get(sid)
-        except SessionError as e:
-            raise HttpError(e.status, e.envelope.code,
-                            e.envelope.message) from None
-
     async def _status(self, request, sid):
-        self._check_request_version(request)
-        return self._get_session(sid).status().to_json()
+        return self.sessions.get(sid).status().to_json()
 
     async def _result(self, request, sid):
-        self._check_request_version(request)
-        session = self._get_session(sid)
+        session = self.sessions.get(sid)
         if session.state == "failed" and session.error is not None:
             raise HttpError(409, session.error.code,
                             session.error.message)
@@ -220,60 +197,38 @@ class Server:
         return session.result.to_json()
 
     async def _ask(self, request, sid):
-        self._check_request_version(request)
-        try:
-            batch = await self.sessions.ask(sid)
-        except SessionError as e:
-            raise HttpError(e.status, e.envelope.code,
-                            e.envelope.message) from None
-        return batch.to_json()
+        return (await self.sessions.ask(sid)).to_json()
 
     async def _tell(self, request, sid):
         told = self._parse_body(request, TellResult)
         try:
             status = await self.sessions.tell(sid, told)
-        except SessionError as e:
-            raise HttpError(e.status, e.envelope.code,
-                            e.envelope.message) from None
         except (ValueError, RuntimeError) as e:
             raise HttpError(400, "bad-tell", str(e)) from None
         return status.to_json()
 
     async def _cancel(self, request, sid):
-        self._check_request_version(request)
-        try:
-            session = self.sessions.cancel(sid)
-        except SessionError as e:
-            raise HttpError(e.status, e.envelope.code,
-                            e.envelope.message) from None
-        return session.status().to_json()
+        return self.sessions.cancel(sid).status().to_json()
 
     async def _store_stats(self, request):
-        self._check_request_version(request)
         return self._stats().to_json()
 
     async def _store_flush(self, request):
-        self._check_request_version(request)
-        if self.store is not None:
-            self.store.evict()
-            self.store.flush()
+        self._eviction_pass()
         return self._stats().to_json()
 
     def _stats(self) -> StoreStats:
         store = self.store
+        held = {} if store is None else dict(
+            entries=len(store), hits=store.hits, misses=store.misses,
+            corrupt=store.corrupt, evicted=store.evicted,
+            max_entries=store.max_entries,
+            schema_version=store.schema_version,
+        )
         return StoreStats(
-            entries=len(store) if store is not None else 0,
-            hits=store.hits if store is not None else 0,
-            misses=store.misses if store is not None else 0,
-            corrupt=store.corrupt if store is not None else 0,
-            evicted=getattr(store, "evicted", 0) if store is not None else 0,
             measured=self.fleet.total_measured,
             served_from_cache=self.fleet.total_hits,
-            sessions=len(self.sessions),
-            max_entries=getattr(store, "max_entries", None)
-            if store is not None else None,
-            schema_version=getattr(store, "schema_version", 0)
-            if store is not None else 0,
+            sessions=len(self.sessions), **held,
         )
 
 

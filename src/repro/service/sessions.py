@@ -5,8 +5,8 @@ plus its request context.  Two modes:
 
 - **managed** -- the server drives the exact loop
   :meth:`Search.search() <repro.autotune.search.base.Search.search>`
-  runs in-process (reset -> ask(remaining) -> measure -> tell -> ... ->
-  result), with the measurement step routed through the
+  runs in-process (reset -> ask -> measure -> tell -> ... -> result),
+  with the measurement step routed through the
   :class:`~repro.service.fleet.WorkerFleet`.  Because the loop, the
   strategy code, the engine, and the deterministic timing model are all
   shared with the library path, a managed session's
@@ -41,18 +41,9 @@ from repro.api.protocol import (
     TuneRequest,
 )
 from repro.obs.trace import ROOT, child_id
+from repro.service.http import HttpError
 
-__all__ = ["Session", "SessionError", "SessionManager"]
-
-
-class SessionError(Exception):
-    """A session-level failure with a structured envelope and an HTTP
-    status for the transport layer."""
-
-    def __init__(self, status: int, code: str, message: str):
-        super().__init__(message)
-        self.status = status
-        self.envelope = ErrorEnvelope(code=code, message=message)
+__all__ = ["Session", "SessionManager"]
 
 
 class Session:
@@ -76,7 +67,6 @@ class Session:
         self.result: SessionResult | None = None
         self.started_s = time.time()
         self._t0 = time.monotonic()
-        self._finished = asyncio.Event()
         self._lock = asyncio.Lock()
         """External-mode ask/tell must serialize: the strategy is not
         reentrant."""
@@ -115,34 +105,27 @@ class Session:
 
     # -- lifecycle ------------------------------------------------------------
 
+    @property
+    def finished(self) -> bool:
+        return self.state in ("done", "failed", "cancelled")
+
     def finish(self, state: str, error: ErrorEnvelope | None = None) -> None:
-        if self.state in ("done", "failed", "cancelled"):
+        if self.finished:
             return
         self.state = state
         self.error = error
         self._record_session_span()
         obs.add("service.sessions_finished", state=state)
-        self._finished.set()
-
-    async def wait(self, timeout: float | None = None) -> bool:
-        try:
-            await asyncio.wait_for(self._finished.wait(), timeout)
-            return True
-        except asyncio.TimeoutError:
-            return False
 
     # -- progress snapshots ---------------------------------------------------
 
     def status(self) -> SessionStatus:
+        # evaluations exist once reset() ran (pending sessions: not yet)
+        evaluations = getattr(self.strategy, "evaluations", 0)
         best_config, best_value = None, None
-        strategy = self.strategy
-        # _best_config exists once reset() ran (pending sessions: not yet)
-        if getattr(strategy, "evaluations", 0):
-            try:
-                sr = strategy.result()
-                best_config, best_value = sr.best_config, sr.best_value
-            except ValueError:
-                pass
+        if evaluations:
+            sr = self.strategy.result()
+            best_config, best_value = sr.best_config, sr.best_value
         return SessionStatus(
             session_id=self.session_id,
             state=self.state,
@@ -152,7 +135,7 @@ class Session:
             search=self.request.search,
             mode=self.request.mode,
             rounds=self.rounds,
-            evaluations=getattr(strategy, "evaluations", 0),
+            evaluations=evaluations,
             best_value=best_value,
             best_config=best_config,
             error=self.error,
@@ -160,7 +143,12 @@ class Session:
 
 
 class SessionManager:
-    """Creates, drives, and indexes sessions over one shared fleet."""
+    """Creates, drives, and indexes sessions over one shared fleet.
+
+    At most ``max_sessions`` unfinished sessions run at once, and at most
+    ``max_sessions`` finished ones are kept for their clients to fetch;
+    older finished sessions are dropped as new ones arrive.
+    """
 
     def __init__(self, fleet, max_sessions: int = 1024,
                  on_session_finished=None):
@@ -177,8 +165,11 @@ class SessionManager:
         if self.on_session_finished is not None:
             try:
                 self.on_session_finished(session)
-            except Exception:
-                pass  # maintenance must never take a session down
+            except Exception as e:  # maintenance must never fail a session
+                obs.add("service.errors", where="session-finished")
+                obs.instant("service.error", parent_id=session.span_id,
+                            args={"where": "session-finished",
+                                  "error": f"{type(e).__name__}: {e}"})
 
     # -- registry -------------------------------------------------------------
 
@@ -191,7 +182,7 @@ class SessionManager:
     def get(self, session_id: str) -> Session:
         session = self._sessions.get(session_id)
         if session is None:
-            raise SessionError(
+            raise HttpError(
                 404, "unknown-session", f"no such session: {session_id!r}"
             )
         return session
@@ -201,11 +192,14 @@ class SessionManager:
     def create(self, request: TuneRequest) -> Session:
         """Validate a request, instantiate its strategy, register the
         session, and (managed mode) start its driver task."""
-        if len(self._sessions) >= self.max_sessions:
-            raise SessionError(
+        finished = [sid for sid, s in self._sessions.items() if s.finished]
+        if len(self._sessions) - len(finished) >= self.max_sessions:
+            raise HttpError(
                 409, "too-many-sessions",
                 f"server at its session cap ({self.max_sessions})",
             )
+        for sid in finished[:max(len(finished) - self.max_sessions, 0)]:
+            del self._sessions[sid]
         benchmark, gpu, space = resolve_request(request)
         if space is None:
             space = benchmark.default_space()
@@ -260,19 +254,12 @@ class SessionManager:
         strategy work (``reset`` compiles under static search) runs on a
         worker thread."""
         strategy = session.strategy
-        request = session.request
         session.state = "running"
         try:
             await asyncio.to_thread(
-                strategy.reset, session.space, request.budget
+                strategy.reset, session.space, session.request.budget
             )
-            while not strategy.done:
-                k = strategy.remaining
-                if k is not None and k <= 0:
-                    break
-                configs = await asyncio.to_thread(strategy.ask, k)
-                if not configs:
-                    break
+            while configs := await asyncio.to_thread(strategy.ask):
                 round_no = session.rounds
                 start_s, t0 = time.time(), time.monotonic()
                 values = await self._measure(session, configs, round_no)
@@ -314,7 +301,7 @@ class SessionManager:
 
     def _require_external(self, session: Session) -> None:
         if session.request.mode != "external":
-            raise SessionError(
+            raise HttpError(
                 409, "managed-session",
                 f"session {session.session_id} is managed; "
                 "poll its status and result instead of ask/tell",
@@ -325,13 +312,13 @@ class SessionManager:
         session = self.get(session_id)
         self._require_external(session)
         async with session._lock:
-            if session.state in ("done", "failed", "cancelled"):
+            if session.finished:
                 return AskBatch(
                     session_id=session_id, round=session.rounds,
                     configs=(), remaining=0, done=True,
                 )
             if session._pending is not None:
-                raise SessionError(
+                raise HttpError(
                     409, "tell-pending",
                     "the previous batch has not been answered "
                     "(one tell per ask)",
@@ -345,10 +332,7 @@ class SessionManager:
                 )
                 session._pending_round = -1
                 session.state = "running"
-            k = strategy.remaining
-            configs = []
-            if not strategy.done and (k is None or k > 0):
-                configs = await asyncio.to_thread(strategy.ask, k)
+            configs = await asyncio.to_thread(strategy.ask)
             if not configs:
                 self._finalize_external(session)
                 return AskBatch(
@@ -369,17 +353,17 @@ class SessionManager:
         self._require_external(session)
         async with session._lock:
             if session._pending is None:
-                raise SessionError(
+                raise HttpError(
                     409, "no-pending-ask", "tell without a pending ask"
                 )
             if told.round != session.rounds:
-                raise SessionError(
+                raise HttpError(
                     409, "round-mismatch",
                     f"tell answers round {told.round} but round "
                     f"{session.rounds} is pending",
                 )
             if len(told.values) != len(session._pending):
-                raise SessionError(
+                raise HttpError(
                     400, "batch-mismatch",
                     f"{len(session._pending)} configurations were asked "
                     f"but {len(told.values)} values were told",
@@ -391,25 +375,18 @@ class SessionManager:
                                        len(session._pending))
             session.rounds += 1
             session._pending = None
-            session.state = "running"
-            k = strategy.remaining
-            if strategy.done or (k is not None and k <= 0):
-                self._finalize_external(session)
-            else:
-                session.state = "waiting"
+            # the next ask learns whether the run is over
+            session.state = "waiting"
             return session.status()
 
     def _finalize_external(self, session: Session) -> None:
         try:
-            sr = session.strategy.result()
+            session.result = SessionResult.from_search(
+                session.session_id, session.strategy.result(),
+            )
+            session.finish("done")
         except ValueError as e:
             session.finish("failed", ErrorEnvelope(
                 code="session-failed", message=str(e),
             ))
-            self._session_finished(session)
-            return
-        session.result = SessionResult.from_search(
-            session.session_id, sr, measurements=(),
-        )
-        session.finish("done")
         self._session_finished(session)

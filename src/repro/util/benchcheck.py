@@ -20,9 +20,10 @@ import json
 import sys
 from pathlib import Path
 
-DEFAULT_PATTERNS = ("emulator", "sweep")
-"""Benchmarks watched by default: the emulator fast path and the engine
-sweep/cache paths -- the two hot paths with asserted speedup bars."""
+DEFAULT_PATTERNS = ("emulator", "sweep", "codec")
+"""Benchmarks watched by default: the emulator fast path, the engine
+sweep/cache paths -- the two hot paths with asserted speedup bars -- and
+the service protocol codec."""
 
 
 def load_medians(path: str | Path) -> dict[str, float]:

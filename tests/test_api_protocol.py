@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -255,6 +256,22 @@ def test_version_enforcement(cls):
         newer_minor["protocol"] = PROTOCOL_VERSION
     assert _eq(cls.from_json(newer_minor), x if cls is not ServerInfo
                else x)
+
+
+WIRE_FIXTURE = Path(__file__).parent / "fixtures" / "protocol_wire.json"
+
+
+@pytest.mark.parametrize("cls", list(GENERATORS), ids=lambda c: c.TYPE)
+def test_wire_format_pinned(cls):
+    """The committed documents (10 seeded instances per type) are the
+    wire format: ``to_json`` reproduces each byte for byte, key order
+    included, and ``from_json`` reads each back to the instance."""
+    pinned = json.loads(WIRE_FIXTURE.read_text())[cls.TYPE]
+    rng = random.Random(f"wire/{cls.TYPE}")
+    for doc in pinned:
+        x = GENERATORS[cls](rng)
+        assert json.dumps(x.to_json(), allow_nan=False) == json.dumps(doc)
+        assert _eq(cls.from_json(doc), x)
 
 
 def test_version_parsing():

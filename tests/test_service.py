@@ -194,12 +194,22 @@ def test_structured_errors(server):
         client.submit(TuneRequest(kernel="no-such-kernel", gpu="kepler",
                                   size=16))
     assert e.value.status == 400
+    assert e.value.code == "bad-request"
     assert "registered" in e.value.envelope.message
 
     with pytest.raises(ServiceError) as e:
         client.submit(TuneRequest(kernel="atax", gpu="no-such-gpu",
                                   size=16))
     assert e.value.status == 400
+    assert e.value.code == "bad-request"
+
+    # a document that breaks the protocol is a protocol-error
+    body = REQUESTS[0].to_json()
+    body["size"] = -1
+    with pytest.raises(ServiceError) as e:
+        client._request("POST", "/v1/sessions", body=body)
+    assert e.value.status == 400
+    assert e.value.code == "protocol-error"
 
     with pytest.raises(ServiceError) as e:
         client.status("s9999-nobody")
@@ -209,10 +219,12 @@ def test_structured_errors(server):
     with pytest.raises(ServiceError) as e:
         client._request("GET", "/v1/no/such/endpoint")
     assert e.value.status == 404
+    assert e.value.code == "not-found"
 
     with pytest.raises(ServiceError) as e:
         client._request("PUT", "/v1/sessions")
     assert e.value.status == 405
+    assert e.value.code == "method-not-allowed"
 
     # result before the session finishes is a 409, not a hang
     status = client.submit(TuneRequest(
@@ -247,6 +259,7 @@ def test_version_mismatch_refused(server):
     with pytest.raises(ServiceError) as e:
         client._request("POST", "/v1/sessions", body=body)
     assert e.value.status == 426
+    assert e.value.code == "protocol-mismatch"
 
 
 def test_cancel(server):
@@ -279,28 +292,69 @@ def test_in_process_tune_facade(tmp_path):
     )]
 
 
-def test_deprecated_constructors_warn_once():
-    import warnings
+def test_session_cap_counts_only_unfinished(tmp_path):
+    """Finished sessions neither count against max_sessions nor pile up:
+    a server capped at 3 serves 5 sequential sessions, each of which can
+    still fetch its result, keeps only the newest finished ones, and
+    still refuses a 4th unfinished session."""
+    with ThreadedServer(cache_dir=tmp_path, max_sessions=3) as ts:
+        client = connect(ts.url)
+        ids = []
+        for _ in range(5):
+            status = client.submit(REQUESTS[0])
+            ids.append(status.session_id)
+            client.wait(status.session_id, timeout=120)
+            assert client.result(status.session_id).evaluations == 4
+        # 3 finished kept when the 5th arrived, plus the 5th itself
+        assert [s.session_id for s in client.sessions()] == ids[1:]
 
-    import repro.autotune as at
+        external = TuneRequest(kernel="atax", gpu="kepler", size=16,
+                               mode="external", space=SMALL_SPACE)
+        for _ in range(3):
+            client.submit(external)  # unfinished until driven
+        with pytest.raises(ServiceError) as e:
+            client.submit(external)
+        assert e.value.status == 409
+        assert e.value.code == "too-many-sessions"
 
-    at._warned.clear()
-    from repro.arch import get_gpu
-    from repro.kernels import get_benchmark
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        at.Autotuner(get_benchmark("atax"), get_gpu("kepler"))
-        at.Autotuner(get_benchmark("atax"), get_gpu("kepler"))
-        at.Measurer(get_benchmark("atax"), get_gpu("kepler"))
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 2  # one per class, not per call
-    assert "repro.api" in str(deprecations[0].message)
-    # internal modules import the real classes and stay silent
-    from repro.autotune.tuner import Autotuner as real
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        real(get_benchmark("atax"), get_gpu("kepler"))
-    assert not [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
+@pytest.fixture()
+def traced():
+    from repro import obs
+
+    obs.enable()
+    try:
+        yield obs
+    finally:
+        obs.disable()
+
+
+def test_failed_session_maintenance_is_counted(tmp_path, traced):
+    def broken(_session):
+        raise OSError("disk full")
+
+    with ThreadedServer(cache_dir=tmp_path) as ts:
+        ts.server.sessions.on_session_finished = broken
+        client = connect(ts.url)
+        status = client.submit(REQUESTS[0])
+        client.wait(status.session_id, timeout=120)  # the session survives
+    assert traced.metrics.value("service.errors",
+                                where="session-finished") == 1
+    errors = [i for i in traced.tracer.instants if i.name == "service.error"]
+    assert [i.args["where"] for i in errors] == ["session-finished"]
+
+
+def test_handler_errors_are_counted(tmp_path, traced):
+    async def broken(request):
+        raise KeyError("bug")
+
+    with ThreadedServer(cache_dir=tmp_path) as ts:
+        ts.server.router.add("GET", "/v1/broken", broken)
+        client = ReproClient(ts.url)
+        with pytest.raises(ServiceError) as e:
+            client._request("GET", "/v1/broken")
+    assert e.value.status == 500
+    assert e.value.code == "internal-error"
+    assert traced.metrics.value("service.errors", where="handler") == 1
+    errors = [i for i in traced.tracer.instants if i.name == "service.error"]
+    assert [i.args["where"] for i in errors] == ["handler"]
