@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro import obs
 from repro.arch.throughput import InstrCategory, PipeClass
 from repro.codegen.ast_nodes import Expr, evaluate_expr
 from repro.ptx.isa import DType, MemSpace
@@ -173,7 +174,8 @@ DATA_DEP_TRIPS_DEFAULT = 8.0
 evaluated from the environment at all -- data-dependent trips (e.g. CSR
 row extents) with the input arrays absent, which is exactly the static
 analyzer's blind spot.  Callers that *can* see the inputs (the exact
-counting substrate) bind the arrays in ``env`` and never hit this."""
+counting substrate) bind the arrays in ``env`` and never hit this.  Each
+use is counted as ``counting.fallbacks{kind=trips}``."""
 
 
 def _sloop_trips(region: Region, env: dict, loop_stack: list) -> float:
@@ -213,6 +215,7 @@ def _sloop_trips(region: Region, env: dict, loop_stack: list) -> float:
         shape = tuple(a.size for a in axes)
         return float(np.broadcast_to(trips, shape).mean())
     except (KeyError, TypeError):
+        obs.add("counting.fallbacks", kind="trips")
         return DATA_DEP_TRIPS_DEFAULT
 
 

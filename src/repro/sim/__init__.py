@@ -10,8 +10,10 @@ Three cooperating models replace the paper's physical GPUs:
 - :mod:`repro.sim.counting` -- closed-form *exact* dynamic counts from the
   compiler's region tree (grid-stride trip counts, vectorized branch-
   condition evaluation over iteration domains).  Agrees with the emulator
-  (tested) but costs microseconds at any problem size; this is the
-  "dynamic truth" for Table VI and the input to the timing model.
+  (tested); its tree walk does not depend on problem size and each
+  O(domain) branch-condition pass runs once per (guard, domain, env) per
+  process.  This is the "dynamic truth" for Table VI and the input to the
+  timing model.
 - :mod:`repro.sim.timing` -- the analytic performance model that plays the
   role of running on hardware: occupancy-driven latency hiding, Table II
   issue throughput, DRAM bandwidth with cache/coalescing effects, atomic

@@ -9,9 +9,11 @@ Evaluates a compiled kernel's region tree with *exact* multiplicities:
   vectorized with NumPy, over the full iteration domain of the enclosing
   loops (e.g. the ex14FJ boundary predicate over all N^3 points).
 
-The results agree with the warp emulator (asserted in tests) but cost
-microseconds at any problem size, which is what lets the timing model stand
-in for 5,120-variant empirical sweeps.
+The results agree with the warp emulator (asserted in tests).  The region
+tree walk's cost does not depend on problem size; the branch-domain pass
+is O(domain) and runs once per (guard, domain, env) per process, because
+its result is memoized by structure (:data:`_fraction_cache`).  That is
+what lets the timing model stand in for 5,120-variant empirical sweeps.
 
 Data-dependent control flow (CSR row extents, skewed histogram keys,
 compaction guards) is supported *input-aware*: bind the concrete input
@@ -25,14 +27,31 @@ degradation story the paper's static analyzer lives with.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
+from repro import obs
 from repro.codegen.ast_nodes import evaluate_expr, evaluate_expr_numpy
 from repro.codegen.compiler import CompiledKernel
-from repro.codegen.regions import DynamicCounts, Region, evaluate_region_tree
+from repro.codegen.regions import (
+    DynamicCounts,
+    Region,
+    RegionKind,
+    evaluate_region_tree,
+)
 
 #: evaluate branch domains in chunks of this many points to bound memory
 _CHUNK = 1 << 20
+
+#: entries a memo holds before it is cleared and refilled
+_MEMO_LIMIT = 4096
+
+
+def _memo_put(memo: dict, key, value) -> None:
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
 
 
 def _domain_axes(loop_stack: list, env: dict) -> list[np.ndarray]:
@@ -50,14 +69,24 @@ def exact_branch_fraction(region: Region, env: dict, loop_stack: list) -> float:
     For a THEN region this is the probability that the condition holds;
     for an ELSE region, its complement.  Conditions whose data is absent
     from ``env`` (data-dependent branches without the input arrays bound)
-    fall back to the static 0.5 assumption.
+    fall back to the static 0.5 assumption, counted once per memo entry
+    as ``counting.fallbacks{kind=branch}``.
     """
-    from repro.codegen.regions import RegionKind
-
-    try:
-        f = _cond_fraction(region, env, loop_stack)
-    except (KeyError, TypeError):
-        f = 0.5
+    key = (
+        region.cond,
+        tuple((r.loop_var, r.lower, r.upper, r.step) for r in loop_stack),
+        _env_key(env),
+    )
+    f = _fraction_cache.get(key)
+    if f is None:
+        try:
+            f = _cond_fraction(region, env, loop_stack)
+        except (KeyError, TypeError):
+            # the same key always raises the same error, so the fallback
+            # is memoized (and counted) like any other fraction
+            f = 0.5
+            obs.add("counting.fallbacks", kind="branch")
+        _memo_put(_fraction_cache, key, f)
     if region.kind is RegionKind.ELSE:
         return 1.0 - f
     return f
@@ -115,15 +144,27 @@ def warp_branch_fraction(region: Region, env: dict, loop_stack: list) -> float:
     return min(1.0, 32.0 * f)
 
 
-_count_cache: dict = {}
-"""Memo: (id-keyed kernel, env, warp_level) -> (eval@T=0, eval@T=1).
+_fraction_cache: dict = {}
+"""Memo: (condition, enclosing loop domain, env) -> THEN probability.
+
+Keyed by structure, not by module: :class:`~repro.codegen.ast_nodes.Expr`
+nodes are frozen dataclasses, so a guard compiled again (another GPU,
+``UIF``, ``CFLAGS`` or ``PL``) hits the same entry.  One O(domain) NumPy
+pass (e.g. ex14FJ's boundary predicate over all N^3 points) therefore
+serves both arms, both count levels, T=0 and T=1, and every recompile.
+Input arrays bound in ``env`` are part of the key by content.  Holds at
+most :data:`_MEMO_LIMIT` entries.
+"""
+
+_count_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+"""Memo: compiled kernel -> {(env, warp_level): (eval@T=0, eval@T=1)}.
 
 Counts are affine in the launched thread count T (only the ROOT region
 scales with T; the parallel loop executes a fixed M iterations), so two
-evaluations determine every launch configuration.  This is what makes
-5,120-variant sweeps cheap: the expensive part (vectorized branch-domain
-evaluation for e.g. ex14FJ's N^3 boundary predicate) runs once per
-(kernel, size) instead of once per variant.
+tree walks per compiled kernel, env and count level determine every
+launch configuration; the branch-domain passes behind them come from
+:data:`_fraction_cache`.  A kernel's entry dies with the kernel (every
+recompile makes a new one), and holds at most :data:`_MEMO_LIMIT` envs.
 """
 
 
@@ -202,19 +243,16 @@ def exact_counts(
     count.
     """
     frac = warp_branch_fraction if warp_level else exact_branch_fraction
-    key = (id(ck), _env_key(env), warp_level)
-    cached = _count_cache.get(key)
-    if cached is None or cached[0]() is not ck:
-        import weakref
-
+    memo = _count_cache.setdefault(ck, {})
+    key = (_env_key(env), warp_level)
+    cached = memo.get(key)
+    if cached is None:
         at0 = evaluate_region_tree(
             ck.root_region, env, total_threads=0, branch_fraction=frac
         )
         at1 = evaluate_region_tree(
             ck.root_region, env, total_threads=1, branch_fraction=frac
         )
-        cached = (weakref.ref(ck), at0, at1)
-        if len(_count_cache) > 4096:
-            _count_cache.clear()
-        _count_cache[key] = cached
-    return _combine(cached[1], cached[2], tc * bc)
+        cached = (at0, at1)
+        _memo_put(memo, key, cached)
+    return _combine(*cached, tc * bc)

@@ -20,10 +20,11 @@ import json
 import sys
 from pathlib import Path
 
-DEFAULT_PATTERNS = ("emulator", "sweep", "codec")
+DEFAULT_PATTERNS = ("emulator", "sweep", "codec", "fig6")
 """Benchmarks watched by default: the emulator fast path, the engine
-sweep/cache paths -- the two hot paths with asserted speedup bars -- and
-the service protocol codec."""
+sweep/cache paths -- the two hot paths with asserted speedup bars -- the
+service protocol codec, and the Fig. 6 search, whose cost is the
+closed-form counting of recompiled variants."""
 
 
 def load_medians(path: str | Path) -> dict[str, float]:

@@ -43,6 +43,12 @@ class TestFindRegressions:
         assert find_regressions(cur, base) == []
         assert find_regressions(cur, base, patterns=("tables",)) != []
 
+    def test_fig6_search_watched_by_default(self):
+        name = ("benchmarks/test_bench_fig6_search.py::"
+                "test_bench_fig6_search_improvement")
+        regs = find_regressions({name: 47.0}, {name: 2.8})
+        assert [r[0] for r in regs] == [name]
+
     def test_new_benchmark_is_not_a_regression(self):
         assert find_regressions({"new sweep": 5.0}, {}) == []
 

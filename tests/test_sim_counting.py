@@ -1,17 +1,26 @@
 """The keystone validation: closed-form exact counts == emulator counts.
 
 Also covers branch-fraction exactness (ex14FJ boundary formula), the
-affine-in-threads cache, and warp-level count semantics.
+affine-in-threads cache, the structural branch-fraction memo, the
+data-absent fallback counters, and warp-level count semantics.
 """
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
-from repro.arch import K20, M2050
+from repro import obs
+from repro.arch import ALL_GPUS, K20, M2050
+from repro.codegen.ast_nodes import IntConst, VarRef
 from repro.codegen.compiler import CompileOptions, compile_module
-from repro.kernels import get_benchmark
+from repro.kernels import BENCHMARKS, get_benchmark
+from repro.sim import counting
 from repro.sim.counting import exact_branch_fraction, exact_counts
 from repro.sim.emulator import run_benchmark_emulated
-from repro.codegen.regions import RegionKind
+from repro.codegen.regions import Region, RegionKind
+from repro.util.rng import rng_for
 
 from tests.conftest import make_benchmark_run
 
@@ -139,3 +148,190 @@ class TestAffineCache:
         a = exact_counts(mod.kernels[0], env, 32, 2)
         b = exact_counts(mod.kernels[0], env, 32, 2)
         assert a.by_category == b.by_category
+
+    def test_memo_entry_dies_with_its_kernel(self, fresh_memos):
+        bm = get_benchmark("atax")
+        mod = compile_module("atax", list(bm.specs), CompileOptions(gpu=K20))
+        for warp_level in (False, True):
+            exact_counts(mod.kernels[0], bm.param_env(32), 64, 2,
+                         warp_level=warp_level)
+        assert len(counting._count_cache) == 1
+        del mod
+        gc.collect()
+        assert len(counting._count_cache) == 0
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty count and branch-fraction memos for one test."""
+    monkeypatch.setattr(counting, "_fraction_cache", {})
+    monkeypatch.setattr(counting, "_count_cache", weakref.WeakKeyDictionary())
+
+
+def _clear_memos():
+    counting._fraction_cache.clear()
+    counting._count_cache.clear()
+
+
+def _branch_fractions(ck, env) -> list:
+    """Every branch arm's fraction, in region-tree order."""
+    out = []
+
+    def visit(region, loops):
+        for child in region.children:
+            if child.kind in (RegionKind.THEN, RegionKind.ELSE):
+                out.append(exact_branch_fraction(child, env, loops))
+                visit(child, loops)
+            else:
+                visit(child, loops + [child])
+
+    visit(ck.root_region, [])
+    return out
+
+
+def _input_env(bm, n, seed) -> dict:
+    inputs = bm.make_inputs(n, rng_for("tests", bm.name, n, seed))
+    env = bm.param_env(n)
+    env.update({k: v for k, v in inputs.items() if isinstance(v, np.ndarray)})
+    return env
+
+
+class TestFractionMemo:
+    def test_one_domain_pass_per_size(self, fresh_memos, monkeypatch):
+        """ex14fj's N^3 boundary guard is evaluated once per size, however
+        often the kernel is recompiled and counted."""
+        passes = []
+        evaluate = counting.evaluate_expr_numpy
+
+        def counted(e, env):
+            passes.append(e)
+            return evaluate(e, env)
+
+        monkeypatch.setattr(counting, "evaluate_expr_numpy", counted)
+        bm = get_benchmark("ex14fj")
+        for n, expected in ((16, 1), (32, 2)):
+            env = bm.param_env(n)
+            for gpu in ALL_GPUS:
+                for uif in (1, 3):
+                    for fast_math in (False, True):
+                        mod = compile_module(
+                            "ex14fj", list(bm.specs),
+                            CompileOptions(gpu=gpu, unroll_factor=uif,
+                                           fast_math=fast_math),
+                        )
+                        for tc, bc in ((64, 4), (256, 2)):
+                            for warp_level in (False, True):
+                                exact_counts(mod.kernels[0], env, tc, bc,
+                                             warp_level=warp_level)
+            assert len(passes) == expected, f"N={n}"
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_memo_keeps_counts(self, name, fresh_memos):
+        """Counts served from a memo another compile filled equal counts
+        computed with both memos empty."""
+        bm = get_benchmark(name)
+        other = compile_module(name, list(bm.specs), CompileOptions(gpu=M2050))
+        mod = compile_module(name, list(bm.specs), CompileOptions(gpu=K20))
+        for n in sorted(bm.sizes)[:2]:
+            env = bm.param_env(n)
+            for warp_level in (False, True):
+                for ck in other:
+                    exact_counts(ck, env, 64, 3, warp_level=warp_level)
+                memo = [exact_counts(ck, env, 64, 3, warp_level=warp_level)
+                        for ck in mod]
+                _clear_memos()
+                fresh = [exact_counts(ck, env, 64, 3, warp_level=warp_level)
+                         for ck in mod]
+                for a, b in zip(memo, fresh):
+                    assert a.by_category == b.by_category
+                    assert a.reg_ops == b.reg_ops
+                    assert a.mem_traffic == b.mem_traffic
+
+    @pytest.mark.parametrize("name", ["histogram", "compact"])
+    def test_bound_arrays_stay_in_the_key(self, name, fresh_memos):
+        """Two input seeds bound in ``env`` each get their own fractions,
+        equal to a fresh evaluation of that seed alone."""
+        bm = get_benchmark(name)
+        n = bm.smallest_size
+        mod = compile_module(name, list(bm.specs), CompileOptions(gpu=K20))
+        envs = [_input_env(bm, n, seed) for seed in (1, 2)]
+
+        def measure(env):
+            return [(_branch_fractions(ck, env),
+                     exact_counts(ck, env, 64, 2).by_category) for ck in mod]
+
+        memo = [measure(env) for env in envs]
+        fresh = []
+        for env in envs:
+            _clear_memos()
+            fresh.append(measure(env))
+        assert memo == fresh
+        if name == "compact":  # its guard loads the flags
+            assert memo[0] != memo[1]
+
+    def test_memo_stays_bounded(self, fresh_memos):
+        then = Region(id="t", kind=RegionKind.THEN,
+                      cond=VarRef("i").lt(VarRef("K")))
+        limit = counting._MEMO_LIMIT
+        for k in range(limit + 10):
+            f = exact_branch_fraction(then, {"K": k}, [_loop(4)])
+            assert f == min(k, 4) / 4
+            assert len(counting._fraction_cache) <= limit
+
+    def test_loop_domain_in_the_key(self, fresh_memos):
+        then = Region(id="t", kind=RegionKind.THEN,
+                      cond=VarRef("i").lt(IntConst(2)))
+        assert exact_branch_fraction(then, {}, [_loop(4)]) == 0.5
+        assert exact_branch_fraction(then, {}, [_loop(8)]) == 0.25
+
+
+def _loop(upper: int) -> Region:
+    return Region(id="l", kind=RegionKind.PLOOP, loop_var="i",
+                  lower=IntConst(0), upper=IntConst(upper))
+
+
+@pytest.fixture
+def metrics():
+    obs.enable()
+    try:
+        yield obs.metrics
+    finally:
+        obs.disable()
+
+
+class TestFallbackCounters:
+    def test_data_dependent_trips_counted(self, fresh_memos, metrics):
+        """spmv_csr's row loop bounds load from ``rowptr``; with scalars
+        only, the trip count falls back to the default."""
+        bm = get_benchmark("spmv_csr")
+        n = bm.smallest_size
+        mod = compile_module("spmv_csr", list(bm.specs),
+                             CompileOptions(gpu=K20))
+        for warp_level in (False, True):
+            exact_counts(mod.kernels[0], bm.param_env(n), 64, 2,
+                         warp_level=warp_level)
+        assert metrics.value("counting.fallbacks", kind="trips") > 0
+        assert metrics.value("counting.fallbacks", kind="branch") == 0
+
+        before = metrics.value("counting.fallbacks", kind="trips")
+        exact_counts(mod.kernels[0], _input_env(bm, n, 1), 64, 2)
+        assert metrics.value("counting.fallbacks", kind="trips") == before
+
+    def test_data_dependent_branch_counted_once_per_key(self, fresh_memos,
+                                                        metrics):
+        """compact's guard loads ``flags``: with scalars only it falls
+        back to 0.5, counted once however often it is recounted."""
+        bm = get_benchmark("compact")
+        n = bm.smallest_size
+        env = bm.param_env(n)
+        for gpu in (K20, M2050):
+            mod = compile_module("compact", list(bm.specs),
+                                 CompileOptions(gpu=gpu))
+            for warp_level in (False, True):
+                exact_counts(mod.kernels[0], env, 64, 2,
+                             warp_level=warp_level)
+            assert _branch_fractions(mod.kernels[0], env) == [0.5]
+        assert metrics.value("counting.fallbacks", kind="branch") == 1
+
+        exact_counts(mod.kernels[0], _input_env(bm, n, 1), 64, 2)
+        assert metrics.value("counting.fallbacks", kind="branch") == 1
