@@ -9,8 +9,10 @@ built directly on it:
 
 - :class:`ReachingDefinitions` -- which definition sites can reach each
   program point (with a synthetic "undefined" site for registers never
-  written on some path; the verifier's write-before-read check is a
-  query over this),
+  written on some path),
+- :class:`MustDefined` -- the registers written on every path; the
+  verifier's write-before-read check is a query over this, equivalent to
+  asking the reaching definitions for the "undefined" site,
 - :class:`Liveness` -- backward live-register sets,
 - :class:`GuardedDefinitions` -- a path-sensitive definedness analysis
   that understands predicated definitions: a register written under
@@ -258,6 +260,8 @@ class ReachingDefinitions(Dataflow):
         return {}
 
     def join(self, states: list[dict]) -> dict:
+        if len(states) == 1:  # one predecessor: nothing to merge
+            return dict(states[0])
         keys = set()
         for s in states:
             keys.update(s)
@@ -290,6 +294,40 @@ class ReachingDefinitions(Dataflow):
         return state
 
 
+class MustDefined(Dataflow):
+    """Forward must-analysis: the set of register names written on every
+    feasible path to a point.
+
+    This is the complement of the :data:`UNDEF` facet of
+    :class:`ReachingDefinitions`: the join intersects where that one
+    unions, a definition adds its name where that one replaces the site
+    set, and the boundary (nothing defined) is that one's all-:data:`UNDEF`
+    entry state.  Driven by the same solver, a name is missing here
+    exactly where :data:`UNDEF` reaches it there, at a fraction of the
+    cost, since no definition sites are carried.
+    """
+
+    def __init__(self, cfg: CFG):
+        super().__init__(cfg)
+        self.defined_in: dict[str, frozenset[str]] = {
+            name: frozenset(
+                ins.dst.name for ins in block.instructions
+                if ins.dst is not None
+            )
+            for name, block in cfg.blocks.items()
+        }
+
+    def boundary(self) -> frozenset[str]:
+        return frozenset()
+
+    def join(self, states: list[frozenset[str]]) -> frozenset[str]:
+        return frozenset.intersection(*states)
+
+    def transfer_block(self, block: BasicBlock,
+                       state: frozenset[str]) -> frozenset[str]:
+        return state | self.defined_in[block.name]
+
+
 def first_undefined_read(
     cfg: CFG,
 ) -> tuple[int, Instruction, str] | None:
@@ -301,18 +339,19 @@ def first_undefined_read(
     reaches the read without a write: the solver prunes edges that
     :func:`infeasible_edges` can refute, so a register first defined
     inside a counted loop with a constant positive trip count (whose
-    zero-trip bypass can never execute) is not a false positive.
+    zero-trip bypass can never execute) is not a false positive.  The
+    query runs on :class:`MustDefined`, which answers it exactly as a
+    :class:`ReachingDefinitions` lookup for :data:`UNDEF` would.
     """
-    rd = ReachingDefinitions(cfg).solve()
+    md = MustDefined(cfg).solve()
     for name, block, start in linear_blocks(cfg):
-        state = dict(rd.block_in.get(name, {}))
+        defined = set(md.block_in.get(name, ()))
         for off, ins in enumerate(block.instructions):
             for r in ins.registers_read():
-                sites = state.get(r.name, frozenset({UNDEF}))
-                if UNDEF in sites:
+                if r.name not in defined:
                     return start + off, ins, r.name
             if ins.dst is not None:
-                state[ins.dst.name] = frozenset({start + off})
+                defined.add(ins.dst.name)
     return None
 
 

@@ -101,6 +101,7 @@ class _Ctx:
         self.smem_offsets: dict[str, tuple[int, DType]] = {}
         self._vreg = 0
         self._label = 0
+        self._branch = 0
         self.region_stack: list[Region] = []
         self.pvar: str | None = None
         self.pred_stack: list[tuple[Reg, bool]] = []
@@ -132,14 +133,22 @@ class _Ctx:
         self._label += 1
         return f"$L_{hint}_{self._label}"
 
+    def branch_id(self) -> str:
+        """A fresh id for one branching ``If``'s THEN/ELSE regions,
+        numbered per kernel so equal specs get equal ids.  It has its own
+        counter because the label counter's numbers are in the code."""
+        self._branch += 1
+        return f"if{self._branch}"
+
     def emit(self, ins: Instruction, access: MemAccess | None = None) -> None:
         if self.pred_stack and ins.pred is None and not ins.is_terminator:
             pred, neg = self.pred_stack[-1]
             ins = ins.with_pred(pred, neg)
         self.body.append(ins)
-        self.region.add_instruction(ins.category, ins.register_operand_count())
+        region = self.region_stack[-1]
+        region.add_instruction(ins.category, ins.register_operand_count())
         if access is not None:
-            self.region.mem_accesses.append(access)
+            region.mem_accesses.append(access)
 
     def emit_label(self, name: str) -> None:
         self.body.append(Label(name))
@@ -790,7 +799,8 @@ def _lower_if(ctx: _Ctx, s: If) -> None:
     ctx.emit(Instruction(Opcode.BRA, srcs=(LabelRef(else_lbl),),
                          pred=pred, pred_negated=True))
 
-    then_region = Region(id=f"if{id(s) & 0xFFFF}t", kind=RegionKind.THEN,
+    branch = ctx.branch_id()
+    then_region = Region(id=f"{branch}t", kind=RegionKind.THEN,
                          cond=s.cond, prob_hint=s.prob)
     ctx.push_region(then_region)
     for stmt in s.then_body:
@@ -801,7 +811,7 @@ def _lower_if(ctx: _Ctx, s: If) -> None:
 
     if s.else_body:
         ctx.emit_label(else_lbl)
-        else_region = Region(id=f"if{id(s) & 0xFFFF}e", kind=RegionKind.ELSE,
+        else_region = Region(id=f"{branch}e", kind=RegionKind.ELSE,
                              cond=s.cond, prob_hint=s.prob)
         ctx.push_region(else_region)
         for stmt in s.else_body:

@@ -20,6 +20,7 @@ Modelling notes:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from repro.ptx.instruction import Instruction, Label, Reg
@@ -47,9 +48,6 @@ _CLASS_PREFIX = {
     DType.PRED: "%p",
 }
 
-_SLOTS = {DType.S32: 1, DType.U32: 1, DType.F32: 1,
-          DType.S64: 2, DType.F64: 2, DType.PRED: 0}
-
 
 def _live_intervals(body: list) -> dict[str, tuple[int, int, DType]]:
     """[first_def, last_use] per virtual register, extended over loops."""
@@ -67,34 +65,44 @@ def _live_intervals(body: list) -> dict[str, tuple[int, int, DType]]:
             instrs.append((pos, item))
             pos += 1
 
+    # positions only grow, so each occurrence is the last use so far; a
+    # register's dtype is its last write's, or its first read's if it is
+    # never written
     for p, ins in instrs:
-        for r in ins.registers_written():
-            first.setdefault(r.name, p)
-            last[r.name] = max(last.get(r.name, p), p)
-            dtype[r.name] = r.dtype
+        dst = ins.dst
+        if dst is not None:
+            if dst.name not in first:
+                first[dst.name] = p
+            last[dst.name] = p
+            dtype[dst.name] = dst.dtype
         for r in ins.registers_read():
             if r.name not in first:
                 first[r.name] = p  # reads of undefined regs: verifier's job
-            last[r.name] = max(last.get(r.name, p), p)
-            dtype.setdefault(r.name, r.dtype)
+                dtype[r.name] = r.dtype
+            last[r.name] = p
 
     # loop extension: for every backward branch target..branch range, any
-    # interval entering the loop live must survive to the loop end
+    # interval entering the loop live must survive to the loop end.  An
+    # extension only lengthens an interval, which can only bring more
+    # loops into play, so each interval grows to the same fixed point
+    # whatever order the loops are applied in.
     loops: list[tuple[int, int]] = []
     for p, ins in instrs:
         tgt = ins.branch_target
         if tgt is not None and tgt in label_pos and label_pos[tgt] <= p:
             loops.append((label_pos[tgt], p))
-    changed = True
-    while changed:
-        changed = False
-        for start, end in loops:
-            for name in first:
-                if first[name] < start and last[name] >= start and last[name] < end:
-                    last[name] = end
-                    changed = True
-
-    return {n: (first[n], last[n], dtype[n]) for n in first}
+    out = {}
+    for name, begin in first.items():
+        end = last[name]
+        grown = bool(loops)
+        while grown:
+            grown = False
+            for loop_start, loop_end in loops:
+                if begin < loop_start <= end < loop_end:
+                    end = loop_end
+                    grown = True
+        out[name] = (begin, end, dtype[name])
+    return out
 
 
 class _Pool:
@@ -131,31 +139,36 @@ def allocate_registers(
     order = sorted(intervals.items(), key=lambda kv: (kv[1][0], kv[1][1]))
 
     pools: dict[str, _Pool] = {}
-    active: list[tuple[int, str, str, int]] = []  # (end, vname, prefix, idx)
+    # (end, allocation seq, prefix, idx): the heap yields every interval
+    # that has ended; they are released in allocation order, the order a
+    # scan of the active list in allocation order would release them in,
+    # so each free list (LIFO) hands out the same indices.
+    active: list[tuple[int, int, str, int]] = []
     mapping: dict[str, Reg] = {}
+    physical: dict[tuple, Reg] = {}  # one Reg per (prefix, idx, dtype)
 
-    for vname, (start, end, dt) in order:
-        # expire finished intervals
-        still = []
-        for a_end, a_name, a_prefix, a_idx in active:
-            if a_end < start:
-                pools[a_prefix].release(a_idx)
-            else:
-                still.append((a_end, a_name, a_prefix, a_idx))
-        active = still
+    for seq, (vname, (start, end, dt)) in enumerate(order):
+        expired = []
+        while active and active[0][0] < start:
+            expired.append(heapq.heappop(active))
+        for _, _, a_prefix, a_idx in sorted(expired, key=lambda a: a[1]):
+            pools[a_prefix].release(a_idx)
 
         prefix = _CLASS_PREFIX[dt]
-        pool = pools.setdefault(prefix, _Pool(prefix))
+        pool = pools.get(prefix)
+        if pool is None:
+            pool = pools[prefix] = _Pool(prefix)
         idx = pool.take()
-        mapping[vname] = Reg(f"{prefix}{idx}", dt)
-        active.append((end, vname, prefix, idx))
+        reg = physical.get((prefix, idx, dt))
+        if reg is None:
+            reg = physical[prefix, idx, dt] = Reg(f"{prefix}{idx}", dt)
+        mapping[vname] = reg
+        heapq.heappush(active, (end, seq, prefix, idx))
 
-    new_body = []
-    for item in ir.body:
-        if isinstance(item, Label):
-            new_body.append(item)
-        else:
-            new_body.append(item.rename_registers(mapping))
+    new_body = [
+        item if isinstance(item, Label) else item.rename_registers(mapping)
+        for item in ir.body
+    ]
 
     slots_by_class = {}
     slot_total = 0

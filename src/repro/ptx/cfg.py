@@ -265,12 +265,6 @@ def build_cfg(kernel: KernelIR) -> CFG:
     if not any(isinstance(it, Instruction) for it in body):
         raise ValueError(f"kernel {kernel.name!r} has an empty body")
 
-    # map positions to block starts
-    label_at: dict[int, list[str]] = {}
-    for i, item in enumerate(body):
-        if isinstance(item, Label):
-            label_at.setdefault(i, []).append(item.name)
-
     blocks: list[BasicBlock] = []
     block_of_label: dict[str, str] = {}
     cur: BasicBlock | None = None
@@ -335,8 +329,12 @@ def build_cfg(kernel: KernelIR) -> CFG:
             cfg.add_edge(blk.name, EXIT)
 
     # blocks with no path to EXIT (infinite loops) still need post-dominator
-    # queries to terminate: connect any sink-less SCC conservatively
+    # queries to terminate: connect any sink-less SCC conservatively.  One
+    # reverse search finds the blocks that already reach EXIT; the others
+    # are tested in body order against the growing graph, as each added
+    # edge can give a later block its path.
+    reaches_exit = nx.ancestors(cfg.graph, EXIT)
     for name in list(cfg.blocks):
-        if not nx.has_path(cfg.graph, name, EXIT):
+        if name not in reaches_exit and not nx.has_path(cfg.graph, name, EXIT):
             cfg.add_edge(name, EXIT)
     return cfg

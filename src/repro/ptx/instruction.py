@@ -8,10 +8,18 @@ structure from labels and terminators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
-from repro.ptx.isa import CmpOp, DType, MemSpace, Opcode, SRegKind, categorize
+from repro.ptx.isa import (
+    TERMINATORS,
+    CmpOp,
+    DType,
+    MemSpace,
+    Opcode,
+    SRegKind,
+    categorize,
+)
 from repro.arch.throughput import InstrCategory
 
 
@@ -105,6 +113,10 @@ class Label:
         return f"{self.name}:"
 
 
+#: Opcodes that address memory and so need a state space.
+_MEMORY_OPS = (Opcode.LD, Opcode.ST, Opcode.RED)
+
+
 @dataclass(frozen=True)
 class Instruction:
     """One machine operation.
@@ -141,8 +153,7 @@ class Instruction:
     def __post_init__(self) -> None:
         if self.opcode is Opcode.SETP and self.cmp is None:
             raise ValueError("setp requires a comparison operator")
-        if (self.opcode in (Opcode.LD, Opcode.ST, Opcode.RED)
-                and self.space is None):
+        if self.opcode in _MEMORY_OPS and self.space is None:
             raise ValueError(f"{self.opcode.value} requires a memory space")
 
     # -- analysis helpers -------------------------------------------------
@@ -176,13 +187,16 @@ class Instruction:
 
     def register_operand_count(self) -> int:
         """Number of register operands touched -- the paper's ``Regs`` metric
-        counts register traffic per instruction."""
-        return len(self.registers_read()) + len(self.registers_written())
+        counts register traffic per instruction.  Equal to
+        ``len(registers_read()) + len(registers_written())``."""
+        n = (self.dst is not None) + (self.pred is not None)
+        for s in self.srcs:
+            if isinstance(s, (Reg, MemRef)):
+                n += 1
+        return n
 
     @property
     def is_terminator(self) -> bool:
-        from repro.ptx.isa import TERMINATORS
-
         return self.opcode in TERMINATORS
 
     @property
@@ -201,9 +215,17 @@ class Instruction:
                 return tgt.name
         return None
 
+    # The copies below call the constructor with every field, in field
+    # order, rather than ``dataclasses.replace``: the same object (and the
+    # same ``__post_init__`` checks) at a fraction of the cost, which
+    # matters because lowering and register allocation copy every
+    # instruction.
+
     def with_pred(self, pred: Reg, negated: bool = False) -> "Instruction":
         """Return a guarded copy of this instruction."""
-        return replace(self, pred=pred, pred_negated=negated)
+        return Instruction(self.opcode, self.dtype, self.dst, self.srcs,
+                           pred, negated, self.cmp, self.space,
+                           self.src_dtype)
 
     def rename_registers(self, mapping: dict[str, Reg]) -> "Instruction":
         """Return a copy with registers renamed through ``mapping``.
@@ -211,19 +233,21 @@ class Instruction:
         Registers absent from the mapping are kept as-is (used by the
         register allocator, which maps virtual names to physical ones).
         """
-
-        def m(op):
+        get = mapping.get
+        srcs = []
+        for op in self.srcs:
             if isinstance(op, Reg):
-                return mapping.get(op.name, op)
-            if isinstance(op, MemRef):
-                return replace(op, base=mapping.get(op.base.name, op.base))
-            return op
-
-        return replace(
-            self,
-            dst=m(self.dst) if self.dst is not None else None,
-            srcs=tuple(m(s) for s in self.srcs),
-            pred=m(self.pred) if self.pred is not None else None,
+                op = get(op.name, op)
+            elif isinstance(op, MemRef):
+                op = MemRef(op.space, get(op.base.name, op.base), op.offset)
+            srcs.append(op)
+        dst, pred = self.dst, self.pred
+        return Instruction(
+            self.opcode, self.dtype,
+            None if dst is None else get(dst.name, dst),
+            tuple(srcs),
+            None if pred is None else get(pred.name, pred),
+            self.pred_negated, self.cmp, self.space, self.src_dtype,
         )
 
     def __str__(self) -> str:

@@ -14,6 +14,7 @@ category, which is the basis of every instruction-mix metric in
 from __future__ import annotations
 
 import enum
+import functools
 
 from repro.arch.throughput import InstrCategory
 
@@ -30,14 +31,7 @@ class DType(enum.Enum):
 
     @property
     def nbytes(self) -> int:
-        return {
-            DType.PRED: 1,
-            DType.S32: 4,
-            DType.U32: 4,
-            DType.S64: 8,
-            DType.F32: 4,
-            DType.F64: 8,
-        }[self]
+        return _NBYTES[self]
 
     @property
     def is_float(self) -> bool:
@@ -50,6 +44,16 @@ class DType(enum.Enum):
     @property
     def is_64bit(self) -> bool:
         return self in (DType.S64, DType.F64)
+
+
+_NBYTES = {
+    DType.PRED: 1,
+    DType.S32: 4,
+    DType.U32: 4,
+    DType.S64: 8,
+    DType.F32: 4,
+    DType.F64: 8,
+}
 
 
 class MemSpace(enum.Enum):
@@ -160,12 +164,16 @@ _SHIFT_LOGIC = frozenset(
 )
 
 
+@functools.cache
 def categorize(opcode: Opcode, dtype: DType | None) -> InstrCategory:
     """Map an (opcode, dtype) pair to its paper Table II category.
 
     FMA counts as a single instruction of its dtype's floating class, like
     the hardware issue slot it occupies.  Divides and transcendental ops go
     to the special-function (LogSinCos) category on every architecture.
+
+    Memoized: lowering asks once per emitted instruction, and the memo
+    holds at most one entry per (opcode, dtype) pair of the ISA.
     """
     if opcode in SFU_OPS:
         return InstrCategory.LOG_SIN_COS

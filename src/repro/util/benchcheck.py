@@ -20,11 +20,12 @@ import json
 import sys
 from pathlib import Path
 
-DEFAULT_PATTERNS = ("emulator", "sweep", "codec", "fig6")
+DEFAULT_PATTERNS = ("emulator", "sweep", "codec", "fig6", "compile")
 """Benchmarks watched by default: the emulator fast path, the engine
 sweep/cache paths -- the two hot paths with asserted speedup bars -- the
-service protocol codec, and the Fig. 6 search, whose cost is the
-closed-form counting of recompiled variants."""
+service protocol codec, the Fig. 6 search, whose cost is the
+closed-form counting of recompiled variants, and the compile pipeline
+every measured variant goes through."""
 
 
 def load_medians(path: str | Path) -> dict[str, float]:

@@ -1,4 +1,7 @@
-"""Dataflow framework units: solver, reaching defs, liveness, guards."""
+"""Dataflow framework units: solver, reaching defs, must-defined, liveness,
+guards."""
+
+import random
 
 import pytest
 
@@ -10,10 +13,12 @@ from repro.analyze.dataflow import (
     Liveness,
     ReachingDefinitions,
     first_undefined_read,
+    infeasible_edges,
     linear_blocks,
 )
-from repro.arch import K20
+from repro.arch import K20, M2050
 from repro.codegen.compiler import CompileOptions, compile_module
+from repro.fuzz import generate_program
 from repro.kernels import BENCHMARKS, get_benchmark
 from repro.ptx.cfg import build_cfg
 from repro.ptx.instruction import Imm, Instruction, Reg
@@ -121,6 +126,98 @@ class TestReachingDefinitions:
         # pre-initialized before the header, redefined in the latch --
         # the structured shape RD must prove defined
         verify_kernel(_compiled("dot").ir)
+
+
+def _reference_first_undefined_read(cfg):
+    """The query ``first_undefined_read`` answers, asked of
+    :class:`ReachingDefinitions` directly: the first read (in linear
+    body order) whose reaching set contains :data:`UNDEF`."""
+    rd = ReachingDefinitions(cfg).solve()
+    for name, block, start in linear_blocks(cfg):
+        for off, ins in enumerate(block.instructions):
+            reaching = rd.reaching_at(name, off)
+            for r in ins.registers_read():
+                if UNDEF in reaching.get(r.name, frozenset({UNDEF})):
+                    return start + off, ins, r.name
+    return None
+
+
+def _drop_one_definition(ir: KernelIR, rng: random.Random) -> KernelIR:
+    """``ir`` without one randomly chosen instruction defining a register
+    that is read somewhere."""
+    read = {r.name for ins in ir.instructions()
+            for r in ins.registers_read()}
+    defs = [i for i, it in enumerate(ir.body)
+            if isinstance(it, Instruction) and it.dst is not None
+            and it.dst.name in read]
+    drop = rng.choice(defs)
+    return KernelIR(name=ir.name, params=ir.params,
+                    body=ir.body[:drop] + ir.body[drop + 1:])
+
+
+def _corpus_and_fuzz_kernels():
+    for name, bench in sorted(BENCHMARKS.items()):
+        for gpu in (M2050, K20):
+            for uif in (1, 3):
+                module = compile_module(
+                    name, list(bench.specs),
+                    CompileOptions(gpu=gpu, unroll_factor=uif))
+                for ck in module:
+                    yield f"{name}/{gpu.name}/uif{uif}/{ck.name}", ck.ir
+    for seed in range(200):
+        spec = generate_program(seed).spec
+        ck = next(iter(compile_module(spec.name, [spec],
+                                      CompileOptions(gpu=K20))))
+        yield f"fuzz{seed}", ck.ir
+
+
+class TestMustDefinedEquivalence:
+    """``first_undefined_read`` runs on :class:`MustDefined`; it must
+    give exactly the answer of a reaching-definitions query."""
+
+    def test_equals_reaching_definitions_query(self):
+        rng = random.Random("first-undefined-read")
+        kernels = flagged = pruned = 0
+        for label, ir in _corpus_and_fuzz_kernels():
+            variants = [ir] + [_drop_one_definition(ir, rng)
+                               for _ in range(3)]
+            for k in variants:
+                cfg = build_cfg(k)
+                got = first_undefined_read(cfg)
+                assert got == _reference_first_undefined_read(cfg), label
+                kernels += 1
+                flagged += got is not None
+                pruned += bool(infeasible_edges(cfg))
+        assert kernels >= 4 * 260
+        # the mutants leave reads to find, and pruning is exercised
+        assert flagged > kernels // 8
+        assert pruned > 0
+
+    @pytest.mark.parametrize("cmp, flagged", [("lt", True), ("ge", False)])
+    def test_loop_entry_decided_by_constants(self, cmp, flagged):
+        # 0 < 5 holds, so the loop is entered with %r2 undefined; with
+        # 0 >= 5 the only entry is refuted, no feasible path reaches the
+        # loop, and its read is not flagged (the header's first visit
+        # starts from the all-undefined boundary, which must not stick)
+        k = _kernel(
+            "  mov.s32 %r1, 0;\n"
+            f"  setp.{cmp}.s32 %p1, %r1, 5;\n"
+            "  @%p1 bra $L_loop;\n"
+            "  bra $L_end;\n"
+            "$L_loop:\n"
+            "  add.s32 %r2, %r2, 1;\n"
+            "  setp.lt.s32 %p2, %r2, 10;\n"
+            "  @%p2 bra $L_loop;\n"
+            "$L_end:\n"
+            "  exit;",
+        )
+        cfg = build_cfg(k)
+        assert infeasible_edges(cfg)
+        got = first_undefined_read(cfg)
+        assert got == _reference_first_undefined_read(cfg)
+        assert (got is not None) == flagged
+        if flagged:
+            assert got[2] == "%r2"
 
 
 class TestLiveness:

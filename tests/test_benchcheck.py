@@ -49,6 +49,13 @@ class TestFindRegressions:
         regs = find_regressions({name: 47.0}, {name: 2.8})
         assert [r[0] for r in regs] == [name]
 
+    def test_compile_watched_by_default(self):
+        name = ("benchmarks/test_bench_compile.py::"
+                "test_bench_compile_tune_mix_modules")
+        regs = find_regressions({name: 1.4}, {name: 1.0})
+        assert [r[0] for r in regs] == [name]
+        assert find_regressions({name: 1.2}, {name: 1.0}) == []
+
     def test_new_benchmark_is_not_a_regression(self):
         assert find_regressions({"new sweep": 5.0}, {}) == []
 

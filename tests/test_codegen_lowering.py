@@ -1,5 +1,7 @@
 """Tests for lowering: structure, instruction selection, access patterns."""
 
+import copy
+
 import pytest
 
 from repro.arch import K20, M2050
@@ -13,6 +15,7 @@ from repro.codegen.lowering import (
     lower_kernel,
 )
 from repro.codegen.regions import RegionKind
+from repro.kernels import list_benchmarks
 from repro.ptx.isa import Opcode
 
 
@@ -213,6 +216,41 @@ class TestPredicationPolicy:
             if a.is_store
         ]
         assert stores[0].pattern == "coalesced"
+
+
+class TestRegionIds:
+    @staticmethod
+    def _ids(spec):
+        ck = compile_kernel(spec, CompileOptions(gpu=K20))
+        return [r.id for r in ck.root_region.walk()]
+
+    def test_branch_ids_deterministic_and_unique(self):
+        """Region ids depend only on the spec, not on where its nodes
+        live in memory: a deep copy compiles to the same ids."""
+        branching = 0
+        for bm in list_benchmarks():
+            for spec in bm.specs:
+                ids = self._ids(spec)
+                assert self._ids(copy.deepcopy(spec)) == ids, bm.name
+                assert len(set(ids)) == len(ids), (bm.name, ids)
+                branching += sum(i.startswith("if") for i in ids)
+        assert branching > 0  # the corpus has branching ifs to check
+
+    def test_two_branching_ifs_get_distinct_ids(self):
+        def body(n, x, y):
+            v = dsl.var("v", "f32")
+            heavy = [dsl.assign("v", v * float(k + 2) + 1.0)
+                     for k in range(6)]
+            return [
+                dsl.assign("v", x[n]),
+                dsl.when(v.gt(0.0), heavy, [dsl.assign("v", v - 1.0)] * 4),
+                dsl.when(v.lt(1.0), heavy),
+                y.store(n, v),
+            ]
+
+        ids = self._ids(_simple(body))
+        assert [i for i in ids if i.startswith("if")] == [
+            "if1t", "if1e", "if2t"]
 
 
 class TestErrors:

@@ -1,5 +1,7 @@
 """Tests for operand and Instruction behaviour."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch.throughput import InstrCategory
@@ -12,7 +14,7 @@ from repro.ptx.instruction import (
     Reg,
     SReg,
 )
-from repro.ptx.isa import DType, MemSpace, Opcode, SRegKind
+from repro.ptx.isa import CmpOp, DType, MemSpace, Opcode, SRegKind
 
 
 def r(name, dt=DType.S32):
@@ -111,3 +113,23 @@ class TestRename:
         out = ins.rename_registers({"%v2": r("%r9")})
         assert out.dst.name == "%v1"
         assert out.srcs[0].name == "%r9"
+
+    def test_copies_keep_every_field(self):
+        # the copies call the constructor field by field: one given a
+        # value for every field (a new field must be added here and to
+        # the copies) comes back equal to ``dataclasses.replace``
+        ins = Instruction(
+            Opcode.SETP, dtype=DType.S32, dst=r("%v1", DType.PRED),
+            srcs=(MemRef(MemSpace.GLOBAL, r("%v2", DType.S64), 8),),
+            pred=r("%v3", DType.PRED), pred_negated=True, cmp=CmpOp.LT,
+            space=MemSpace.GLOBAL, src_dtype=DType.S64,
+        )
+        for f in dataclasses.fields(Instruction):
+            assert getattr(ins, f.name) != f.default, f.name
+        p9 = r("%p9", DType.PRED)
+        assert ins.with_pred(p9) == dataclasses.replace(
+            ins, pred=p9, pred_negated=False)
+        assert ins.rename_registers({}) == ins
+        renamed = ins.rename_registers({"%v2": r("%rd2", DType.S64)})
+        assert renamed == dataclasses.replace(
+            ins, srcs=(MemRef(MemSpace.GLOBAL, r("%rd2", DType.S64), 8),))
