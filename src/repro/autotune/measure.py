@@ -41,7 +41,7 @@ def compile_config_key(config: dict) -> tuple:
 class MeasurementError(RuntimeError):
     """A batch measurement failed at a specific ``(config, size)`` point.
 
-    Raised by :meth:`Measurer.measure_many` (the sweep-engine worker
+    Raised by :meth:`Measurer.measure_many` (the sweep-engine shard
     path) so a shard failure names the exact work point that caused it
     -- the engine's :class:`~repro.engine.resilience.ShardFailure`
     records carry this message verbatim.
@@ -74,24 +74,64 @@ class VariantMeasurement:
         return self.seconds != float("inf")
 
 
+def travels_by_name(benchmark: Benchmark) -> bool:
+    """Whether ``benchmark`` is the registered one of its name.
+
+    Benchmarks hold closures, which do not pickle, so only a registered
+    benchmark can cross into a worker process -- by name, resolved
+    there.  The engine shards only these across workers; anything else
+    (a modified copy, an unregistered benchmark) is measured inline.
+    """
+    from repro.kernels import BENCHMARKS
+
+    return BENCHMARKS.get(benchmark.name) is benchmark
+
+
+_last_rebuilt: list = [None, None]
+"""``[(name, gpu, params), Measurer]``: the one measurer this process
+last rebuilt from a pickle (see :func:`_rebuild`)."""
+
+
+def _rebuild(name: str, gpu: GPUSpec, params: ModelParams) -> Measurer:
+    """Unpickle a registered benchmark's :class:`Measurer`.
+
+    A worker keeps only the measurer it last rebuilt, so consecutive
+    shards of one ``(kernel, GPU, model)`` -- every round of a search --
+    reuse its compiled modules instead of compiling them again.
+    """
+    key = (name, gpu, params)
+    if _last_rebuilt[0] != key:
+        from repro.kernels import get_benchmark
+
+        _last_rebuilt[:] = [key, Measurer(get_benchmark(name), gpu, params)]
+    return _last_rebuilt[1]
+
+
 class Measurer:
-    """Compiles and measures variants of one benchmark on one GPU."""
+    """Compiles and measures variants of one benchmark on one GPU.
+
+    The one measurement context: the sweep engine, its worker pool and
+    the service fleet all carry a measurer rather than its fields, and
+    its module memo serves every batch measured on it.
+    """
 
     def __init__(
         self,
         benchmark: Benchmark,
         gpu: GPUSpec,
         params: ModelParams = DEFAULT_PARAMS,
-        repetitions: int = 10,
-        trial_index: int = 4,
     ):
         self.benchmark = benchmark
         self.gpu = gpu
         self.params = params
-        self.repetitions = repetitions
-        self.trial_index = trial_index
         self._modules: dict[tuple, CompiledModule] = {}
-        self.evaluations = 0
+
+    def __reduce__(self):
+        # the module memo stays behind; a registered benchmark travels
+        # by name (see travels_by_name)
+        if travels_by_name(self.benchmark):
+            return _rebuild, (self.benchmark.name, self.gpu, self.params)
+        return Measurer, (self.benchmark, self.gpu, self.params)
 
     def module_for(self, config: dict) -> CompiledModule:
         """The compiled module for a configuration (cached by the
@@ -114,19 +154,13 @@ class Measurer:
 
     def measure(self, config: dict, size: int) -> VariantMeasurement:
         """Measure one variant at one input size."""
-        self.evaluations += 1
         mod = self.module_for(config)
         env = self.benchmark.param_env(size)
         tc = int(config["TC"])
         bc = int(config["BC"])
         launch = LaunchConfig(tc, bc)
 
-        seconds = measure_benchmark(
-            mod, launch, env,
-            repetitions=self.repetitions,
-            trial_index=self.trial_index,
-            params=self.params,
-        )
+        seconds = measure_benchmark(mod, launch, env, params=self.params)
         occ = hw_occupancy(
             self.gpu, tc, mod.regs_per_thread, mod.static_smem_bytes
         )
@@ -147,9 +181,9 @@ class Measurer:
 
         Modules are compiled once per distinct compile key regardless of
         order (``module_for`` memoizes them for the measurer's lifetime).
-        This is the unit of work a sweep-engine worker runs on its
-        shard, so a failure is wrapped in :class:`MeasurementError` to
-        pin the exact point that caused it.
+        This is the unit of work a sweep-engine shard runs, so a failure
+        is wrapped in :class:`MeasurementError` to pin the exact point
+        that caused it.
         """
         out = []
         for config, size in items:
@@ -162,59 +196,34 @@ class Measurer:
                 raise MeasurementError(config, size, e) from e
         return out
 
-    def objective(self, size: int):
-        """A callable ``config -> seconds`` for the search strategies."""
-
-        def f(config: dict) -> float:
-            return self.measure(config, size).seconds
-
-        return f
-
-    def batch_objective(self, size: int, results=None, engine=None):
-        """A :class:`BatchObjective` at one input size (see below)."""
-        return BatchObjective(self, size, results=results, engine=engine)
-
 
 class BatchObjective:
     """The objective the tuner hands to the search strategies.
 
-    Point calls (``obj(config)``) measure inline through the
-    :class:`Measurer`.  Batch calls (``obj.batch(configs)``) -- what the
-    ask/tell driver in :class:`~repro.autotune.search.base.Search` uses
-    -- route the whole list through the sweep engine when one is
-    configured (sharded across worker processes, served from the
-    persistent cache) and fall back to :meth:`Measurer.measure_many`
-    otherwise.  Every measurement lands in ``results`` in evaluation
-    order either way, so batched runs are byte-identical to serial ones.
+    Each ask/tell batch (``batch(configs)``) runs through ``engine`` on
+    the tuner's :class:`Measurer` -- sharded across worker processes and
+    served from the persistent cache when the engine has them, inline
+    otherwise -- and every measurement lands in ``results`` in
+    evaluation order, so results are identical at any ``jobs`` setting.
     """
 
-    def __init__(self, measurer: Measurer, size: int, results=None,
-                 engine=None):
+    def __init__(self, engine, measurer: Measurer, size: int, results):
+        self.engine = engine
         self.measurer = measurer
         self.size = size
         self.results = results
-        self.engine = engine
-
-    def _absorb(self, measurements) -> list[float]:
-        if self.results is not None:
-            for m in measurements:
-                self.results.add(m)
-        return [m.seconds for m in measurements]
-
-    def __call__(self, config: dict) -> float:
-        return self._absorb([self.measurer.measure(config, self.size)])[0]
 
     def batch(self, configs: list) -> list[float]:
-        if not configs:
-            return []
-        m = self.measurer
-        pairs = [(config, self.size) for config in configs]
-        if self.engine is not None:
-            measurements = self.engine.run(
-                m.benchmark, m.gpu, pairs, params=m.params,
-                repetitions=m.repetitions, trial_index=m.trial_index,
+        measurements = self.engine.run(
+            self.measurer, [(config, self.size) for config in configs]
+        )
+        failures = self.engine.last_failures
+        if failures:
+            # a search cannot go on from a partial batch
+            raise RuntimeError(
+                f"{len(failures)} point(s) quarantined after retry "
+                f"exhaustion; first: {failures[0].attempts[-1].error}"
             )
-            m.evaluations += len(measurements)
-        else:
-            measurements = m.measure_many(pairs)
-        return self._absorb(measurements)
+        for m in measurements:
+            self.results.add(m)
+        return [m.seconds for m in measurements]

@@ -153,24 +153,23 @@ def replay_with_empirical_testing(
     gpu: GPUSpec,
 ) -> ReplayReport:
     """Measure the pruned-away region and evaluate the static decision."""
-    measurer = Measurer(benchmark, gpu)
-    searched = set(record.searched_threads)
-    pruned_best = float("inf")
-    pruned_evals = 0
-    # rebuild the recorded space and walk the complement of the TC pruning
+    # imported lazily: repro.engine sits on top of repro.autotune
     from repro.autotune.space import Parameter
+    from repro.engine import SweepEngine
 
+    searched = set(record.searched_threads)
+    # rebuild the recorded space and measure the complement of the TC
+    # pruning
     space = ParameterSpace([
         Parameter(n, tuple(record.space_values[n]))
         for n in record.space_names
     ])
-    for config in space:
-        if config["TC"] in searched:
-            continue
-        m = measurer.measure(config, record.size)
-        pruned_evals += 1
-        if m.seconds < pruned_best:
-            pruned_best = m.seconds
+    pruned = [(config, record.size) for config in space
+              if config["TC"] not in searched]
+    with SweepEngine() as engine:
+        measured = engine.run(Measurer(benchmark, gpu), pruned)
+    pruned_best = min((m.seconds for m in measured), default=float("inf"))
+    pruned_evals = len(measured)
 
     record_best = float(record.best_seconds)
     global_best = min(record_best, pruned_best)

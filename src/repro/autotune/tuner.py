@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 from repro import obs
 from repro.arch.specs import GPUSpec
-from repro.autotune.measure import Measurer
+from repro.autotune.measure import BatchObjective, Measurer
 from repro.autotune.results import TuningResults
 from repro.autotune.search import (
     Search,
@@ -25,7 +26,6 @@ class TuneOutcome:
 
     search: SearchResult
     results: TuningResults
-    measurer: Measurer
 
     @property
     def best_config(self) -> dict:
@@ -75,14 +75,12 @@ class Autotuner:
             )
         return get_search(search, **kwargs)
 
-    def _make_engine(self, engine, jobs, cache):
-        """Coerce the ``engine``/``jobs``/``cache`` arguments into a
-        :class:`~repro.engine.engine.SweepEngine` (or ``None`` for the
-        plain serial path)."""
+    def _engine(self, engine, jobs, cache):
+        """The engine to measure on: ``engine`` itself, left open for
+        its owner, or one built from ``jobs``/``cache`` and closed on
+        exit."""
         if engine is not None:
-            return engine
-        if jobs == 1 and cache is None:
-            return None
+            return contextlib.nullcontext(engine)
         # imported lazily: repro.engine sits on top of repro.autotune
         from repro.engine import SweepEngine
 
@@ -105,29 +103,28 @@ class Autotuner:
         :class:`~repro.autotune.measure.BatchObjective`: the ask/tell
         driver collects each proposal batch (a population, a set of
         annealing chains, a simplex, a block of random samples, the
-        whole space) and measures it in one call.  With ``engine`` (or
-        ``jobs``/``cache``) those batches are sharded across worker
-        processes and served from the persistent cache; without one they
-        run inline through :meth:`Measurer.measure_many`.  Results are
-        identical in content and order either way.
+        whole space) and measures it in one
+        :meth:`~repro.engine.engine.SweepEngine.run` on one
+        :class:`Measurer`, so each module compiles once per tune.
+        ``engine`` (or ``jobs``/``cache``) shards those batches across
+        worker processes and serves them from the persistent cache;
+        results are identical in content and order either way.
         """
         measurer = Measurer(self.benchmark, self.gpu,
                             params=self.model_params)
         results = TuningResults(self.benchmark.name, self.gpu.name)
-        eng = self._make_engine(engine, jobs, cache)
-        objective = measurer.batch_objective(size, results=results,
-                                             engine=eng)
         strategy = self.make_search(search, use_rule=use_rule, size=size,
                                     **search_kwargs)
-        with obs.span(
+        with self._engine(engine, jobs, cache) as eng, obs.span(
             "tune",
             key=f"{self.benchmark.name}/{self.gpu.name}/{strategy.name}",
             args={"size": size, "strategy": strategy.name},
         ) as sp:
+            objective = BatchObjective(eng, measurer, size, results)
             sr = strategy.search(self.space, objective, budget=budget)
             sp.annotate(evaluations=sr.evaluations,
                         best_value=sr.best_value)
-        return TuneOutcome(search=sr, results=results, measurer=measurer)
+        return TuneOutcome(search=sr, results=results)
 
     def sweep(self, sizes=None, space: ParameterSpace | None = None,
               engine=None, jobs: int = 1, cache=None) -> TuningResults:
@@ -135,21 +132,14 @@ class Autotuner:
         pooling measurements (the Fig. 4 / Table V data collection).
 
         ``jobs`` shards the sweep across worker processes and ``cache``
-        backs it with the persistent store; results are identical to the
-        serial path in content *and* order.
+        backs it with the persistent store; results are identical at any
+        setting in content *and* order.
         """
         sizes = sizes if sizes is not None else self.benchmark.sizes
         space = space if space is not None else self.space
         results = TuningResults(self.benchmark.name, self.gpu.name)
-        eng = self._make_engine(engine, jobs, cache)
-        if eng is not None:
+        with self._engine(engine, jobs, cache) as eng:
             for m in eng.sweep(self.benchmark, self.gpu, space, sizes,
                                params=self.model_params):
                 results.add(m)
-            return results
-        measurer = Measurer(self.benchmark, self.gpu,
-                            params=self.model_params)
-        for n in sizes:
-            for config in space:
-                results.add(measurer.measure(config, n))
         return results

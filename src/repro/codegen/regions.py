@@ -120,15 +120,6 @@ class Region:
         for c in self.children:
             yield from c.walk()
 
-    def static_totals(self) -> tuple[Counter, int]:
-        """Plain static sums over the subtree (the raw disassembly view)."""
-        counts: Counter = Counter()
-        regs = 0
-        for r in self.walk():
-            counts.update(r.counts)
-            regs += r.reg_ops
-        return counts, regs
-
 
 @dataclass(frozen=True)
 class DynamicCounts:

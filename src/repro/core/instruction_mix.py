@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from repro.arch.throughput import PipeClass
 from repro.codegen.compiler import CompiledKernel, CompiledModule
-from repro.codegen.regions import DynamicCounts, evaluate_region_tree
+from repro.codegen.regions import evaluate_region_tree
 from repro.codegen.ast_nodes import evaluate_expr
 
 
@@ -126,9 +126,3 @@ def intensity(ck_or_module, env: dict) -> float:
     if isinstance(ck_or_module, CompiledModule):
         return static_mix_module(ck_or_module, env).intensity
     return static_mix(ck_or_module, env).intensity
-
-
-def dynamic_mix(counts: DynamicCounts) -> MixReport:
-    """Wrap ground-truth dynamic counts in the same report type (used by
-    the Table VI comparison)."""
-    return MixReport(by_category=dict(counts.by_category), reg_ops=counts.reg_ops)

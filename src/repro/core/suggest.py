@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.specs import GPUSpec
-from repro.codegen.compiler import CompiledKernel, CompiledModule
+from repro.codegen.compiler import CompiledModule
 from repro.core.occupancy import occupancy
 
 
@@ -101,13 +101,6 @@ def suggest_parameters(
         threads=t_star,
         smem_headroom=s_star,
         best_occupancy=occ_star,
-    )
-
-
-def suggest_for_kernel(ck: CompiledKernel) -> Suggestion:
-    """Table VII row for a compiled kernel."""
-    return suggest_parameters(
-        ck.options.gpu, ck.regs_per_thread, ck.static_smem_bytes, ck.name
     )
 
 

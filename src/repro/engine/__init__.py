@@ -17,9 +17,10 @@ Typical use::
     engine = SweepEngine(jobs=4, cache=CacheStore("~/.cache/repro-sweeps"))
     measurements = engine.sweep(benchmark, gpu, space, sizes)
 
-Everything higher in the stack (``Autotuner.sweep``, the exhaustive and
-static search strategies, ``repro.experiments.runner --jobs/--cache``)
-routes through :class:`SweepEngine`.
+Everything higher in the stack (``Autotuner.tune``/``sweep``, every
+search strategy, the service fleet, ``repro.experiments.runner
+--jobs/--cache``) measures through :class:`SweepEngine`, on a
+:class:`~repro.autotune.measure.Measurer` the caller holds.
 """
 
 from repro.engine.cache import (

@@ -4,10 +4,10 @@ Every measured variant is stored under a *stable content key*: a SHA-256
 digest of everything that determines the measurement -- the kernel (name
 and spec structure), the full GPU spec, the tuning configuration, the
 input size, the timing model's :class:`~repro.sim.timing.ModelParams`,
-and the measurement protocol (repetitions / trial index).  Changing any
-of these yields a different key, so a cache never serves stale results
-after a model recalibration; bumping
-:data:`CACHE_SCHEMA_VERSION` invalidates every
+and the measurement protocol (:data:`~repro.sim.timing.REPETITIONS` /
+:data:`~repro.sim.timing.TRIAL_INDEX`).  Changing any of these yields a
+different key, so a cache never serves stale results after a model
+recalibration; bumping :data:`CACHE_SCHEMA_VERSION` invalidates every
 entry at once when the measurement semantics themselves change.
 
 The store is a single SQLite file (stdlib ``sqlite3``; no third-party
@@ -39,7 +39,7 @@ from pathlib import Path
 
 from repro.arch.specs import GPUSpec
 from repro.autotune.measure import VariantMeasurement
-from repro.sim.timing import ModelParams
+from repro.sim.timing import REPETITIONS, TRIAL_INDEX, ModelParams
 from repro.util.hashing import stable_hash
 
 __all__ = [
@@ -66,8 +66,6 @@ def context_key(
     benchmark_name: str,
     gpu: GPUSpec,
     params: ModelParams,
-    repetitions: int = 10,
-    trial_index: int = 4,
     specs=None,
 ) -> str:
     """Digest of everything a whole sweep shares: kernel name *and specs*,
@@ -87,8 +85,8 @@ def context_key(
         "specs": repr(specs) if specs is not None else None,
         "gpu": asdict(gpu),
         "params": asdict(params),
-        "repetitions": int(repetitions),
-        "trial_index": int(trial_index),
+        "repetitions": REPETITIONS,
+        "trial_index": TRIAL_INDEX,
     })
 
 
@@ -107,15 +105,11 @@ def measurement_key(
     config: dict,
     size: int,
     params: ModelParams,
-    repetitions: int = 10,
-    trial_index: int = 4,
     specs=None,
 ) -> str:
     """The cache key of one ``(kernel, GPU, config, size, model)`` point."""
     return point_key(
-        context_key(benchmark_name, gpu, params, repetitions, trial_index,
-                    specs=specs),
-        config, size,
+        context_key(benchmark_name, gpu, params, specs=specs), config, size
     )
 
 

@@ -35,6 +35,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.arch.specs import GPUSpec
+from repro.autotune.measure import Measurer, travels_by_name
 from repro.autotune.space import ParameterSpace
 from repro.engine.cache import CacheStore, context_key, point_key
 from repro.engine.pool import PoolExecutor, resolve_jobs
@@ -131,52 +132,34 @@ class SweepEngine:
         space: ParameterSpace,
         sizes,
         params: ModelParams = DEFAULT_PARAMS,
-        repetitions: int = 10,
-        trial_index: int = 4,
     ) -> list:
         """Measure every configuration at every size, in canonical order."""
-        items = build_work_list(space, sizes)
         return self._execute(
-            benchmark, gpu, items, params, repetitions, trial_index,
+            Measurer(benchmark, gpu, params), build_work_list(space, sizes),
             label=f"sweep {benchmark.name}/{gpu.name}",
         )
 
-    def run(
-        self,
-        benchmark: Benchmark,
-        gpu: GPUSpec,
-        pairs,
-        params: ModelParams = DEFAULT_PARAMS,
-        repetitions: int = 10,
-        trial_index: int = 4,
-    ) -> list:
-        """Measure explicit ``(config, size)`` pairs, preserving order
-        (the batch path the search strategies use)."""
-        items = build_pairs(pairs)
+    def run(self, measurer: Measurer, pairs) -> list:
+        """Measure explicit ``(config, size)`` pairs on ``measurer``,
+        preserving order (the batch path the search strategies use).
+        Inline shards run on ``measurer`` itself, so its compiled modules
+        serve every batch."""
         return self._execute(
-            benchmark, gpu, items, params, repetitions, trial_index,
-            label=f"batch {benchmark.name}/{gpu.name}",
+            measurer, build_pairs(pairs),
+            label=f"batch {measurer.benchmark.name}/{measurer.gpu.name}",
         )
 
     # -- pipeline ------------------------------------------------------------
 
-    def _execute(
-        self, benchmark, gpu, items, params, repetitions, trial_index, label
-    ) -> list:
+    def _execute(self, measurer, items, label) -> list:
         # the root span of the engine's trace subtree ("sweep ..." or
         # "batch ..."); shard/attempt/measure spans nest under it
         with obs.span(label.split()[0], key=label,
                       args={"points": len(items)}) as sp:
-            results = self._execute_traced(
-                benchmark, gpu, items, params, repetitions, trial_index,
-                label, sp,
-            )
+            results = self._execute_traced(measurer, items, label, sp)
         return results
 
-    def _execute_traced(
-        self, benchmark, gpu, items, params, repetitions, trial_index,
-        label, sp,
-    ) -> list:
+    def _execute_traced(self, measurer, items, label, sp) -> list:
         t0 = time.monotonic()
         results: list = [None] * len(items)
         corrupt_before = self.cache.corrupt if self.cache is not None else 0
@@ -184,11 +167,10 @@ class SweepEngine:
         # stage 2: probe the cache
         misses = items
         keys = None
+        benchmark, gpu = measurer.benchmark, measurer.gpu
         if self.cache is not None and items:
-            ctx = context_key(
-                benchmark.name, gpu, params, repetitions, trial_index,
-                specs=benchmark.specs,
-            )
+            ctx = context_key(benchmark.name, gpu, measurer.params,
+                              specs=benchmark.specs)
             keys = [
                 point_key(ctx, item.config, item.size) for item in items
             ]
@@ -209,24 +191,16 @@ class SweepEngine:
         self.progress.advance(hits)
         report = None
         if misses:
-            from repro.kernels import BENCHMARKS
-
-            # Registered benchmarks travel by name: their callables are
-            # closures, which do not survive pickling to pool workers.
-            # Anything else (a modified copy, an unregistered benchmark)
-            # is measured inline instead -- slower, never wrong.
-            registered = BENCHMARKS.get(benchmark.name) is benchmark
-            bench_ref = benchmark.name if registered else benchmark
             # shards=None: one shard per compile group, independent of
             # the worker count -- parallelism is capped at the group
             # count anyway (groups never split), and a jobs-independent
             # partition makes the trace's span tree identical at any
-            # jobs setting
-            shards = shard_work(misses, None if registered else 1)
-            tasks = [
-                (bench_ref, gpu, params, repetitions, trial_index, shard)
-                for shard in shards
-            ]
+            # jobs setting.  A benchmark that cannot travel to workers
+            # gets one shard, which runs inline -- slower, never wrong.
+            shards = shard_work(
+                misses, None if travels_by_name(benchmark) else 1
+            )
+            tasks = [(measurer, shard) for shard in shards]
 
             def checkpoint(task, pairs):
                 if self.cache is not None:

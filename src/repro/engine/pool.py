@@ -1,10 +1,12 @@
 """Supervised process execution of measurement shards.
 
-Each task is self-contained -- benchmark, GPU spec, model parameters,
-protocol, and a shard of :class:`~repro.engine.work.WorkItem` -- so a
-worker process rebuilds its own :class:`~repro.autotune.measure.Measurer`
-and compiles each needed module exactly once (shards are grouped by
-compile key upstream).  Workers return ``(item index, measurement)``
+Each task is ``(measurer, shard)``: the caller's
+:class:`~repro.autotune.measure.Measurer` and a shard of
+:class:`~repro.engine.work.WorkItem`.  Inline shards run on that
+measurer itself; a worker process rebuilds it from its pickle and keeps
+the one it last rebuilt, so consecutive shards of one kernel and GPU --
+every round of a search -- compile each module once (shards are grouped
+by compile key upstream).  Workers return ``(item index, measurement)``
 pairs; ordering is restored by the engine, never by arrival time.
 
 Unlike a bare ``Pool.imap_unordered``, execution here is *supervised*
@@ -45,7 +47,6 @@ from collections import deque
 from multiprocessing.connection import wait as _wait_ready
 
 from repro import obs
-from repro.autotune.measure import Measurer
 from repro.engine import chaos
 from repro.engine.resilience import (
     DEFAULT_POLICY,
@@ -74,25 +75,17 @@ def shard_indices(shard) -> tuple:
 
 
 def evaluate_shard(task, attempt: int = 0) -> list:
-    """Measure one shard; the entry point both workers and the inline
-    path run.
+    """Measure one ``(measurer, shard)`` task; the entry point both
+    workers and the inline path run.
 
-    ``task[0]`` is a registry name whenever the benchmark is registered
-    (its dataclass holds closures, which do not pickle), so workers
-    resolve it locally; unregistered benchmarks arrive as objects.
+    Inline, ``measurer`` is the caller's own, so its compiled modules
+    serve every shard and batch; a worker receives it rebuilt from its
+    pickle (:meth:`~repro.autotune.measure.Measurer.__reduce__`).
     ``attempt`` is the supervisor's 0-based retry count, consulted only
     by the chaos harness.
     """
-    benchmark, gpu, params, repetitions, trial_index, shard = task
+    measurer, shard = task
     chaos.maybe_inject(shard_indices(shard), attempt)
-    if isinstance(benchmark, str):
-        from repro.kernels import get_benchmark
-
-        benchmark = get_benchmark(benchmark)
-    measurer = Measurer(
-        benchmark, gpu, params=params,
-        repetitions=repetitions, trial_index=trial_index,
-    )
     if obs.tracer is not None:
         # one measurement span per work item, parented under the ambient
         # attempt span -- the item index keys the (deterministic) ID, so
@@ -188,14 +181,14 @@ class _TaskState:
         self.task = task
         self.attempts = []  # AttemptRecord per failed attempt
         self.eligible_at = 0.0
-        self.origin = origin if origin is not None else len(task[5])
+        self.origin = origin if origin is not None else len(task[1])
         self.span_parent = span_parent
         # the shard span's deterministic identity: a pure function of
         # the parent span and the item indices, so jobs=1 and jobs=N
         # produce the same tree; bisection children parent under the
         # shard they split from
         self.shard_span_id = (
-            child_id(span_parent, "shard", list(shard_indices(task[5])))
+            child_id(span_parent, "shard", list(shard_indices(task[1])))
             if obs.tracer is not None else ""
         )
         self.span_start_wall = 0.0
@@ -204,7 +197,7 @@ class _TaskState:
 
     @property
     def shard(self):
-        return self.task[5]
+        return self.task[1]
 
     def attempt_span_id(self) -> str | None:
         """The deterministic ID of the *next* attempt's span (``None``
@@ -379,7 +372,7 @@ class PoolExecutor:
             children = []
             for half in split_shard(state.shard):
                 child = self._make_state(
-                    state.task[:5] + (half,), origin=state.origin,
+                    (state.task[0], half), origin=state.origin,
                     span_parent=state.shard_span_id,
                 )
                 child.eligible_at = now + self.policy.backoff(

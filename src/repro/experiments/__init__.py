@@ -2,11 +2,11 @@
 
 Every module exposes ``run(**kwargs) -> dict`` (structured results) and
 ``render(result) -> str`` (the ASCII table/figure).  The CLI
-(``python -m repro.experiments`` or the ``repro-experiments`` script) runs
-any subset; ``--full`` switches from the structure-preserving reduced
-sweep to the paper's full 5,120-variant space.
+(``python -m repro.experiments.runner`` or the ``repro-experiments``
+script) runs any subset; ``--full`` switches from the structure-preserving
+reduced sweep to the paper's full 5,120-variant space.
 
-Index (see DESIGN.md for the complete mapping):
+Index:
 
 ====================  =====================================================
 ``table1``            GPU hardware parameters (Table I)
@@ -26,19 +26,3 @@ Index (see DESIGN.md for the complete mapping):
 """
 
 from repro.experiments import common  # noqa: F401
-
-ALL_EXPERIMENTS = (
-    "table1",
-    "table2",
-    "fig1",
-    "fig3",
-    "fig4",
-    "table5",
-    "fig5",
-    "table6",
-    "table7",
-    "fig6",
-    "fig7",
-    "suite",
-    "lint",
-)

@@ -71,7 +71,7 @@ def resolve_kernels(kernels=None) -> list[str]:
 _SWEEP_CACHE: dict = {}
 
 _ENGINE_CONFIG = {"jobs": 1, "cache_dir": None, "progress": False}
-_SHARED_ENGINE: list = [None, False]  # [engine, built?]
+_SHARED_ENGINE: list = [None]
 
 
 def configure_sweeps(jobs: int = 1, cache_dir=None,
@@ -86,25 +86,20 @@ def configure_sweeps(jobs: int = 1, cache_dir=None,
     _ENGINE_CONFIG.update(
         jobs=jobs, cache_dir=cache_dir, progress=progress
     )
-    _SHARED_ENGINE[:] = [None, False]
+    _SHARED_ENGINE[0] = None
 
 
-def shared_engine() -> SweepEngine | None:
-    """The :class:`SweepEngine` honouring :func:`configure_sweeps` (one
+def shared_engine() -> SweepEngine:
+    """The :class:`SweepEngine` honouring :func:`configure_sweeps`: one
     per configuration, so its cache connection and hit counters persist
-    across experiments), or ``None`` for the plain serial default."""
-    if not _SHARED_ENGINE[1]:
+    across experiments."""
+    if _SHARED_ENGINE[0] is None:
         cfg = _ENGINE_CONFIG
-        if cfg["jobs"] == 1 and not cfg["cache_dir"] and not cfg["progress"]:
-            engine = None
-        else:
-            engine = SweepEngine(
-                jobs=cfg["jobs"],
-                cache=CacheStore(cfg["cache_dir"]) if cfg["cache_dir"]
-                else None,
-                progress=StderrProgress() if cfg["progress"] else None,
-            )
-        _SHARED_ENGINE[:] = [engine, True]
+        _SHARED_ENGINE[0] = SweepEngine(
+            jobs=cfg["jobs"],
+            cache=CacheStore(cfg["cache_dir"]) if cfg["cache_dir"] else None,
+            progress=StderrProgress() if cfg["progress"] else None,
+        )
     return _SHARED_ENGINE[0]
 
 
@@ -112,12 +107,12 @@ def shutdown_sweeps() -> None:
     """Deterministically release the shared engine's workers and close
     its cache store (the runner calls this on exit and on interrupt;
     measurements checkpointed so far stay persisted)."""
-    engine = _SHARED_ENGINE[0] if _SHARED_ENGINE[1] else None
+    engine = _SHARED_ENGINE[0]
     if engine is not None:
         engine.close()
         if engine.cache is not None:
             engine.cache.close()
-    _SHARED_ENGINE[:] = [None, False]
+    _SHARED_ENGINE[0] = None
 
 
 def exhaustive_sweep(

@@ -116,13 +116,3 @@ def render(result: dict) -> str:
         fmt="{:.2f}x",
     )
     return table + "\n" + chart
-
-
-def main(**kwargs) -> str:
-    text = render(run(**kwargs))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -28,13 +28,3 @@ def render(result: dict) -> str:
     ))
     out.append(f"\nTotal variants: {result['size']}")
     return "\n".join(out)
-
-
-def main() -> str:
-    text = render(run())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

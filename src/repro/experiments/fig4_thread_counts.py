@@ -71,13 +71,3 @@ def render(result: dict) -> str:
                 )
             )
     return "\n".join(out)
-
-
-def main(**kwargs) -> str:
-    text = render(run(**kwargs))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -86,13 +86,3 @@ def render(result: dict) -> str:
         lines.append(f"{kernel:9s}/{gpu:5s} |{row_o}|")
         lines.append(f"{'':15s} |{row_p}|")
     return "\n".join(lines)
-
-
-def main(**kwargs) -> str:
-    text = render(run(**kwargs))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -129,13 +129,3 @@ def render(result: dict) -> str:
                             title="\nImprovement (fraction of space removed):",
                             fmt="{:.1%}")
     return table + "\n" + chart
-
-
-def main(**kwargs) -> str:
-    text = render(run(**kwargs))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -62,13 +62,3 @@ def render(result: dict) -> str:
             fmt="{:.2f}", width=40,
         ))
     return "\n".join(out)
-
-
-def main(**kwargs) -> str:
-    text = render(run(**kwargs))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

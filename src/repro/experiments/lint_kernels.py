@@ -80,17 +80,3 @@ def exit_code(result: dict) -> int:
     """Nonzero when any diagnostic is not covered by an
     ``expected_diagnostics`` annotation."""
     return 1 if result["unexpected_total"] else 0
-
-
-def main() -> str:
-    text = render(run())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    import sys
-
-    result = run()
-    print(render(result))
-    sys.exit(exit_code(result))

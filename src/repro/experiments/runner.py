@@ -27,6 +27,7 @@ identical to a serial run regardless.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -35,7 +36,7 @@ from pathlib import Path
 from repro import obs
 from repro.arch.specs import ALL_GPUS, get_gpu
 from repro.engine import default_cache_dir, resolve_jobs
-from repro.experiments import ALL_EXPERIMENTS, common
+from repro.experiments import common
 from repro.experiments import (
     fig1_divergence,
     fig3_spec,
@@ -70,23 +71,6 @@ _MODULES = {
     "lint": lint_kernels,
 }
 
-#: which kwargs each experiment accepts
-_ACCEPTS = {
-    "table1": set(),
-    "table2": set(),
-    "fig1": set(),
-    "fig3": set(),
-    "fig4": {"full", "archs", "kernels"},
-    "table5": {"full", "archs", "kernels"},
-    "fig5": {"full", "archs", "kernels"},
-    "table6": {"full", "archs", "kernels"},
-    "table7": {"archs", "kernels"},
-    "fig6": {"full", "archs", "kernels"},
-    "fig7": {"archs"},
-    "suite": {"full", "archs", "kernels", "tags"},
-    "lint": {"kernels", "tags"},
-}
-
 #: experiments drawing on the shared exhaustive sweep (and its in-process
 #: memo + sweep engine); these run in the coordinating process so they
 #: reuse each other's measurements, while the rest may run concurrently.
@@ -112,15 +96,15 @@ def run_experiment(name: str, full: bool = False, archs=None,
             f"unknown experiment {name!r}; available: {list(_MODULES)}"
         )
     mod = _MODULES[name]
-    kwargs = {}
-    if "full" in _ACCEPTS[name]:
-        kwargs["full"] = full
-    if "archs" in _ACCEPTS[name] and archs:
-        kwargs["archs"] = archs
-    if "kernels" in _ACCEPTS[name] and kernels:
-        kwargs["kernels"] = kernels
-    if "tags" in _ACCEPTS[name] and tags:
-        kwargs["tags"] = tags
+    # each experiment takes the filters its run() declares; an unset
+    # filter leaves that run()'s own default in place
+    accepts = inspect.signature(mod.run).parameters
+    filters = {"full": full, "archs": archs, "kernels": kernels,
+               "tags": tags}
+    kwargs = {
+        k: v for k, v in filters.items()
+        if k in accepts and (v or k == "full")
+    }
     result = mod.run(**kwargs)
     text = mod.render(result)
     if with_status:
@@ -307,7 +291,7 @@ def main(argv=None) -> int:
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument("experiments", nargs="*", default=[],
-                        help=f"subset of {list(ALL_EXPERIMENTS)} (default all)")
+                        help=f"subset of {list(_MODULES)} (default all)")
     parser.add_argument("--full", action="store_true",
                         help="use the paper's full 5,120-variant space")
     parser.add_argument("--arch", action="append", dest="archs",
@@ -337,7 +321,7 @@ def main(argv=None) -> int:
                         help="write a JSON metrics snapshot of the run")
     args = parser.parse_args(argv)
 
-    chosen = args.experiments or list(ALL_EXPERIMENTS)
+    chosen = args.experiments or list(_MODULES)
     for name in chosen:
         if name not in _MODULES:
             parser.error(f"unknown experiment {name!r}")

@@ -89,13 +89,3 @@ def render(result: dict) -> str:
     )
     return f"Corpus ({len(result['members'])}): {corpus}\n{tagged}\n\n" \
            f"{acc}\n{qual}"
-
-
-def main(**kwargs) -> str:
-    text = render(run(**kwargs))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -43,13 +43,3 @@ def render(result: dict) -> str:
     headers = ["Sym", "Parameter"] + result["gpus"]
     return ascii_table(headers, result["rows"],
                        title="Table I: GPUs used in this experiment")
-
-
-def main() -> str:
-    text = render(run())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

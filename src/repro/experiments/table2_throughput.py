@@ -23,13 +23,3 @@ def render(result: dict) -> str:
         headers, result["rows"],
         title="Table II: instruction throughput (IPC) per SM version",
     )
-
-
-def main() -> str:
-    text = render(run())
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -65,13 +65,3 @@ def render(result: dict) -> str:
         + _table(result["rank2"],
                  "Table V (bottom half): Rank 2 -- poor performers")
     )
-
-
-def main(**kwargs) -> str:
-    text = render(run(**kwargs))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

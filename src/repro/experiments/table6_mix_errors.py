@@ -58,13 +58,3 @@ def render(result: dict) -> str:
                f"mixes (sum of squares over sizes; dynamic baseline "
                f"TC={result['baseline_tc']}, BC=ceil(M/TC))"),
     )
-
-
-def main(**kwargs) -> str:
-    text = render(run(**kwargs))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -56,13 +56,3 @@ def render(result: dict) -> str:
               "occupancy",
         align_right=False,
     )
-
-
-def main(**kwargs) -> str:
-    text = render(run(**kwargs))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

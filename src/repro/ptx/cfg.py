@@ -178,10 +178,6 @@ class CFG:
             ) + 1
         return loops
 
-    def loop_depth_of_block(self, name: str) -> int:
-        """Nesting depth of ``name`` (0 = not in any loop)."""
-        return sum(1 for lp in self.natural_loops() if name in lp.body)
-
     def conditional_branch_blocks(self) -> list[str]:
         """Blocks ending in a conditional branch (two CFG successors)."""
         return [
@@ -240,17 +236,10 @@ class CFG:
                     changed = True
         return tainted
 
-    # -- statistics consumed by the static analyzer -------------------------
+    # -- statistics -----------------------------------------------------------
 
     def block_count(self) -> int:
         return len(self.blocks)
-
-    def edge_count(self) -> int:
-        return sum(
-            1
-            for s, d in self.graph.edges()
-            if s not in (ENTRY, EXIT) and d not in (ENTRY, EXIT)
-        )
 
 
 def build_cfg(kernel: KernelIR) -> CFG:

@@ -59,12 +59,6 @@ class KernelIR:
     def labels(self) -> list[str]:
         return [it.name for it in self.body if isinstance(it, Label)]
 
-    def label_positions(self) -> dict[str, int]:
-        """Map label name -> index in ``body``."""
-        return {
-            it.name: i for i, it in enumerate(self.body) if isinstance(it, Label)
-        }
-
     def param(self, name: str) -> KernelParam:
         for p in self.params:
             if p.name == name:

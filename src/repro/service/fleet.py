@@ -1,12 +1,14 @@
 """The worker fleet: N drainers consuming a shared measurement queue.
 
 Every managed session turns each ask/tell round into one *measurement
-job* -- a ``(benchmark, gpu, [(config, size), ...])`` batch.  Jobs from
-all sessions land on one :class:`asyncio.Queue`; each of the fleet's N
-drainers owns a supervised :class:`~repro.engine.engine.SweepEngine`
-over the *shared* :class:`~repro.service.store.MeasurementStore` and
-drains jobs off the queue on a worker thread (``asyncio.to_thread``), so
-the event loop never blocks on a sweep.
+job* -- a ``(measurer, [(config, size), ...])`` batch on the session's
+own :class:`~repro.autotune.measure.Measurer`, so its compiled modules
+serve every round.  Jobs from all sessions land on one
+:class:`asyncio.Queue`; each of the fleet's N drainers owns a supervised
+:class:`~repro.engine.engine.SweepEngine` over the *shared*
+:class:`~repro.service.store.MeasurementStore` and drains jobs off the
+queue on a worker thread (``asyncio.to_thread``), so the event loop
+never blocks on a sweep.
 
 Determinism: a session submits exactly one job per round and awaits it,
 so its results always come back in request order regardless of which
@@ -35,12 +37,8 @@ class FleetError(RuntimeError):
 
 @dataclass
 class _Job:
-    benchmark: object
-    gpu: object
+    measurer: object
     pairs: list
-    params: object
-    repetitions: int
-    trial_index: int
     parent_span_id: str
     future: asyncio.Future = field(repr=False, default=None)
 
@@ -118,17 +116,17 @@ class WorkerFleet:
                     FleetError("fleet stopped before the job ran")
                 )
 
-    async def measure(self, benchmark, gpu, pairs, params,
-                      repetitions: int = 10, trial_index: int = 4,
+    async def measure(self, measurer, pairs,
                       parent_span_id: str = "") -> list:
-        """Enqueue one measurement batch; await its results (input
-        order).  Raises :class:`FleetError` if any point was quarantined
-        -- a session must never silently receive a partial batch."""
+        """Enqueue one measurement batch on the session's
+        :class:`~repro.autotune.measure.Measurer`; await its results
+        (input order).  Raises :class:`FleetError` if any point was
+        quarantined -- a session must never silently receive a partial
+        batch."""
         if not self._tasks:
             raise RuntimeError("fleet is not started")
         job = _Job(
-            benchmark=benchmark, gpu=gpu, pairs=list(pairs), params=params,
-            repetitions=repetitions, trial_index=trial_index,
+            measurer=measurer, pairs=list(pairs),
             parent_span_id=parent_span_id,
             future=asyncio.get_running_loop().create_future(),
         )
@@ -165,10 +163,7 @@ class WorkerFleet:
         span is attached explicitly to parent the engine's batch span.
         """
         with obs.attach(job.parent_span_id):
-            measurements = engine.run(
-                job.benchmark, job.gpu, job.pairs, params=job.params,
-                repetitions=job.repetitions, trial_index=job.trial_index,
-            )
+            measurements = engine.run(job.measurer, job.pairs)
         if engine.last_failures:
             quarantined = sorted(
                 i for f in engine.last_failures for i in f.indices

@@ -250,10 +250,15 @@ class SessionManager:
 
     async def _drive(self, session: Session) -> None:
         """The server-side replica of ``Search.search()``'s driver loop,
-        with the measurement step routed through the fleet.  Heavy
-        strategy work (``reset`` compiles under static search) runs on a
-        worker thread."""
+        with the measurement step routed through the fleet on one
+        :class:`~repro.autotune.measure.Measurer`, held while the session
+        runs.  Heavy strategy work (``reset`` compiles under static
+        search) runs on a worker thread."""
+        from repro.autotune.measure import Measurer
+
         strategy = session.strategy
+        measurer = Measurer(session.benchmark, session.gpu)
+        size = session.request.size
         session.state = "running"
         try:
             await asyncio.to_thread(
@@ -262,8 +267,12 @@ class SessionManager:
             while configs := await asyncio.to_thread(strategy.ask):
                 round_no = session.rounds
                 start_s, t0 = time.time(), time.monotonic()
-                values = await self._measure(session, configs, round_no)
-                strategy.tell(configs, values)
+                measurements = await self.fleet.measure(
+                    measurer, [(config, size) for config in configs],
+                    parent_span_id=session.round_span_id(round_no),
+                )
+                session.measurements.extend(measurements)
+                strategy.tell(configs, [m.seconds for m in measurements])
                 session._record_round_span(round_no, start_s, t0,
                                            len(configs))
                 session.rounds += 1
@@ -283,19 +292,6 @@ class SessionManager:
             ))
         finally:
             self._session_finished(session)
-
-    async def _measure(self, session: Session, configs: list,
-                       round_no: int) -> list:
-        from repro.sim.timing import DEFAULT_PARAMS
-
-        measurements = await self.fleet.measure(
-            session.benchmark, session.gpu,
-            [(config, session.request.size) for config in configs],
-            params=DEFAULT_PARAMS,
-            parent_span_id=session.round_span_id(round_no),
-        )
-        session.measurements.extend(measurements)
-        return [m.seconds for m in measurements]
 
     # -- external mode --------------------------------------------------------
 

@@ -353,20 +353,25 @@ def simulate_benchmark_time(
     )
 
 
+REPETITIONS = 10
+"""Noisy trials per measurement (the paper's protocol, Sec. IV-A)."""
+
+TRIAL_INDEX = 4
+"""The reported trial, zero-based: the paper selects "the fifth overall
+trial"."""
+
+
 def measure_benchmark(
     module: CompiledModule,
     launch: LaunchConfig,
     env: dict,
-    repetitions: int = 10,
-    trial_index: int = 4,
     params: ModelParams = DEFAULT_PARAMS,
 ) -> float:
     """The paper's measurement protocol (Sec. IV-A).
 
-    Runs ``repetitions`` noisy trials and reports the ``trial_index``-th
-    (zero-based; the paper selects "the fifth overall trial").  Noise is
-    lognormal with seeded, configuration-specific RNG so sweeps are
-    reproducible.
+    Runs :data:`REPETITIONS` noisy trials and reports trial
+    :data:`TRIAL_INDEX`.  Noise is lognormal with seeded,
+    configuration-specific RNG so sweeps are reproducible.
     """
     base = simulate_benchmark_time(module, launch, env, params)
     if math.isinf(base):
@@ -381,5 +386,5 @@ def measure_benchmark(
     sigma = params.noise_sigma + params.short_run_sigma * min(
         1.0, overhead / base
     )
-    trials = base * rng.lognormal(mean=0.0, sigma=sigma, size=repetitions)
-    return float(trials[trial_index])
+    trials = base * rng.lognormal(mean=0.0, sigma=sigma, size=REPETITIONS)
+    return float(trials[TRIAL_INDEX])

@@ -20,12 +20,15 @@ import json
 import sys
 from pathlib import Path
 
-DEFAULT_PATTERNS = ("emulator", "sweep", "codec", "fig6", "compile")
+DEFAULT_PATTERNS = ("emulator", "sweep", "codec", "fig6", "compile",
+                    "search_batch")
 """Benchmarks watched by default: the emulator fast path, the engine
 sweep/cache paths -- the two hot paths with asserted speedup bars -- the
 service protocol codec, the Fig. 6 search, whose cost is the
-closed-form counting of recompiled variants, and the compile pipeline
-every measured variant goes through."""
+closed-form counting of recompiled variants, the compile pipeline
+every measured variant goes through, and the batched genetic search,
+which slows down if search rounds start compiling their modules
+again."""
 
 
 def load_medians(path: str | Path) -> dict[str, float]:

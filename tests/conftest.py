@@ -76,3 +76,33 @@ def make_benchmark_run(name: str, n: int | None = None):
     n = n if n is not None else small_size(name)
     inputs = bm.make_inputs(n, rng_for("tests", name, n))
     return bm, n, inputs, bm.reference(inputs)
+
+
+def reference_sweep(benchmark, gpu, space, sizes) -> list:
+    """Every variant at every size, measured without the sweep engine:
+    the nested loop on one ``Measurer`` that engine sweeps must
+    reproduce byte for byte."""
+    from repro.autotune import Measurer
+
+    measurer = Measurer(benchmark, gpu)
+    return [measurer.measure(config, n) for n in sizes for config in space]
+
+
+def reference_tune(benchmark, gpu, space, size, search="exhaustive",
+                   budget=None, **search_kwargs):
+    """Tune without the sweep engine: the plain-callable ask/tell driver
+    on one ``Measurer``.  Returns the search result and every
+    measurement in evaluation order."""
+    from repro.autotune import Autotuner, Measurer
+
+    measurer = Measurer(benchmark, gpu)
+    measured = []
+
+    def objective(config):
+        measured.append(measurer.measure(config, size))
+        return measured[-1].seconds
+
+    strategy = Autotuner(benchmark, gpu, space=space).make_search(
+        search, size=size, **search_kwargs
+    )
+    return strategy.search(space, objective, budget=budget), measured

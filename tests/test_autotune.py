@@ -25,6 +25,7 @@ from repro.autotune import (
 from repro.autotune.space import Parameter, ParameterSpace
 from repro.autotune.spec import DEFAULT_SPEC_TEXT, SpecError
 from repro.kernels import get_benchmark
+from tests.conftest import reference_tune
 
 #: worker count for the parallel-equivalence tests (the CI "batched" job
 #: raises it to exercise real multi-process sharding on every push)
@@ -501,17 +502,18 @@ class TestBatchedStrategies:
                 size=64, search=search, engine=engine, **kwargs
             )
 
-        base = tune(None)
+        base, measured = reference_tune(bm, K20, _engine_space(), 64,
+                                        search, **kwargs)
         with SweepEngine(jobs=1) as eng1:
             via_eng1 = tune(eng1)
         with SweepEngine(jobs=TEST_JOBS) as engn:
             via_engn = tune(engn)
         for out in (via_eng1, via_engn):
-            assert out.search.history == base.search.history
+            assert out.search.history == base.history
             assert out.best_config == base.best_config
-            assert out.best_seconds == base.best_seconds
+            assert out.best_seconds == base.best_value
             assert [_encode(m) for m in out.results.measurements] == [
-                _encode(m) for m in base.results.measurements
+                _encode(m) for m in measured
             ]
 
     @pytest.mark.parametrize("search,kwargs", STRATEGY_MATRIX)
@@ -553,14 +555,106 @@ class TestBatchedStrategies:
     def test_tuner_jobs_cache_args_reach_every_strategy(self, tmp_path):
         """The jobs=/cache= shorthand must batch heuristic strategies,
         not only exhaustive/static."""
-        base = Autotuner(get_benchmark("atax"), K20,
-                         space=_engine_space()).tune(
-            size=64, search="random", budget=12
-        )
+        base, _ = reference_tune(get_benchmark("atax"), K20, _engine_space(),
+                                 64, "random", budget=12)
         cached = Autotuner(get_benchmark("atax"), K20,
                            space=_engine_space()).tune(
             size=64, search="random", budget=12,
             jobs=TEST_JOBS, cache=tmp_path,
         )
-        assert cached.search.history == base.search.history
+        assert cached.search.history == base.history
         assert cached.best_config == base.best_config
+
+    def test_engine_built_from_jobs_or_cache_is_closed(self, tmp_path,
+                                                       monkeypatch):
+        """An engine the tuner builds for itself is closed when the tune
+        or sweep returns; one the caller passes in is left open."""
+        from repro.engine import SweepEngine
+
+        closed = []
+        real_close = SweepEngine.close
+
+        def counting_close(self):
+            closed.append(self)
+            real_close(self)
+
+        monkeypatch.setattr(SweepEngine, "close", counting_close)
+        tuner = Autotuner(get_benchmark("atax"), K20, space=_engine_space())
+        tuner.tune(size=64, search="random", budget=4, jobs=2)
+        assert len(closed) == 1
+        tuner.sweep(sizes=(64,), cache=tmp_path)
+        assert len(closed) == 2
+        assert closed[1].cache._closed
+        with SweepEngine(jobs=1) as engine:
+            tuner.tune(size=64, search="random", budget=4, engine=engine)
+            assert len(closed) == 2
+
+    def test_failing_point_fails_the_tune(self):
+        """A point that keeps failing is quarantined by the engine; the
+        tune raises with its error rather than search on a partial
+        batch."""
+        space = ParameterSpace([Parameter("TC", (64,))])  # no BC axis
+        with pytest.raises(RuntimeError, match="KeyError: 'BC'"):
+            Autotuner(get_benchmark("atax"), K20, space=space).tune(size=64)
+
+    def test_genetic_tune_compiles_each_key_once(self, monkeypatch):
+        """Every round of a search runs on the tuner's one Measurer, so
+        each compile key it reaches compiles once per tune."""
+        from repro.autotune import measure
+        from repro.engine import SweepEngine
+
+        compiled = []
+        real = measure.compile_module
+
+        def counting(name, specs, options):
+            compiled.append(options)
+            return real(name, specs, options)
+
+        monkeypatch.setattr(measure, "compile_module", counting)
+        with SweepEngine(jobs=1) as engine:
+            out = Autotuner(get_benchmark("atax"), K20,
+                            space=_engine_space()).tune(
+                size=64, search="genetic", population=6, generations=4,
+                engine=engine,
+            )
+        assert out.search.evaluations > 6  # more than one round
+        keys = {measure.compile_config_key(m.config)
+                for m in out.results.measurements}
+        assert len(compiled) == len(set(compiled)) == len(keys) > 1
+
+
+class TestMeasurerPickling:
+    @pytest.fixture(autouse=True)
+    def _empty_rebuild_slot(self, monkeypatch):
+        from repro.autotune import measure
+
+        monkeypatch.setattr(measure, "_last_rebuilt", [None, None])
+
+    def test_pickle_drops_module_memo_keeps_measurements(self):
+        import pickle
+
+        cfg = {"TC": 64, "BC": 48, "UIF": 1, "PL": 16, "CFLAGS": ""}
+        measurer = Measurer(get_benchmark("atax"), K20)
+        expected = measurer.measure(cfg, 64)
+        assert measurer._modules
+        clone = pickle.loads(pickle.dumps(measurer))
+        assert clone is not measurer
+        assert clone._modules == {}
+        assert clone.measure(cfg, 64) == expected
+
+    def test_rebuild_keeps_only_the_last_measurer(self):
+        from repro.arch import get_gpu
+        from repro.autotune import measure
+        from repro.sim.timing import DEFAULT_PARAMS, ModelParams
+
+        first = measure._rebuild("atax", K20, DEFAULT_PARAMS)
+        assert measure._rebuild("atax", K20, DEFAULT_PARAMS) is first
+        assert first.benchmark is get_benchmark("atax")
+        for other in (("bicg", K20, DEFAULT_PARAMS),
+                      ("atax", get_gpu("fermi"), DEFAULT_PARAMS),
+                      ("atax", K20, ModelParams(chain_fp=11.0))):
+            rebuilt = measure._rebuild(*other)
+            assert rebuilt is not first
+            assert (rebuilt.benchmark.name, rebuilt.gpu,
+                    rebuilt.params) == other
+        assert measure._rebuild("atax", K20, DEFAULT_PARAMS) is not first

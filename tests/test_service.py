@@ -101,6 +101,40 @@ def test_concurrent_sessions_byte_identical_and_warm(server):
     assert stats.entries > 0
 
 
+def test_managed_session_compiles_each_key_once(monkeypatch):
+    """A managed session measures every round on one Measurer, so each
+    compile key it reaches compiles once across the session."""
+    from repro.autotune import measure
+
+    compiled = []
+    real = measure.compile_module
+
+    def counting(name, specs, options):
+        compiled.append(options)
+        return real(name, specs, options)
+
+    monkeypatch.setattr(measure, "compile_module", counting)
+    request = TuneRequest(
+        kernel="atax", gpu="kepler", size=16, search="genetic",
+        space=SpaceSpec.from_space(ParameterSpace([
+            Parameter("TC", (32, 64, 128)),
+            Parameter("BC", (48, 96)),
+            Parameter("UIF", (1, 3)),
+            Parameter("CFLAGS", ("", "-use_fast_math")),
+        ])),
+        search_args={"seed": 3, "population": 4, "generations": 3},
+    )
+    with ThreadedServer(drainers=2) as storeless:
+        client = connect(storeless.url)
+        status = client.submit(request)
+        result = client.wait(status.session_id, timeout=120)
+        rounds = client.status(status.session_id).rounds
+    assert rounds > 1
+    keys = {measure.compile_config_key(m.config)
+            for m in result.measurements}
+    assert len(compiled) == len(set(compiled)) == len(keys) > 1
+
+
 def test_handshake_and_listing(server):
     client = connect(server.url)  # connect() performs the handshake
     info = client.hello()
