@@ -39,8 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.analyze.dataflow import GuardedDefinitions, linear_blocks
 from repro.analyze.values import (
     AbsVal,
@@ -49,7 +47,7 @@ from repro.analyze.values import (
     ValueAnalysis,
     ivl_meet,
 )
-from repro.ptx.cfg import CFG, build_cfg
+from repro.ptx.cfg import CFG, EXIT, build_cfg, reach
 from repro.ptx.isa import MemSpace, Opcode
 from repro.ptx.module import KernelIR
 
@@ -127,19 +125,8 @@ def check_uninitialized_reads(
 def _influence_region(cfg: CFG, branch_block: str) -> set[str]:
     """Blocks control-dependent on the branch: reachable from a
     successor without passing through the reconvergence point."""
-    stop = cfg.reconvergence_point(branch_block)
-    region: set[str] = set()
-    stack = [s for s in cfg.successors(branch_block) if s != stop]
-    while stack:
-        node = stack.pop()
-        if node in region:
-            continue
-        region.add(node)
-        stack.extend(
-            s for s in cfg.successors(node)
-            if s != stop and s not in region
-        )
-    return region
+    stop = (cfg.reconvergence_point(branch_block), EXIT)
+    return reach(cfg.succ, cfg.succ[branch_block], stop)
 
 
 def check_divergent_barriers(
@@ -222,29 +209,23 @@ def _collect_smem_accesses(
     return out
 
 
-def _segment_graph(cfg: CFG, va: ValueAnalysis) -> nx.DiGraph:
-    """Barrier-interval graph: blocks split at each ``bar.sync``; CFG
-    edges connect a block's *last* segment to successors' segment 0.
-    Consecutive segments of one block are deliberately unconnected --
-    the barrier between them is a phase boundary."""
-    g = nx.DiGraph()
-    last_seg: dict[str, int] = {}
+def _segment_graph(cfg: CFG, va: ValueAnalysis) -> dict:
+    """Barrier-interval graph as successor lists: blocks split at each
+    ``bar.sync``; CFG edges connect a block's *last* segment to
+    successors' segment 0.  Consecutive segments of one block are
+    deliberately unconnected -- the barrier between them is a phase
+    boundary."""
+    seg: dict[tuple[str, int], list[tuple[str, int]]] = {}
     for name, block in cfg.blocks.items():
-        bars = sum(
-            1 for i in block.instructions if i.opcode is Opcode.BAR
-        )
+        bars = sum(i.opcode is Opcode.BAR for i in block.instructions)
         for s in range(bars + 1):
-            g.add_node((name, s))
-        last_seg[name] = bars
-    for name in cfg.blocks:
-        if not va.reachable(name):
-            continue
-        for succ in cfg.successors(name):
-            g.add_edge((name, last_seg[name]), (succ, 0))
-    return g
+            seg[(name, s)] = []
+        if va.reachable(name):
+            seg[(name, bars)] = [(s, 0) for s in cfg.successors(name)]
+    return seg
 
 
-def _stable_phi_syms(cfg: CFG, va: ValueAnalysis, seg: nx.DiGraph):
+def _stable_phi_syms(cfg: CFG, va: ValueAnalysis, seg: dict):
     """Phi symbols whose value is equal for two same-phase accesses
     inside their loop: the loop (and every enclosing loop) has a
     barrier on every cyclic path, so a barrier-free path can never
@@ -252,8 +233,10 @@ def _stable_phi_syms(cfg: CFG, va: ValueAnalysis, seg: nx.DiGraph):
     loops = cfg.natural_loops()
 
     def barrier_cut(loop) -> bool:
-        nodes = [n for n in seg.nodes if n[0] in loop.body]
-        return nx.is_directed_acyclic_graph(seg.subgraph(nodes))
+        # no segment of the loop reaches itself without leaving it
+        inner = {n: [m for m in succs if m[0] in loop.body]
+                 for n, succs in seg.items() if n[0] in loop.body}
+        return not any(n in reach(inner, inner[n]) for n in inner)
 
     cut = {loop.header: barrier_cut(loop) for loop in loops}
     stable: dict[str, frozenset[str]] = {}
@@ -333,9 +316,7 @@ def check_smem_races(
     if not any(a.op in (Opcode.ST, Opcode.RED) for a in accesses):
         return []
     seg = _segment_graph(cfg, va)
-    reach = {
-        n: nx.descendants(seg, n) | {n} for n in seg.nodes
-    }
+    reaches = {n: reach(seg, [n]) for n in seg}
     stable = _stable_phi_syms(cfg, va, seg)
     flagged: dict[tuple[str, int], Diagnostic] = {}
     for i, a in enumerate(accesses):
@@ -344,7 +325,7 @@ def check_smem_races(
                 continue
             if a.op is Opcode.RED and b.op is Opcode.RED:
                 continue
-            if not (b.seg in reach[a.seg] or a.seg in reach[b.seg]):
+            if not (b.seg in reaches[a.seg] or a.seg in reaches[b.seg]):
                 continue  # a barrier always separates them
             if _ranges_disjoint(a, b):
                 continue

@@ -30,7 +30,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from repro.ptx.cfg import CFG, ENTRY, EXIT, BasicBlock
+from repro.ptx.cfg import CFG, EXIT, BasicBlock
 from repro.ptx.instruction import Imm, Instruction, Reg
 from repro.ptx.isa import CmpOp, Opcode
 
@@ -124,28 +124,6 @@ def linear_blocks(cfg: CFG) -> list[tuple[str, BasicBlock, int]]:
     return out
 
 
-def reverse_postorder(cfg: CFG) -> list[str]:
-    """Real blocks in reverse post-order from the entry block."""
-    seen: set[str] = set()
-    order: list[str] = []
-
-    def visit(name: str) -> None:
-        seen.add(name)
-        for succ in cfg.successors(name):
-            if succ not in seen:
-                visit(succ)
-        order.append(name)
-
-    visit(cfg.entry_block)
-    # blocks unreachable from entry (possible in hand-written IR) still
-    # get states so queries are total
-    for name in cfg.blocks:
-        if name not in seen:
-            visit(name)
-    order.reverse()
-    return order
-
-
 class Dataflow:
     """Base class for a block-granular dataflow analysis.
 
@@ -205,10 +183,10 @@ class Dataflow:
     def _is_boundary(self, name: str) -> bool:
         if self.FORWARD:
             return name == self.cfg.entry_block
-        return EXIT in self.cfg.graph.successors(name)
+        return EXIT in self.cfg.succ[name]
 
     def solve(self) -> "Dataflow":
-        order = reverse_postorder(self.cfg)
+        order = self.cfg.reverse_postorder()
         if not self.FORWARD:
             order = list(reversed(order))
         pos = {name: i for i, name in enumerate(order)}

@@ -323,7 +323,7 @@ class ValueAnalysis:
 
     def run(self) -> "ValueAnalysis":
         cfg = self.cfg
-        order = {n: i for i, n in enumerate(_rpo(cfg))}
+        order = {n: i for i, n in enumerate(cfg.reverse_postorder())}
         block_out: dict[str, dict[str, AbsVal]] = {}
         work = [cfg.entry_block]
         queued = {cfg.entry_block}
@@ -373,7 +373,7 @@ class ValueAnalysis:
         widening recovers them, and starting from a post-fixpoint
         keeps every state sound."""
         cfg = self.cfg
-        order = [n for n in _rpo(cfg) if n in self.block_in]
+        order = [n for n in cfg.reverse_postorder() if n in self.block_in]
         for _sweep in range(2):
             for name in order:
                 states = []
@@ -947,8 +947,3 @@ class ValueAnalysis:
             a.uniform and (op is Opcode.NOT or b.uniform),
         )
 
-
-def _rpo(cfg: CFG) -> list[str]:
-    from repro.analyze.dataflow import reverse_postorder
-
-    return reverse_postorder(cfg)

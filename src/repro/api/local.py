@@ -12,42 +12,52 @@ from __future__ import annotations
 
 from repro.api.protocol import ProtocolError, SessionResult, TuneRequest
 
-__all__ = ["resolve_request", "run_tune_request", "tune"]
+__all__ = ["resolve_request", "run_tune_request", "tune", "unknown_name"]
+
+
+def unknown_name(kernels=(), archs=(), search=None) -> str | None:
+    """A message naming the registry of the first unknown kernel,
+    architecture or search (in that order), or ``None``: the one wording
+    of ``parser.error`` in the CLI and of the server's 400."""
+    from repro.arch.specs import ALL_GPUS, get_gpu
+    from repro.autotune.search import SEARCH_REGISTRY
+    from repro.kernels import BENCHMARKS, get_benchmark
+
+    for kernel in kernels:
+        try:
+            get_benchmark(kernel)
+        except KeyError:
+            return (f"unknown kernel {kernel!r}; registered: "
+                    f"{', '.join(sorted(BENCHMARKS))}")
+    for arch in archs:
+        try:
+            get_gpu(arch)
+        except KeyError:
+            return (f"unknown architecture {arch!r}; available: "
+                    f"{', '.join(g.name for g in ALL_GPUS)} "
+                    "(or family aliases)")
+    if search is not None and search.strip().lower() not in SEARCH_REGISTRY:
+        return (f"unknown search {search!r}; available: "
+                f"{', '.join(sorted(SEARCH_REGISTRY))}")
+    return None
 
 
 def resolve_request(request: TuneRequest):
     """Validate a request against the registries; return
     ``(benchmark, gpu, space)``.
 
-    Raises :class:`ProtocolError` naming the registry for anything
-    unknown, so the server can answer 400 with a structured envelope and
-    the CLI can ``parser.error`` with the same text.
+    Raises :class:`ProtocolError` with :func:`unknown_name`'s message
+    for anything unknown, so the server can answer 400 with a structured
+    envelope.
     """
-    from repro.arch.specs import ALL_GPUS, get_gpu
-    from repro.autotune.search import SEARCH_REGISTRY
-    from repro.kernels import BENCHMARKS, get_benchmark
+    from repro.arch.specs import get_gpu
+    from repro.kernels import get_benchmark
 
-    try:
-        benchmark = get_benchmark(request.kernel)
-    except KeyError:
-        raise ProtocolError(
-            f"unknown kernel {request.kernel!r}; registered: "
-            f"{', '.join(sorted(BENCHMARKS))}"
-        ) from None
-    try:
-        gpu = get_gpu(request.gpu)
-    except KeyError:
-        raise ProtocolError(
-            f"unknown architecture {request.gpu!r}; available: "
-            f"{', '.join(g.name for g in ALL_GPUS)} (or family aliases)"
-        ) from None
-    if request.search.strip().lower() not in SEARCH_REGISTRY:
-        raise ProtocolError(
-            f"unknown search {request.search!r}; available: "
-            f"{sorted(SEARCH_REGISTRY)}"
-        )
+    message = unknown_name([request.kernel], [request.gpu], request.search)
+    if message is not None:
+        raise ProtocolError(message)
     space = None if request.space is None else request.space.to_space()
-    return benchmark, gpu, space
+    return get_benchmark(request.kernel), get_gpu(request.gpu), space
 
 
 def run_tune_request(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.codegen.compiler import CompiledKernel
-from repro.ptx.cfg import CFG, build_cfg
+from repro.ptx.cfg import CFG, EXIT, build_cfg, reach
 
 
 @dataclass(frozen=True)
@@ -44,21 +44,11 @@ class DivergenceReport:
 
 def _arm_lengths(cfg: CFG, block: str) -> tuple[int, int]:
     """Instruction counts of the two arms up to the reconvergence point."""
-    reconv = cfg.reconvergence_point(block)
-    succs = cfg.successors(block)
-    lens = []
-    for s in succs[:2]:
-        seen = set()
-        stack = [s]
-        n = 0
-        while stack:
-            b = stack.pop()
-            if b in seen or b == reconv or b == block:
-                continue
-            seen.add(b)
-            n += len(cfg.blocks[b])
-            stack.extend(cfg.successors(b))
-        lens.append(n)
+    stop = (cfg.reconvergence_point(block), block, EXIT)
+    lens = [
+        sum(len(cfg.blocks[b]) for b in reach(cfg.succ, [s], stop))
+        for s in cfg.successors(block)[:2]
+    ]
     while len(lens) < 2:
         lens.append(0)
     return lens[0], lens[1]

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.instruction_mix import static_mix_module
-from repro.core.timing_model import Eq6Model, profile_mae
+from repro.core.timing_model import profile_mae
 from repro.experiments.common import (
     exhaustive_sweep,
     resolve_gpus,
     resolve_kernels,
 )
 from repro.kernels import get_benchmark
-from repro.autotune.measure import Measurer
+from repro.suite.evaluate import eq6_profile
 from repro.util.stats import normalize
 from repro.util.tables import ascii_table
 
@@ -38,21 +37,7 @@ def run(full: bool = False, archs=None, kernels=None) -> dict:
         bm = get_benchmark(kernel)
         for gpu in gpus:
             results = exhaustive_sweep(kernel, gpu, full)
-            eq6 = Eq6Model.for_gpu(gpu)
-            measurer = Measurer(bm, gpu)
-            mix_cache: dict = {}
-            predicted, observed = [], []
-            for m in results.measurements:
-                if not m.launchable:
-                    continue
-                key = (m.config["UIF"], m.config["CFLAGS"],
-                       m.config["PL"], m.size)
-                if key not in mix_cache:
-                    module = measurer.module_for(m.config)
-                    mix = static_mix_module(module, bm.param_env(m.size))
-                    mix_cache[key] = eq6.weighted_cost(mix)
-                predicted.append(mix_cache[key])
-                observed.append(m.seconds)
+            predicted, observed = eq6_profile(bm, gpu, results.measurements)
             mae = profile_mae(predicted, observed)
             rows.append({"kernel": kernel, "arch": gpu.family, "mae": mae,
                          "variants": len(observed)})

@@ -34,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro import obs
-from repro.arch.specs import ALL_GPUS, get_gpu
+from repro.api.local import unknown_name
 from repro.engine import default_cache_dir, resolve_jobs
 from repro.experiments import common
 from repro.experiments import (
@@ -52,7 +52,6 @@ from repro.experiments import (
     table6_mix_errors,
     table7_suggestions,
 )
-from repro.kernels import BENCHMARKS, get_benchmark
 from repro.kernels.base import TAGS
 
 _MODULES = {
@@ -211,28 +210,9 @@ def client_main(argv) -> int:
 
     # the same up-front registry validation the experiments path does: a
     # typo should name the registry here, not surface as a server 400
-    from repro.autotune.search import SEARCH_REGISTRY
-
-    for kernel in args.kernels:
-        try:
-            get_benchmark(kernel)
-        except KeyError:
-            parser.error(
-                f"unknown kernel {kernel!r}; registered: "
-                f"{', '.join(sorted(BENCHMARKS))}"
-            )
-    try:
-        get_gpu(args.arch)
-    except KeyError:
-        parser.error(
-            f"unknown architecture {args.arch!r}; available: "
-            f"{', '.join(g.name for g in ALL_GPUS)} (or family aliases)"
-        )
-    if args.search.strip().lower() not in SEARCH_REGISTRY:
-        parser.error(
-            f"unknown search {args.search!r}; available: "
-            f"{', '.join(sorted(SEARCH_REGISTRY))}"
-        )
+    message = unknown_name(args.kernels, [args.arch], args.search)
+    if message is not None:
+        parser.error(message)
     if args.size <= 0:
         parser.error("--size must be positive")
     if args.budget is not None and args.budget <= 0:
@@ -329,22 +309,9 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 0")
     # validate filter values up front: a typo should name the registry,
     # not raise a KeyError three layers into an experiment
-    for kernel in args.kernels or ():
-        try:
-            get_benchmark(kernel)
-        except KeyError:
-            parser.error(
-                f"unknown kernel {kernel!r}; registered: "
-                f"{', '.join(sorted(BENCHMARKS))}"
-            )
-    for arch in args.archs or ():
-        try:
-            get_gpu(arch)
-        except KeyError:
-            parser.error(
-                f"unknown architecture {arch!r}; available: "
-                f"{', '.join(g.name for g in ALL_GPUS)} (or family aliases)"
-            )
+    message = unknown_name(args.kernels or (), args.archs or ())
+    if message is not None:
+        parser.error(message)
     for tag in args.tags or ():
         if tag not in TAGS:
             parser.error(

@@ -1,13 +1,15 @@
 """Control-flow graph construction and analysis.
 
 The paper's analyzer "builds a CFG to help understand flow divergence".
-This module recovers basic blocks from the flat instruction stream, builds a
-:class:`networkx.DiGraph` over them, and provides the structural analyses the
-rest of the system needs:
+This module recovers basic blocks from the flat instruction stream, wires
+them into successor and predecessor lists, and provides the structural
+analyses the rest of the system needs:
 
 - dominators and post-dominators (for SIMT reconvergence points in the
   emulator: a divergent warp reconverges at the immediate post-dominator of
   the branch block);
+- reverse postorder and reachability walks (the dataflow solvers' visit
+  order, influence regions, branch arms);
 - natural-loop detection via back edges (for trip-count attribution and the
   static divergence estimate);
 - identification of *divergence-relevant* branches: conditional branches
@@ -17,8 +19,7 @@ rest of the system needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from functools import reduce
 
 from repro.ptx.instruction import Instruction, Label, Reg, SReg
 from repro.ptx.isa import Opcode, SRegKind
@@ -61,11 +62,83 @@ class Loop:
         return block in self.body
 
 
+# -- walks: ``adj`` maps each node to its neighbours in order (a CFG's
+# ``succ`` walks forward, its ``pred`` backward).  None of them recurses,
+# so a kernel of thousands of blocks cannot hit the recursion limit.
+
+
+def postorder(adj: dict, roots) -> list:
+    """Depth-first postorder from each root in turn, neighbours visited in
+    list order: the order a recursive DFS finishes its nodes."""
+    seen = set()
+    order = []
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            node, rest = stack[-1]
+            for nxt in rest:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, iter(adj[nxt])))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    return order
+
+
+def reach(adj: dict, starts, stop=()) -> set:
+    """The nodes reachable from ``starts`` (included) along paths that
+    never enter a node of ``stop``."""
+    seen = set()
+    stack = [n for n in starts if n not in stop]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(n for n in adj[node] if n not in stop)
+    return seen
+
+
+def _immediate_dominators(succ: dict, pred: dict, root) -> dict:
+    """Immediate dominator of every node reachable from ``root`` except
+    the root itself (Cooper, Harvey and Kennedy, "A Simple, Fast
+    Dominance Algorithm", 2001).  Swapping ``succ`` and ``pred`` gives
+    post-dominators."""
+    order = postorder(succ, [root])
+    index = {n: i for i, n in enumerate(order)}
+    idom = {root: root}
+
+    def intersect(a, b):
+        while a != b:
+            while index[a] < index[b]:
+                a = idom[a]
+            while index[b] < index[a]:
+                b = idom[b]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for node in reversed(order[:-1]):
+            new = reduce(intersect, [p for p in pred[node] if p in idom])
+            if idom.get(node) != new:
+                idom[node] = new
+                changed = True
+    del idom[root]
+    return idom
+
+
 class CFG:
     """Control-flow graph over :class:`BasicBlock`.
 
     Nodes are block names; synthetic :data:`ENTRY` and :data:`EXIT` nodes
-    bound the graph so dominator queries are total.
+    bound the graph so dominator queries are total.  ``succ`` and ``pred``
+    hold every node's neighbours, ENTRY and EXIT included, in the order
+    the edges were added, each edge once.
     """
 
     def __init__(self, kernel_name: str):
@@ -76,9 +149,8 @@ class CFG:
         into one block, so a branch target may be an *alias* of the block
         that carries the instructions; executors resolve through
         :meth:`resolve_label`."""
-        self.graph = nx.DiGraph()
-        self.graph.add_node(ENTRY)
-        self.graph.add_node(EXIT)
+        self.succ: dict[str, list[str]] = {ENTRY: [], EXIT: []}
+        self.pred: dict[str, list[str]] = {ENTRY: [], EXIT: []}
         self._idom: dict[str, str] | None = None
         self._ipdom: dict[str, str] | None = None
 
@@ -88,18 +160,21 @@ class CFG:
         if block.name in self.blocks:
             raise ValueError(f"duplicate block {block.name!r}")
         self.blocks[block.name] = block
-        self.graph.add_node(block.name)
+        self.succ[block.name] = []
+        self.pred[block.name] = []
         self._idom = self._ipdom = None
 
     def add_edge(self, src: str, dst: str) -> None:
-        self.graph.add_edge(src, dst)
+        if dst not in self.succ[src]:
+            self.succ[src].append(dst)
+            self.pred[dst].append(src)
         self._idom = self._ipdom = None
 
     # -- queries -----------------------------------------------------------
 
     @property
     def entry_block(self) -> str:
-        succs = list(self.graph.successors(ENTRY))
+        succs = self.succ[ENTRY]
         if len(succs) != 1:
             raise ValueError("CFG entry must have exactly one successor")
         return succs[0]
@@ -111,21 +186,30 @@ class CFG:
         return self.block_of_label.get(label, label)
 
     def successors(self, name: str) -> list[str]:
-        return [s for s in self.graph.successors(name) if s != EXIT]
+        return [s for s in self.succ[name] if s != EXIT]
 
     def predecessors(self, name: str) -> list[str]:
-        return [p for p in self.graph.predecessors(name) if p != ENTRY]
+        return [p for p in self.pred[name] if p != ENTRY]
+
+    def edges(self) -> list[tuple[str, str]]:
+        """Every edge, grouped by source in node insertion order."""
+        return [(src, dst) for src, dsts in self.succ.items() for dst in dsts]
+
+    def reverse_postorder(self) -> list[str]:
+        """Real blocks in reverse postorder from the entry, then from each
+        block it cannot reach (possible in hand-written IR), in body order."""
+        order = postorder(self.succ, [ENTRY, *self.blocks])
+        return [n for n in reversed(order) if n in self.blocks]
 
     def immediate_dominators(self) -> dict[str, str]:
         if self._idom is None:
-            self._idom = nx.immediate_dominators(self.graph, ENTRY)
+            self._idom = _immediate_dominators(self.succ, self.pred, ENTRY)
         return self._idom
 
     def immediate_post_dominators(self) -> dict[str, str]:
-        """Immediate post-dominators, computed on the reversed graph."""
+        """Immediate post-dominators: dominators of the reversed graph."""
         if self._ipdom is None:
-            rev = self.graph.reverse(copy=False)
-            self._ipdom = nx.immediate_dominators(rev, EXIT)
+            self._ipdom = _immediate_dominators(self.pred, self.succ, EXIT)
         return self._ipdom
 
     def reconvergence_point(self, block: str) -> str:
@@ -141,14 +225,12 @@ class CFG:
             if node == a:
                 return True
             node = idom.get(node, ENTRY)
-            if node == idom.get(node):  # reached root
-                return node == a
         return a == ENTRY
 
     def back_edges(self) -> list[tuple[str, str]]:
         """Edges ``latch -> header`` where the header dominates the latch."""
         out = []
-        for src, dst in self.graph.edges():
+        for src, dst in self.edges():
             if src in (ENTRY, EXIT) or dst in (ENTRY, EXIT):
                 continue
             if self.dominates(dst, src):
@@ -159,16 +241,8 @@ class CFG:
         """All natural loops, with nesting depth computed by containment."""
         loops: list[Loop] = []
         for latch, header in self.back_edges():
-            body = {header, latch}
-            stack = [latch]
-            while stack:
-                node = stack.pop()
-                if node == header:
-                    continue
-                for pred in self.predecessors(node):
-                    if pred not in body:
-                        body.add(pred)
-                        stack.append(pred)
+            body = reach(self.pred, [latch], stop=(header, ENTRY))
+            body.add(header)
             loops.append(Loop(header=header, latch=latch, body=frozenset(body)))
         for loop in loops:
             loop.depth = sum(
@@ -235,11 +309,6 @@ class CFG:
                     tainted.add(ins.dst.name)
                     changed = True
         return tainted
-
-    # -- statistics -----------------------------------------------------------
-
-    def block_count(self) -> int:
-        return len(self.blocks)
 
 
 def build_cfg(kernel: KernelIR) -> CFG:
@@ -318,12 +387,12 @@ def build_cfg(kernel: KernelIR) -> CFG:
             cfg.add_edge(blk.name, EXIT)
 
     # blocks with no path to EXIT (infinite loops) still need post-dominator
-    # queries to terminate: connect any sink-less SCC conservatively.  One
-    # reverse search finds the blocks that already reach EXIT; the others
-    # are tested in body order against the growing graph, as each added
-    # edge can give a later block its path.
-    reaches_exit = nx.ancestors(cfg.graph, EXIT)
-    for name in list(cfg.blocks):
-        if name not in reaches_exit and not nx.has_path(cfg.graph, name, EXIT):
+    # queries to terminate: connect any sink-less SCC conservatively.  In
+    # body order, each block that cannot yet reach EXIT gets an edge to it,
+    # and its ancestors join the set of blocks that can.
+    reaches_exit = reach(cfg.pred, [EXIT])
+    for name in cfg.blocks:
+        if name not in reaches_exit:
             cfg.add_edge(name, EXIT)
+            reaches_exit |= reach(cfg.pred, [name], stop=reaches_exit)
     return cfg

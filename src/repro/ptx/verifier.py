@@ -19,7 +19,6 @@ the offending instruction) is only built when one fails.
 
 from __future__ import annotations
 
-from repro.analyze.dataflow import first_undefined_read
 from repro.ptx.cfg import build_cfg
 from repro.ptx.instruction import Imm, LabelRef, MemRef, ParamRef, Reg
 from repro.ptx.isa import DType, Opcode, NO_DEST
@@ -61,6 +60,9 @@ def verify_kernel(kernel: KernelIR, strict_types: bool = True) -> None:
         )
 
     param_names = {p.name for p in kernel.params}
+
+    # repro.analyze imports repro.ptx, so its solver is imported here
+    from repro.analyze.dataflow import first_undefined_read
 
     # Write-before-read over the CFG (any entry path reaching a read
     # without a definition).  CFG construction itself fails on branches

@@ -121,6 +121,27 @@ def emulator_ground_truth(benchmark: Benchmark, module, size: int) -> dict:
     }
 
 
+def eq6_profile(benchmark: Benchmark, gpu: GPUSpec, measurements):
+    """``(predicted, observed)``: the Eq. 6 cost of each launchable
+    measurement's static mix, and its seconds.  A static mix cannot see
+    the launch, so each cost is computed once per module and size."""
+    eq6 = Eq6Model.for_gpu(gpu)
+    measurer = Measurer(benchmark, gpu)
+    costs: dict = {}
+    predicted, observed = [], []
+    for m in measurements:
+        if not m.launchable:
+            continue
+        key = (m.config["UIF"], m.config["CFLAGS"], m.config["PL"], m.size)
+        if key not in costs:
+            module = measurer.module_for(m.config)
+            mix = static_mix_module(module, benchmark.param_env(m.size))
+            costs[key] = eq6.weighted_cost(mix)
+        predicted.append(costs[key])
+        observed.append(m.seconds)
+    return predicted, observed
+
+
 def accuracy_row(
     benchmark: Benchmark,
     gpu: GPUSpec,
@@ -143,21 +164,7 @@ def accuracy_row(
     """
     tuner = Autotuner(benchmark, gpu, space=space)
     results = tuner.sweep(sizes=sizes, engine=engine)
-
-    eq6 = Eq6Model.for_gpu(gpu)
-    measurer = Measurer(benchmark, gpu)
-    mix_cache: dict = {}
-    predicted, observed = [], []
-    for m in results.measurements:
-        if not m.launchable:
-            continue
-        key = (m.config["UIF"], m.config["CFLAGS"], m.config["PL"], m.size)
-        if key not in mix_cache:
-            module = measurer.module_for(m.config)
-            mix = static_mix_module(module, benchmark.param_env(m.size))
-            mix_cache[key] = eq6.weighted_cost(mix)
-        predicted.append(mix_cache[key])
-        observed.append(m.seconds)
+    predicted, observed = eq6_profile(benchmark, gpu, results.measurements)
     time_mae = profile_mae(predicted, observed)
 
     module = compile_module(

@@ -57,7 +57,7 @@ def kernel_digests(ck) -> dict:
         for r in ck.root_region.walk()
     ]
     cfg = build_cfg(ck.ir)
-    edges = sorted(cfg.graph.edges())
+    edges = sorted(cfg.edges())
     return {"compile": _sha(compiled), "regions": _sha(regions),
             "cfg": _sha([list(cfg.blocks), edges])}
 
