@@ -76,28 +76,19 @@ def test_bench_ablation_l1_thrash(benchmark):
     architectures (Fermi/Kepler)."""
 
     def run():
+        tm = TimingModel(K20)
+        l16 = LaunchConfig(256, 48, l1_pref_kb=16)
+        l48 = LaunchConfig(256, 48, l1_pref_kb=48)
         bm = get_benchmark("atax")
         env = bm.param_env(512)
-        tm = TimingModel(K20)
-        launch = LaunchConfig(256, 48)
-        t16 = tm.benchmark_time(
-            compile_module("a", list(bm.specs),
-                           CompileOptions(gpu=K20, l1_pref_kb=16)),
-            launch, env)
-        t48 = tm.benchmark_time(
-            compile_module("a", list(bm.specs),
-                           CompileOptions(gpu=K20, l1_pref_kb=48)),
-            launch, env)
+        atax = compile_module("a", list(bm.specs), CompileOptions(gpu=K20))
+        t16 = tm.benchmark_time(atax, l16, env)
+        t48 = tm.benchmark_time(atax, l48, env)
         bme = get_benchmark("ex14fj")
         enve = bme.param_env(64)
-        e16 = tm.benchmark_time(
-            compile_module("e", list(bme.specs),
-                           CompileOptions(gpu=K20, l1_pref_kb=16)),
-            launch, enve)
-        e48 = tm.benchmark_time(
-            compile_module("e", list(bme.specs),
-                           CompileOptions(gpu=K20, l1_pref_kb=48)),
-            launch, enve)
+        ex14fj = compile_module("e", list(bme.specs), CompileOptions(gpu=K20))
+        e16 = tm.benchmark_time(ex14fj, l16, enve)
+        e48 = tm.benchmark_time(ex14fj, l48, enve)
         return t16, t48, e16, e48
 
     t16, t48, e16, e48 = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -2,8 +2,10 @@
 
 ``Measurer`` turns a tuning configuration (one point of the Table III
 space) into a compiled code variant -- recompiling only when compile-time
-parameters (``UIF``, ``CFLAGS``, ``PL``) change -- and measures it on the
-simulated GPU with the paper's protocol (ten repetitions, fifth trial).
+parameters (``UIF``, ``CFLAGS``) change -- and measures it on the
+simulated GPU with the paper's protocol (ten repetitions, fifth trial)
+at the launch the rest of the configuration sets (``TC``, ``BC`` and
+the L1 preference ``PL``).
 Static metrics for the variant (occupancy, register usage, dynamic
 register-instruction counts) are recorded alongside the time, which is
 what the Table V statistics are built from.
@@ -28,14 +30,13 @@ from repro.sim.timing import (
 
 
 def compile_config_key(config: dict) -> tuple:
-    """The compile-time slice of a configuration (``UIF``, ``CFLAGS``,
-    ``PL``): variants sharing it share one compiled module.  Used for the
-    module cache here and for shard grouping in :mod:`repro.engine.work`."""
-    return (
-        int(config.get("UIF", 1)),
-        str(config.get("CFLAGS", "")),
-        int(config.get("PL", 16)),
-    )
+    """The compile-time slice of a configuration (``UIF``, ``CFLAGS``):
+    exactly what :func:`compile_module` reads, so variants sharing it
+    share one compiled module.  ``PL`` is a launch setting and not part
+    of it.  Used for the module cache here, for shard grouping in
+    :mod:`repro.engine.work` and for the per-module memo of
+    :func:`repro.suite.evaluate.eq6_profile`."""
+    return int(config.get("UIF", 1)), str(config.get("CFLAGS", ""))
 
 
 class MeasurementError(RuntimeError):
@@ -139,11 +140,11 @@ class Measurer:
         key = compile_config_key(config)
         mod = self._modules.get(key)
         if mod is None:
+            unroll_factor, cflags = key
             options = CompileOptions(
                 gpu=self.gpu,
-                unroll_factor=key[0],
-                fast_math="-use_fast_math" in key[1],
-                l1_pref_kb=key[2],
+                unroll_factor=unroll_factor,
+                fast_math="-use_fast_math" in cflags,
             )
             mod = compile_module(
                 self.benchmark.name, list(self.benchmark.specs), options
@@ -158,7 +159,7 @@ class Measurer:
         env = self.benchmark.param_env(size)
         tc = int(config["TC"])
         bc = int(config["BC"])
-        launch = LaunchConfig(tc, bc)
+        launch = LaunchConfig(tc, bc, l1_pref_kb=int(config.get("PL", 16)))
 
         seconds = measure_benchmark(mod, launch, env, params=self.params)
         occ = hw_occupancy(

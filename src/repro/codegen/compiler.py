@@ -38,30 +38,17 @@ _RESERVED_REGS = {20: 2, 35: 4, 52: 6, 60: 6}
 
 @dataclass(frozen=True)
 class CompileOptions:
-    """Compile-time tuning knobs (the compile-side slice of Table III)."""
+    """Compile-time tuning knobs (the compile-side slice of Table III:
+    ``UIF`` and ``CFLAGS``).  The L1 preference ``PL`` is applied at
+    launch, so it lives on :class:`~repro.sim.timing.LaunchConfig`."""
 
     gpu: GPUSpec
     unroll_factor: int = 1
     fast_math: bool = False
-    l1_pref_kb: int = 16
-    """Preferred L1 size in KB (the Orio ``PL`` parameter, 16 or 48).  A
-    runtime cache-config hint: recorded here because Orio treats it as part
-    of the code variant; consumed by the timing model."""
 
     def __post_init__(self):
         if self.unroll_factor < 1:
             raise ValueError("unroll_factor must be >= 1")
-        if self.l1_pref_kb not in (16, 48):
-            raise ValueError("l1_pref_kb must be 16 or 48")
-
-    def flags(self) -> str:
-        """The equivalent nvcc flag string."""
-        parts = [f"-arch=sm_{self.gpu.sm_version}"]
-        if self.fast_math:
-            parts.append("-use_fast_math")
-        if self.unroll_factor > 1:
-            parts.append(f"-unroll={self.unroll_factor}")
-        return " ".join(parts)
 
 
 @dataclass(eq=False)

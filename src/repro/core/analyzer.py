@@ -114,16 +114,12 @@ class StaticAnalyzer:
         name: str = "kernel",
         unroll_factor: int = 1,
         fast_math: bool = False,
-        l1_pref_kb: int = 16,
     ) -> AnalysisReport:
         """Compile kernel spec(s) for this GPU, then analyze statically."""
         if not isinstance(specs, (list, tuple)):
             specs = [specs]
         options = CompileOptions(
-            gpu=self.gpu,
-            unroll_factor=unroll_factor,
-            fast_math=fast_math,
-            l1_pref_kb=l1_pref_kb,
+            gpu=self.gpu, unroll_factor=unroll_factor, fast_math=fast_math
         )
         module = compile_module(name, list(specs), options)
         return self.analyze_module(module, env)

@@ -9,7 +9,7 @@ deliberately explicit and debuggable:
 2. **Probe** the persistent cache: every point already measured under the
    same kernel/GPU/config/size/:class:`ModelParams` key is served from
    disk (:mod:`repro.engine.cache`).
-3. **Shard** the misses by compile key and balance them across workers
+3. **Shard** the misses, one shard per compile key
    (:func:`~repro.engine.work.shard_work`).
 4. **Execute** the shards under supervision -- on worker processes, or
    inline when ``jobs=1`` (:mod:`repro.engine.pool`): dead or hung
@@ -191,14 +191,13 @@ class SweepEngine:
         self.progress.advance(hits)
         report = None
         if misses:
-            # shards=None: one shard per compile group, independent of
-            # the worker count -- parallelism is capped at the group
-            # count anyway (groups never split), and a jobs-independent
-            # partition makes the trace's span tree identical at any
-            # jobs setting.  A benchmark that cannot travel to workers
-            # gets one shard, which runs inline -- slower, never wrong.
-            shards = shard_work(
-                misses, None if travels_by_name(benchmark) else 1
+            # one shard per compile group, independent of the worker
+            # count (see shard_work).  A benchmark that cannot travel to
+            # workers gets one shard, which runs inline -- slower, never
+            # wrong.
+            shards = (
+                shard_work(misses) if travels_by_name(benchmark)
+                else [misses]
             )
             tasks = [(measurer, shard) for shard in shards]
 

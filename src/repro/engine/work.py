@@ -4,9 +4,9 @@ A sweep is a flat, ordered list of :class:`WorkItem` -- one
 ``(config, size)`` point per item, numbered in the canonical order the
 serial sweep would evaluate them (sizes outer, configurations inner).
 Sharding groups items by their *compile key* (the compile-time slice of
-the configuration: ``UIF``, ``CFLAGS``, ``PL``) so each worker compiles
-every needed module at most once, then balances whole groups across
-shards.  Results carry their item index, so the engine reassembles the
+the configuration: ``UIF`` and ``CFLAGS``; ``PL`` is a launch setting)
+so each worker compiles every needed module at most once, one shard per
+group.  Results carry their item index, so the engine reassembles the
 canonical order regardless of which shard finished first -- parallel
 sweeps are byte-identical to serial ones.
 """
@@ -59,39 +59,17 @@ def split_shard(shard) -> list:
     return [shard[:mid], shard[mid:]]
 
 
-def shard_work(items, shards: int | None) -> list:
-    """Split items into balanced lists, never splitting a compile group.
+def shard_work(items) -> list:
+    """One shard per compile group, largest group first.
 
-    With ``shards=None`` -- the engine's parallel path -- every compile
-    group becomes its own shard.  Since groups are never split anyway,
-    the worker count already caps effective parallelism at the group
-    count, so per-group sharding is physically identical to
-    worker-counted sharding while making the partition (and therefore
-    the trace span tree) a pure function of the work list, independent
-    of ``jobs``.  The supervisor's scheduler assigns however many shards
-    exist to however many workers are available.
-
-    With an integer ``shards``, items are grouped by compile key and
-    whole groups are assigned greedily (largest first) to the currently
-    lightest of at most ``shards`` buckets; ties break by shard number.
-    Either way the partition is deterministic and empty shards are
-    dropped.
+    Each shard compiles one module.  The partition (and therefore the
+    trace span tree) is a pure function of the work list, independent
+    of ``jobs``: the supervisor's scheduler assigns however many shards
+    exist to however many workers are available.  Ties in group size
+    break by compile key, so the partition is deterministic.
     """
-    if shards is not None and shards <= 1:
-        return [list(items)] if items else []
     groups: dict = {}
     for item in items:
         groups.setdefault(compile_key(item.config), []).append(item)
-    # largest groups first; key as tiebreak for determinism
-    ordered = sorted(
-        groups.items(), key=lambda kv: (-len(kv[1]), kv[0])
-    )
-    if shards is None:
-        return [group for _, group in ordered]
-    buckets = [[] for _ in range(shards)]
-    loads = [0] * shards
-    for _, group in ordered:
-        target = loads.index(min(loads))
-        buckets[target].extend(group)
-        loads[target] += len(group)
-    return [b for b in buckets if b]
+    ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    return [group for _, group in ordered]

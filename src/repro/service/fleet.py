@@ -74,7 +74,6 @@ class WorkerFleet:
         """Fresh measurements over the fleet's lifetime."""
         self.total_hits = 0
         """Store hits over the fleet's lifetime."""
-        self.jobs_done = 0
 
     @property
     def started(self) -> bool:
@@ -174,12 +173,10 @@ class WorkerFleet:
                 "the session cannot receive a partial batch"
             )
         stats = engine.last_stats
-        with self._stats_lock:
-            self.jobs_done += 1
-            if stats is not None:
+        if stats is not None:
+            with self._stats_lock:
                 self.total_measured += stats.measured
                 self.total_hits += stats.hits
-        if stats is not None:
             obs.add("service.fleet_measured", stats.measured)
             obs.add("service.fleet_store_hits", stats.hits)
         return measurements

@@ -149,7 +149,7 @@ _fraction_cache: dict = {}
 
 Keyed by structure, not by module: :class:`~repro.codegen.ast_nodes.Expr`
 nodes are frozen dataclasses, so a guard compiled again (another GPU,
-``UIF``, ``CFLAGS`` or ``PL``) hits the same entry.  One O(domain) NumPy
+``UIF`` or ``CFLAGS``) hits the same entry.  One O(domain) NumPy
 pass (e.g. ex14FJ's boundary predicate over all N^3 points) therefore
 serves both arms, both count levels, T=0 and T=1, and every recompile.
 Input arrays bound in ``env`` are part of the key by content.  Holds at

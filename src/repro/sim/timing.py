@@ -59,9 +59,16 @@ class LaunchConfig:
     bc: int
     """Blocks in the grid (Orio ``BC``)."""
 
+    l1_pref_kb: int = 16
+    """Preferred L1 size in KB (Orio ``PL``): the cache config CUDA sets
+    at launch (``cudaFuncSetCacheConfig``).  Only the cache model reads
+    it, and only Fermi/Kepler honour it."""
+
     def __post_init__(self):
         if self.tc <= 0 or self.bc <= 0:
             raise ValueError("tc and bc must be positive")
+        if self.l1_pref_kb not in (16, 48):
+            raise ValueError("l1_pref_kb must be 16 or 48")
 
     @property
     def total_threads(self) -> int:
@@ -279,7 +286,7 @@ class TimingModel:
         for acc, execs in tcounts.mem_traffic:
             warp_execs = execs / 32.0
             dram_bytes += self._access_dram_bytes(
-                acc, warp_execs, active_warps, ck.options.l1_pref_kb
+                acc, warp_execs, active_warps, launch.l1_pref_kb
             )
             if acc.is_atomic:
                 if acc.pattern == "uniform":
@@ -379,7 +386,7 @@ def measure_benchmark(
     rng = rng_for(
         "measure", module.name, module.options.gpu.name,
         module.options.unroll_factor, module.options.fast_math,
-        module.options.l1_pref_kb, launch.tc, launch.bc,
+        launch.l1_pref_kb, launch.tc, launch.bc,
         sorted(env.items()),
     )
     overhead = params.launch_overhead_s * len(module.kernels)

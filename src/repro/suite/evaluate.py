@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.arch.specs import GPUSpec
 from repro.arch.throughput import PipeClass
-from repro.autotune.measure import Measurer
+from repro.autotune.measure import Measurer, compile_config_key
 from repro.autotune.space import ParameterSpace
 from repro.autotune.tuner import Autotuner
 from repro.codegen.compiler import CompileOptions, compile_module
@@ -132,7 +132,7 @@ def eq6_profile(benchmark: Benchmark, gpu: GPUSpec, measurements):
     for m in measurements:
         if not m.launchable:
             continue
-        key = (m.config["UIF"], m.config["CFLAGS"], m.config["PL"], m.size)
+        key = (compile_config_key(m.config), m.size)
         if key not in costs:
             module = measurer.module_for(m.config)
             mix = static_mix_module(module, benchmark.param_env(m.size))

@@ -18,6 +18,7 @@ from repro.autotune import (
     NelderMeadSearch,
     RandomSearch,
     SimulatedAnnealingSearch,
+    default_tuning_spec,
     get_search,
     parse_perf_tuning,
     rank_split,
@@ -128,6 +129,24 @@ class TestMeasurer:
         assert m.module_for(c1) is m.module_for(c2)  # same compile key
         c3 = dict(c1, UIF=3)
         assert m.module_for(c3) is not m.module_for(c1)
+
+    def test_compile_key_ignores_l1_preference(self):
+        from repro.autotune.measure import compile_config_key
+
+        cfg = {"TC": 64, "BC": 48, "UIF": 2, "PL": 16, "CFLAGS": ""}
+        assert compile_config_key(cfg) == compile_config_key(dict(cfg, PL=48))
+
+    def test_table3_space_compiles_one_module_per_uif_and_cflags(self):
+        m = Measurer(get_benchmark("atax"), K20)
+        modules = {id(m.module_for(c)) for c in default_tuning_spec()}
+        assert len(modules) == 10
+
+    def test_bad_l1_preference_fails_the_point(self):
+        from repro.autotune.measure import MeasurementError
+
+        cfg = {"TC": 64, "BC": 48, "UIF": 1, "PL": 32, "CFLAGS": ""}
+        with pytest.raises(MeasurementError, match="16 or 48"):
+            Measurer(get_benchmark("atax"), K20).measure_many([(cfg, 64)])
 
     def test_measurement_deterministic(self):
         bm = get_benchmark("atax")

@@ -148,7 +148,7 @@ class TestSharding:
 
     def test_shards_partition_items_by_compile_key(self):
         items = build_work_list(tiny_space(), (32,))
-        shards = shard_work(items, 3)
+        shards = shard_work(items)
         flat = [it for shard in shards for it in shard]
         assert sorted(it.index for it in flat) == [it.index for it in items]
         owner = {}
@@ -161,8 +161,8 @@ class TestSharding:
 
     def test_sharding_is_deterministic(self):
         items = build_work_list(tiny_space(), (32, 64))
-        a = shard_work(items, 4)
-        b = shard_work(list(items), 4)
+        a = shard_work(items)
+        b = shard_work(list(items))
         assert [[it.index for it in s] for s in a] == [
             [it.index for it in s] for s in b
         ]

@@ -222,6 +222,18 @@ class TestCorpusSpaces:
         assert corpus_sizes(bm, full=True) == bm.sizes
 
 
+class TestEq6Profile:
+    def test_measurement_without_compile_axes(self):
+        from repro.autotune.measure import Measurer
+        from repro.suite.evaluate import eq6_profile
+
+        bm = get_benchmark("atax")
+        m = Measurer(bm, K20).measure({"TC": 64, "BC": 48}, 64)
+        predicted, observed = eq6_profile(bm, K20, [m])
+        assert observed == [m.seconds]
+        assert len(predicted) == 1 and predicted[0] > 0
+
+
 class TestSuiteExperiment:
     def test_run_structure(self):
         from repro.experiments import suite_eval

@@ -54,6 +54,8 @@ class TestLaunchConfig:
             LaunchConfig(0, 24)
         with pytest.raises(ValueError):
             LaunchConfig(32, 0)
+        with pytest.raises(ValueError):
+            LaunchConfig(128, 48, l1_pref_kb=32)
 
     def test_total_threads(self):
         assert LaunchConfig(128, 4).total_threads == 512
@@ -119,6 +121,14 @@ class TestTimingModelUnits:
         det = TimingModel(K20).benchmark_time(atax_mod, launch, env)
         assert a != det  # but noisy around the deterministic value
         assert abs(a - det) / det < 0.5
+
+    def test_l1_preference_comes_from_the_launch(self, atax_mod):
+        """A 48 KB L1 keeps atax's row walk cached longer on Kepler."""
+        tm = TimingModel(K20)
+        ck, env = atax_mod.kernels[0], {"N": 512}
+        t16 = tm.kernel_time(ck, LaunchConfig(256, 48, l1_pref_kb=16), env)
+        t48 = tm.kernel_time(ck, LaunchConfig(256, 48, l1_pref_kb=48), env)
+        assert t48.dram_bytes < t16.dram_bytes
 
     def test_custom_params_change_result(self, atax_mod):
         env = {"N": 256}
