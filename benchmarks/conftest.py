@@ -10,13 +10,18 @@ time through pytest-benchmark.  Run with::
 The rendered artifact is printed with ``-s`` (or captured in the report).
 """
 
+from collections import OrderedDict
+
 import pytest
 
+from repro.autotune import measure
 from repro.experiments.common import clear_sweep_cache
 
 
 @pytest.fixture(autouse=True)
-def _fresh_sweep_cache():
-    """Benchmarks must measure real work, not a warm sweep cache."""
+def _fresh_sweep_cache(monkeypatch):
+    """Benchmarks must measure real work, not a warm sweep cache or the
+    modules an earlier bench compiled."""
     clear_sweep_cache()
+    monkeypatch.setattr(measure, "_views", OrderedDict())
     yield

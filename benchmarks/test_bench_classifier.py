@@ -7,7 +7,8 @@ per (kernel, size) cell.
 """
 
 from repro.arch import K20
-from repro.autotune.measure import Measurer
+from repro.autotune.measure import Measurer, compile_options
+from repro.codegen.compiler import compile_module
 from repro.core.analyzer import StaticAnalyzer
 from repro.core.classifier import (
     BLOCK_SIZE_CLASSES,
@@ -36,7 +37,8 @@ def test_bench_classifier_vs_tstar(benchmark):
             for tc in BLOCK_SIZE_CLASSES
         }
         best_tc = min(times, key=times.get)
-        module = measurer.module_for(dict(base, TC=64))
+        module = compile_module(name, list(bm.specs),
+                                compile_options(K20, base))
         pred = clf.predict(extract_features(module, bm.param_env(size)))
         rep = StaticAnalyzer(K20).analyze(
             list(bm.specs), bm.param_env(size), name=name

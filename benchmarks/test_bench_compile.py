@@ -2,10 +2,10 @@
 
 Every registered benchmark x the four GPUs x the ``UIF``/``CFLAGS``
 values of its corpus space, each compiled from scratch (unroll, lower,
-register allocation, full verification) once per round.  Every
-measurement, static suggestion and tune request pays this cost once per
-compile key, so the median round divided by 224 is the per-module
-compile time.
+register allocation, full verification) once per round.  Measurement
+pays this cost once per process for each module (the measurer's view
+cache), and static suggestions once per compile key, so the median
+round divided by 224 is the per-module compile time.
 """
 
 from repro.arch import ALL_GPUS

@@ -9,15 +9,33 @@ the L1 preference ``PL``).
 Static metrics for the variant (occupancy, register usage, dynamic
 register-instruction counts) are recorded alongside the time, which is
 what the Table V statistics are built from.
+
+Measurement reads only a :class:`~repro.codegen.compiler.MeasuredKernel`
+view of each compiled kernel.  The process keeps the views of registered
+benchmarks in one bounded LRU keyed by (kernel, GPU, ``UIF``,
+fast-math), so every measurer in a process -- each tune, sweep, managed
+session and replay -- compiles a module only the first time the process
+needs it.  Code that reads instructions (the static analyzer, lint,
+disassembly, the suite's Eq. 6 profile) compiles full modules itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+import threading
+import weakref
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 
 from repro import obs
 from repro.arch.specs import GPUSpec
-from repro.codegen.compiler import CompiledModule, CompileOptions, compile_module
+from repro.codegen.compiler import (
+    CompiledModule,
+    CompileOptions,
+    MeasuredKernel,
+    address_64bit,
+    compile_module,
+)
 from repro.kernels.base import Benchmark
 from repro.sim.counting import exact_counts
 from repro.sim.occupancy_hw import hw_occupancy
@@ -33,10 +51,21 @@ def compile_config_key(config: dict) -> tuple:
     """The compile-time slice of a configuration (``UIF``, ``CFLAGS``):
     exactly what :func:`compile_module` reads, so variants sharing it
     share one compiled module.  ``PL`` is a launch setting and not part
-    of it.  Used for the module cache here, for shard grouping in
+    of it.  Used for the module memo here, for shard grouping in
     :mod:`repro.engine.work` and for the per-module memo of
     :func:`repro.suite.evaluate.eq6_profile`."""
     return int(config.get("UIF", 1)), str(config.get("CFLAGS", ""))
+
+
+def compile_options(gpu: GPUSpec, config: dict) -> CompileOptions:
+    """What :func:`compile_module` compiles a configuration with on
+    ``gpu``: its compile key as options."""
+    unroll_factor, cflags = compile_config_key(config)
+    return CompileOptions(
+        gpu=gpu,
+        unroll_factor=unroll_factor,
+        fast_math="-use_fast_math" in cflags,
+    )
 
 
 class MeasurementError(RuntimeError):
@@ -88,6 +117,79 @@ def travels_by_name(benchmark: Benchmark) -> bool:
     return BENCHMARKS.get(benchmark.name) is benchmark
 
 
+_MODULE_LIMIT = 1024
+"""Measurement views the process keeps.  The registry's full Table III
+compile space is 536 (kernel, GPU, ``UIF``, fast-math) modules."""
+
+_views: OrderedDict = OrderedDict()
+"""LRU: ``(kernel name, CompileOptions)`` -> module of
+:class:`MeasuredKernel` views, for registered benchmarks only."""
+
+_trees: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+"""``(kernel, kernel index, UIF, fast-math, 64-bit addressing)`` -> the
+region tree the cached views of that key share.  Lowering reads nothing
+else, so GPUs of one address width compile equal trees; one lives only
+while some cached view holds it."""
+
+_lock = threading.Lock()
+"""Guards :data:`_views` and :data:`_trees`: fleet drainers and
+``asyncio.to_thread`` strategy calls measure from several threads."""
+
+
+def _reset_lock() -> None:
+    # a child forked while another thread held the lock would never see
+    # it released
+    global _lock
+    _lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_reset_lock)
+
+
+def _compile(benchmark: Benchmark, options: CompileOptions) -> CompiledModule:
+    module = compile_module(benchmark.name, list(benchmark.specs), options)
+    obs.add("measure.compiles", kernel=benchmark.name)
+    return module
+
+
+def _cached_view(benchmark: Benchmark,
+                 options: CompileOptions) -> CompiledModule:
+    """The process's measurement view of a registered benchmark's module,
+    compiled the first time the process needs it.
+
+    Compiles outside the lock: two threads that miss together both
+    compile, and the first to insert wins.
+    """
+    key = (benchmark.name, options)
+    with _lock:
+        view = _views.get(key)
+        if view is not None:
+            _views.move_to_end(key)
+    if view is not None:
+        obs.add("measure.module_hits", kernel=benchmark.name)
+        return view
+    module = _compile(benchmark, options)
+    width = address_64bit(options.gpu)
+    with _lock:
+        view = _views.get(key)
+        if view is None:
+            kernels = [
+                MeasuredKernel.of(ck, _trees.setdefault(
+                    (benchmark.name, index, options.unroll_factor,
+                     options.fast_math, width),
+                    ck.root_region,
+                ))
+                for index, ck in enumerate(module)
+            ]
+            view = _views[key] = CompiledModule(
+                module.name, kernels, options
+            )
+            while len(_views) > _MODULE_LIMIT:
+                _views.popitem(last=False)
+    return view
+
+
 _last_rebuilt: list = [None, None]
 """``[(name, gpu, params), Measurer]``: the one measurer this process
 last rebuilt from a pickle (see :func:`_rebuild`)."""
@@ -98,7 +200,7 @@ def _rebuild(name: str, gpu: GPUSpec, params: ModelParams) -> Measurer:
 
     A worker keeps only the measurer it last rebuilt, so consecutive
     shards of one ``(kernel, GPU, model)`` -- every round of a search --
-    reuse its compiled modules instead of compiling them again.
+    reuse its kernel views, count memos included.
     """
     key = (name, gpu, params)
     if _last_rebuilt[0] != key:
@@ -113,7 +215,13 @@ class Measurer:
 
     The one measurement context: the sweep engine, its worker pool and
     the service fleet all carry a measurer rather than its fields, and
-    its module memo serves every batch measured on it.
+    its module memo serves every batch measured on it.  The memo holds
+    the measurer's own :class:`MeasuredKernel` objects, so the count
+    memos keyed on them live and die with the measurer.  For a
+    registered benchmark they share their region trees with the
+    process's view cache, which compiles each module once per process;
+    any other benchmark (its name does not identify its specs) is
+    compiled once per measurer.
     """
 
     def __init__(
@@ -135,22 +243,20 @@ class Measurer:
         return Measurer, (self.benchmark, self.gpu, self.params)
 
     def module_for(self, config: dict) -> CompiledModule:
-        """The compiled module for a configuration (cached by the
-        compile-time slice of the configuration)."""
+        """The measurement view of the module for a configuration
+        (memoized by the compile-time slice of the configuration)."""
         key = compile_config_key(config)
         mod = self._modules.get(key)
         if mod is None:
-            unroll_factor, cflags = key
-            options = CompileOptions(
-                gpu=self.gpu,
-                unroll_factor=unroll_factor,
-                fast_math="-use_fast_math" in cflags,
-            )
-            mod = compile_module(
-                self.benchmark.name, list(self.benchmark.specs), options
-            )
+            options = compile_options(self.gpu, config)
+            if travels_by_name(self.benchmark):
+                view = _cached_view(self.benchmark, options)
+                kernels = [replace(k) for k in view]
+            else:
+                kernels = [MeasuredKernel.of(ck)
+                           for ck in _compile(self.benchmark, options)]
+            mod = CompiledModule(self.benchmark.name, kernels, options)
             self._modules[key] = mod
-            obs.add("measure.compiles", kernel=self.benchmark.name)
         return mod
 
     def measure(self, config: dict, size: int) -> VariantMeasurement:
@@ -180,8 +286,9 @@ class Measurer:
     def measure_many(self, items) -> list[VariantMeasurement]:
         """Measure a batch of ``(config, size)`` pairs, in input order.
 
-        Modules are compiled once per distinct compile key regardless of
-        order (``module_for`` memoizes them for the measurer's lifetime).
+        Modules are compiled at most once per distinct compile key
+        regardless of order (``module_for`` memoizes them for the
+        measurer's lifetime).
         This is the unit of work a sweep-engine shard runs, so a failure
         is wrapped in :class:`MeasurementError` to pin the exact point
         that caused it.

@@ -12,6 +12,9 @@ static analyzer step extracts:
    :meth:`CompiledKernel.disassembly`;
 3. the region tree connecting static code to trip counts, which the dynamic
    substrate uses for exact counts.
+
+Measurement needs only the third and the resource numbers, so it keeps a
+:class:`MeasuredKernel` view of each kernel instead of the whole compile.
 """
 
 from __future__ import annotations
@@ -34,6 +37,15 @@ from repro.ptx.verifier import verify_kernel
 #: why the same kernel reports different register counts per architecture,
 #: as in the paper's Table VII [R_u] column.
 _RESERVED_REGS = {20: 2, 35: 4, 52: 6, 60: 6}
+
+
+def address_64bit(gpu: GPUSpec) -> bool:
+    """Whether code for ``gpu`` uses 64-bit addresses (sm_35 onwards).
+
+    Lowering reads only the spec, fast-math and this, so kernels compiled
+    for GPUs of one address width get equal region trees.
+    """
+    return gpu.sm_version >= 35
 
 
 @dataclass(frozen=True)
@@ -88,12 +100,48 @@ class CompiledKernel:
         return print_kernel(self.ir)
 
 
+@dataclass(frozen=True, eq=False)
+class MeasuredKernel:
+    """The measurement view of a :class:`CompiledKernel`.
+
+    Holds only what measurement reads (:mod:`repro.sim.timing`,
+    :mod:`repro.sim.counting` and ``Measurer.measure``): the resource
+    numbers, the region tree and the parallel extent.  It has no
+    instructions, specs or log, so the analyses that need them --
+    disassembly, divergence, the static mix -- fail on a view rather
+    than read the wrong thing.  Identity-hashable (``eq=False``) like
+    the kernel it projects, so count memos key on each view object.
+    """
+
+    name: str
+    regs_per_thread: int
+    static_smem_bytes: int
+    root_region: Region
+    parallel_extent: object
+    options: CompileOptions
+
+    @classmethod
+    def of(cls, ck: CompiledKernel, root_region: Region | None = None):
+        """The view of ``ck``, optionally over an equal ``root_region``
+        another compile already holds."""
+        return cls(
+            name=ck.name,
+            regs_per_thread=ck.regs_per_thread,
+            static_smem_bytes=ck.static_smem_bytes,
+            root_region=ck.root_region if root_region is None else root_region,
+            parallel_extent=ck.parallel_extent,
+            options=ck.options,
+        )
+
+
 @dataclass(eq=False)
 class CompiledModule:
     """A benchmark compiled as one or more kernels launched in sequence.
 
     Multi-kernel benchmarks (atax, BiCG run two dependent passes) measure
     and tune the kernels together, as the paper's per-benchmark timings do.
+    Its kernels are :class:`CompiledKernel` objects, or
+    :class:`MeasuredKernel` views in a module a measurer holds.
     """
 
     name: str
@@ -128,9 +176,10 @@ def compile_kernel(spec: KernelSpec, options: CompileOptions) -> CompiledKernel:
     """
     gpu = options.gpu
     transformed = unroll_innermost(spec, options.unroll_factor)
-    address_64bit = gpu.sm_version >= 35
     lowered = lower_kernel(
-        transformed, fast_math=options.fast_math, address_64bit=address_64bit
+        transformed,
+        fast_math=options.fast_math,
+        address_64bit=address_64bit(gpu),
     )
     alloc = allocate_registers(
         lowered.ir,

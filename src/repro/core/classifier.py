@@ -158,7 +158,8 @@ def train_on_sweeps(
     features from static analysis, label = the empirically best thread
     count of a TC sweep at fixed BC.
     """
-    from repro.autotune.measure import Measurer
+    from repro.autotune.measure import Measurer, compile_options
+    from repro.codegen.compiler import compile_module
     from repro.kernels import get_benchmark
 
     rows, labels, tags = [], [], []
@@ -174,7 +175,8 @@ def train_on_sweeps(
                     m = measurer.measure(dict(cfgbase, TC=tc), size)
                     if m.seconds < best_t:
                         best_t, best_tc = m.seconds, tc
-                module = measurer.module_for(cfgbase | {"TC": 64})
+                module = compile_module(name, list(bm.specs),
+                                        compile_options(gpu, cfgbase))
                 rows.append(extract_features(module, bm.param_env(size)))
                 labels.append(_nearest_class(best_tc))
                 tags.append(f"{name}/N={size}/uif={uif}/{flags or 'nofm'}")

@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.arch.throughput import PipeClass
-from repro.codegen.compiler import CompiledKernel, CompiledModule
+from repro.codegen.compiler import CompiledKernel, CompiledModule, MeasuredKernel
 from repro.codegen.regions import evaluate_region_tree
 from repro.codegen.ast_nodes import evaluate_expr
 
@@ -102,8 +102,14 @@ def static_mix(ck: CompiledKernel, env: dict) -> MixReport:
 
     Evaluates the region tree with the *static* assumptions documented in
     the module docstring: default 50/50 branch fractions and one thread per
-    parallel-loop iteration.
+    parallel-loop iteration.  It is an analysis of the full compile, so
+    a measurement view (:class:`MeasuredKernel`) is refused.
     """
+    if isinstance(ck, MeasuredKernel):
+        raise TypeError(
+            f"static_mix needs the full compile of {ck.name!r}, not its "
+            "measurement view"
+        )
     if ck.parallel_extent is not None:
         threads = max(1, int(evaluate_expr(ck.parallel_extent, env)))
     else:

@@ -157,14 +157,17 @@ most :data:`_MEMO_LIMIT` entries.
 """
 
 _count_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-"""Memo: compiled kernel -> {(env, warp_level): (eval@T=0, eval@T=1)}.
+"""Memo: kernel object -> {(env, warp_level): (eval@T=0, eval@T=1)}.
 
 Counts are affine in the launched thread count T (only the ROOT region
 scales with T; the parallel loop executes a fixed M iterations), so two
-tree walks per compiled kernel, env and count level determine every
-launch configuration; the branch-domain passes behind them come from
-:data:`_fraction_cache`.  A kernel's entry dies with the kernel (every
-recompile makes a new one), and holds at most :data:`_MEMO_LIMIT` envs.
+tree walks per kernel, env and count level determine every launch
+configuration; the branch-domain passes behind them come from
+:data:`_fraction_cache`.  Keyed by identity, so a kernel's entry dies
+with the kernel object: a ``Measurer``'s own
+:class:`~repro.codegen.compiler.MeasuredKernel` views die with it, even
+though the region trees they share stay in the process's module cache.
+Holds at most :data:`_MEMO_LIMIT` envs per kernel.
 """
 
 

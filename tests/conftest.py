@@ -70,6 +70,18 @@ def rng():
     return rng_for("tests")
 
 
+@pytest.fixture
+def cold_module_cache(monkeypatch):
+    """An empty process-wide module cache for one test, so its measurers
+    compile every module they need even after other tests warmed the
+    cache."""
+    from collections import OrderedDict
+
+    from repro.autotune import measure
+
+    monkeypatch.setattr(measure, "_views", OrderedDict())
+
+
 def make_benchmark_run(name: str, n: int | None = None):
     """Inputs + reference for a benchmark at a small size."""
     bm = get_benchmark(name)

@@ -616,7 +616,8 @@ class TestBatchedStrategies:
         with pytest.raises(RuntimeError, match="KeyError: 'BC'"):
             Autotuner(get_benchmark("atax"), K20, space=space).tune(size=64)
 
-    def test_genetic_tune_compiles_each_key_once(self, monkeypatch):
+    def test_genetic_tune_compiles_each_key_once(self, monkeypatch,
+                                                 cold_module_cache):
         """Every round of a search runs on the tuner's one Measurer, so
         each compile key it reaches compiles once per tune."""
         from repro.autotune import measure
@@ -677,3 +678,219 @@ class TestMeasurerPickling:
             assert (rebuilt.benchmark.name, rebuilt.gpu,
                     rebuilt.params) == other
         assert measure._rebuild("atax", K20, DEFAULT_PARAMS) is not first
+
+
+@pytest.mark.usefixtures("cold_module_cache")
+class TestProcessModuleCache:
+    """Every measurer in a process serves registered benchmarks' modules
+    from one bounded LRU of measurement views."""
+
+    CFG = {"TC": 64, "BC": 48, "UIF": 2, "PL": 16, "CFLAGS": ""}
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The options of every real compile the measurers make."""
+        from repro.autotune import measure
+
+        calls = []
+        real = measure.compile_module
+
+        def counting(name, specs, options):
+            calls.append(options)
+            return real(name, specs, options)
+
+        monkeypatch.setattr(measure, "compile_module", counting)
+        return calls
+
+    def test_second_identical_tune_compiles_nothing(self, compiled):
+        import json
+
+        from repro.api import tune
+
+        first = tune("atax", "kepler", 64, search="random", budget=24, seed=1)
+        cold = len(compiled)
+        second = tune("atax", "kepler", 64, search="random", budget=24,
+                      seed=1)
+        assert cold > 1
+        assert len(compiled) == cold
+        assert (json.dumps(second.to_json())
+                == json.dumps(first.to_json()))
+
+    def test_unregistered_copy_compiles_its_own_module(self, compiled):
+        import dataclasses
+
+        from repro.autotune import measure
+
+        registered = get_benchmark("atax")
+        copy = dataclasses.replace(registered)
+        a = Measurer(copy, K20).measure(self.CFG, 64)
+        b = Measurer(copy, K20).measure(self.CFG, 64)
+        assert len(compiled) == 2
+        assert not measure._views
+        assert a == b == Measurer(registered, K20).measure(self.CFG, 64)
+        assert len(measure._views) == 1
+
+    def test_bounded_and_eviction_keeps_measurements(self, monkeypatch):
+        from repro.autotune import measure
+
+        monkeypatch.setattr(measure, "_MODULE_LIMIT", 3)
+        bm = get_benchmark("atax")
+        before = Measurer(bm, K20).measure(self.CFG, 64)
+        for uif in (1, 2, 3, 4, 5):
+            for cflags in ("", "-use_fast_math"):
+                Measurer(bm, K20).module_for(
+                    dict(self.CFG, UIF=uif, CFLAGS=cflags))
+                assert len(measure._views) <= 3
+        key = (bm.name, measure.compile_options(K20, self.CFG))
+        assert key not in measure._views
+        after = Measurer(bm, K20).measure(self.CFG, 64)
+        assert repr(after) == repr(before)
+
+    def test_count_memo_dies_with_its_measurer(self):
+        import gc
+        import weakref
+
+        from repro.autotune import measure
+        from repro.sim import counting
+
+        measurer = Measurer(get_benchmark("atax"), K20)
+        measurer.measure(self.CFG, 64)
+        kernel = measurer.module_for(self.CFG).kernels[0]
+        assert kernel in counting._count_cache
+        cached = [k for view in measure._views.values() for k in view]
+        assert kernel not in cached
+        assert not any(k in counting._count_cache for k in cached)
+        ref = weakref.ref(kernel)
+        del measurer, kernel
+        gc.collect()
+        assert ref() is None
+        assert measure._views
+
+    def test_same_address_width_shares_one_region_tree(self):
+        from repro.arch import M40, M2050, P100
+        from repro.autotune.measure import compile_options
+        from repro.codegen.compiler import compile_module
+
+        for bm in (get_benchmark("atax"), get_benchmark("ex14fj")):
+            for fast in ("", "-use_fast_math"):
+                cfg = dict(self.CFG, CFLAGS=fast)
+                trees = {
+                    gpu.name: [k.root_region for k in
+                               Measurer(bm, gpu).module_for(cfg)]
+                    for gpu in (M2050, K20, M40, P100)
+                }
+                fresh = compile_module(bm.name, list(bm.specs),
+                                       compile_options(K20, cfg))
+                for i, ck in enumerate(fresh):
+                    assert (trees["K20"][i] is trees["M40"][i]
+                            is trees["P100"][i])
+                    assert trees["K20"][i] == ck.root_region
+                    assert trees["M2050"][i] is not trees["K20"][i]
+
+    @pytest.mark.parametrize("limit", [1024, 2])
+    def test_racing_threads_leave_one_entry_per_key(self, monkeypatch,
+                                                    limit):
+        """Eight threads on fresh measurers, switching as often as the
+        interpreter allows: nothing raises, and the cache holds each key
+        once, within its bound."""
+        import sys
+        import threading
+
+        from repro.autotune import measure
+
+        monkeypatch.setattr(measure, "_MODULE_LIMIT", limit)
+        bm = get_benchmark("atax")
+        configs = [dict(self.CFG, UIF=uif) for uif in (1, 2, 3)]
+        start = threading.Barrier(8)
+        errors = []
+
+        def worker():
+            try:
+                start.wait()
+                for _ in range(5):
+                    measurer = Measurer(bm, K20)
+                    for cfg in configs:
+                        measurer.module_for(cfg)
+            except Exception as e:  # reported below
+                errors.append(e)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        keys = {(bm.name, measure.compile_options(K20, cfg))
+                for cfg in configs}
+        assert len(measure._views) == min(limit, len(keys))
+        assert set(measure._views) <= keys
+
+    def test_lock_guards_the_lru_and_compiles_run_outside_it(
+            self, monkeypatch):
+        import threading
+
+        from repro.autotune import measure
+
+        real = measure.compile_module
+        locked = []
+
+        def compile_module(name, specs, options):
+            locked.append(measure._lock.locked())
+            return real(name, specs, options)
+
+        monkeypatch.setattr(measure, "compile_module", compile_module)
+        bm = get_benchmark("atax")
+        Measurer(bm, K20).module_for(self.CFG)
+        assert locked == [False]
+        reader = threading.Thread(target=Measurer(bm, K20).module_for,
+                                  args=(self.CFG,))
+        with measure._lock:
+            reader.start()
+            reader.join(timeout=0.2)
+            assert reader.is_alive()  # a hit waits for the lock
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_gets_a_free_lock(self):
+        from repro.autotune import measure
+
+        with measure._lock:
+            pid = os.fork()
+            if pid == 0:  # the child: exit at once, past pytest's teardown
+                os._exit(0 if measure._lock.acquire(timeout=5) else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_metrics_count_compiles_and_hits(self):
+        from repro import obs
+        from repro.api import tune
+
+        obs.enable(trace=False)
+        try:
+            for _ in range(2):
+                out = tune("atax", "kepler", 64, search="random", budget=24,
+                           seed=1)
+            keys = {(m.config["UIF"], m.config["CFLAGS"])
+                    for m in out.measurements}
+            assert len(keys) > 1
+            for name in ("measure.compiles", "measure.module_hits"):
+                assert obs.metrics.value(name, kernel="atax") == len(keys)
+        finally:
+            obs.disable()
+
+    def test_static_mix_refuses_a_view(self):
+        from repro.core.instruction_mix import static_mix_module
+
+        bm = get_benchmark("atax")
+        view = Measurer(bm, K20).module_for(self.CFG)
+        with pytest.raises(TypeError, match="measurement view"):
+            static_mix_module(view, bm.param_env(64))
+        for attr in ("ir", "spec", "source_spec", "log", "disassembly"):
+            assert not hasattr(view.kernels[0], attr)

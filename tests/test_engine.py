@@ -251,7 +251,8 @@ class TestSweepEngine:
         engine.close()
         assert engine._executor._workers == []
 
-    def test_cached_rerun_at_least_5x_faster(self, tmp_path):
+    def test_cached_rerun_at_least_5x_faster(self, tmp_path,
+                                             cold_module_cache):
         """The acceptance bar: a warm sweep is >= 5x the cold one."""
         space = common.reduced_space()
         sizes = ATAX.sizes[::2]

@@ -101,7 +101,8 @@ def test_concurrent_sessions_byte_identical_and_warm(server):
     assert stats.entries > 0
 
 
-def test_managed_session_compiles_each_key_once(monkeypatch):
+def test_managed_session_compiles_each_key_once(monkeypatch,
+                                                cold_module_cache):
     """A managed session measures every round on one Measurer, so each
     compile key it reaches compiles once across the session."""
     from repro.autotune import measure
