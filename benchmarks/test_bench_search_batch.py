@@ -8,6 +8,7 @@ timing assertion requires a multi-core host; results must be
 byte-identical everywhere).
 """
 
+import json
 import os
 import time
 
@@ -16,7 +17,6 @@ import pytest
 from repro.arch import get_gpu
 from repro.autotune import Autotuner
 from repro.engine import SweepEngine
-from repro.engine.cache import _encode
 from repro.kernels import get_benchmark
 
 
@@ -42,9 +42,9 @@ def test_bench_genetic_parallel_beats_serial(benchmark):
     # parallel evaluation must never change what was measured
     assert parallel.search.history == serial.search.history
     assert parallel.best_config == serial.best_config
-    assert [_encode(m) for m in parallel.results.measurements] == [
-        _encode(m) for m in serial.results.measurements
-    ]
+    assert [
+        json.dumps(vars(m)) for m in parallel.results.measurements
+    ] == [json.dumps(vars(m)) for m in serial.results.measurements]
 
     cores = os.cpu_count() or 1
     print(f"\nserial {serial_t * 1e3:.0f} ms -> jobs=4 "

@@ -15,14 +15,27 @@ dependency).  Only the coordinating process writes -- workers compute,
 the engine persists -- but several *engines* (concurrent tuning
 sessions) may share one store, so connections open in WAL journal mode
 with a busy timeout: readers never block the writer and a briefly
-contended write waits instead of raising ``database is locked``.
+contended write waits instead of raising ``database is locked``.  Every
+connection commits with ``synchronous = NORMAL``: in WAL mode a commit
+survives an application crash, and a power cut can lose only the last
+commits, which are simply re-measured.
+
+Rows are typed.  A measurement's ``seconds``, ``occupancy``, register
+count and register instructions (and its size) are columns with no
+declared type, so SQLite keeps each value as written: an ``int`` reads
+back as an ``int`` and ``inf`` as ``inf``.  The config is its
+``json.dumps`` text, in the dict's own key order.  The layout is
+stamped in ``PRAGMA user_version`` (:data:`ROW_FORMAT`); a file in any
+other layout -- such as the single JSON ``payload`` column of earlier
+versions -- has its tables rebuilt empty at open.
 
 The store is also hardened against damage, because a measurement cache
 must never be able to abort the sweep it exists to accelerate:
 
-- a payload that fails to decode is counted (``corrupt``), moved to a
-  ``quarantine`` side table for post-mortem, and reported as a miss --
-  the point is simply re-measured;
+- a row that fails to decode (any value of an unexpected type, NULL
+  included) is counted (``corrupt``), moved to a ``quarantine`` side
+  table for post-mortem, and reported as a miss -- the point is simply
+  re-measured;
 - a database file that is corrupt at open (``sqlite3.DatabaseError``)
   is renamed aside (``*.corrupt-N``) and a fresh store is built in its
   place (``recovered_path`` records the sidelined file).
@@ -30,6 +43,7 @@ must never be able to abort the sweep it exists to accelerate:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sqlite3
@@ -50,6 +64,10 @@ __all__ = [
 CACHE_SCHEMA_VERSION = 1
 """Bump to invalidate all persisted measurements at once."""
 
+ROW_FORMAT = 2
+"""The row layout, stamped in ``PRAGMA user_version``.  2 is typed
+columns; the JSON payload before it (1) left the stamp at 0."""
+
 _ENV_VAR = "REPRO_CACHE_DIR"
 _DB_NAME = "measurements.sqlite"
 
@@ -69,9 +87,10 @@ def context_key(
     specs=None,
 ) -> str:
     """Digest of everything a whole sweep shares: kernel name *and specs*,
-    full GPU spec, model parameters, and measurement protocol.  Computed
-    once per sweep (hashing the dataclasses is the expensive part), then
-    combined with each point via :func:`point_key`.
+    full GPU spec, model parameters, and measurement protocol.  Hashing
+    the dataclasses is the expensive part, so the engine keeps the digest
+    per (kernel, GPU, specs, params) and combines it with each point via
+    :func:`point_key`.
 
     ``specs`` is the benchmark's kernel-spec tuple; including its (fully
     deterministic) repr means editing a kernel invalidates its cached
@@ -90,13 +109,23 @@ def context_key(
     })
 
 
+_canonical = json.JSONEncoder(sort_keys=True, default=repr).encode
+""":func:`stable_hash`'s ``json.dumps`` options in one reusable encoder
+(``json.dumps`` with options builds a new one per call)."""
+
+
 def point_key(context: str, config: dict, size: int) -> str:
-    """The cache key of one ``(config, size)`` point under a context."""
-    return stable_hash({
-        "ctx": context,
-        "config": {k: config[k] for k in sorted(config)},
-        "size": int(size),
-    })
+    """The cache key of one ``(config, size)`` point under a context.
+
+    The digest of ``stable_hash({"ctx": context, "config": config,
+    "size": int(size)})``, writing that canonical text directly with one
+    reusable ``sort_keys`` encoder: the same bytes without building a
+    wrapper dict or a ``JSONEncoder`` per point.
+    """
+    text = '{"config": %s, "ctx": %s, "size": %d}' % (
+        _canonical(config), _canonical(context), int(size),
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def measurement_key(
@@ -113,16 +142,50 @@ def measurement_key(
     )
 
 
-def _encode(m: VariantMeasurement) -> str:
-    return json.dumps(asdict(m))
+_COLUMNS = "config, size, seconds, occupancy, regs, reg_instructions"
+"""A row's value columns, in :func:`_encode` order."""
+
+_NUMBER = (int, float)
 
 
-def _decode(payload: str) -> VariantMeasurement:
-    return VariantMeasurement(**json.loads(payload))
+def _encode(m: VariantMeasurement) -> tuple:
+    """A measurement's row values, in :data:`_COLUMNS` order."""
+    return (json.dumps(m.config), m.size, m.seconds, m.occupancy,
+            m.regs_per_thread, m.reg_instructions)
+
+
+def _decode(values) -> VariantMeasurement:
+    """Row values back as a measurement.  Raises on any value of an
+    unexpected type, so a damaged row -- or a NULL, which is how SQLite
+    stores a NaN -- is never served."""
+    config, size, seconds, occupancy, regs, reg_instructions = values
+    if (type(config) is not str or type(size) is not int
+            or type(regs) is not int or type(seconds) not in _NUMBER
+            or type(occupancy) not in _NUMBER
+            or type(reg_instructions) not in _NUMBER):
+        raise TypeError(
+            "unexpected column types "
+            + ", ".join(type(v).__name__ for v in values)
+        )
+    config = json.loads(config)
+    if type(config) is not dict:
+        raise TypeError(f"config is a {type(config).__name__}, not a dict")
+    return VariantMeasurement(config, size, seconds, occupancy, regs,
+                              reg_instructions)
 
 
 BUSY_TIMEOUT_MS = 10_000
 """How long a contended write waits before ``database is locked``."""
+
+_UPSERT = (
+    f"INSERT OR REPLACE INTO measurements (key, {_COLUMNS})"
+    " VALUES (?, ?, ?, ?, ?, ?, ?)"
+)
+
+
+def _row_format(conn: sqlite3.Connection) -> int:
+    (version,) = conn.execute("PRAGMA user_version").fetchone()
+    return version
 
 
 class CacheStore:
@@ -145,17 +208,19 @@ class CacheStore:
             self.db_path = path / _DB_NAME
         self.db_path.parent.mkdir(parents=True, exist_ok=True)
         self.hits = 0
+        """Requested keys served, counted per request (a key asked for
+        twice and found counts twice)."""
         self.misses = 0
         self.corrupt = 0
-        """Payloads that failed to decode and were quarantined."""
+        """Rows that failed to decode and were quarantined."""
         self.recovered_path: Path | None = None
         """Where a corrupt database file was moved aside, if one was."""
         # One connection per thread: SQLite connections are not safe to
         # share across threads, and -- the subtler seed bug -- pragmas
         # are *per connection*, so every connection (not just the first)
-        # must set WAL + busy_timeout or a concurrent session's writes
-        # land in rollback-journal mode and raise "database is locked"
-        # under contention.
+        # must set WAL + busy_timeout + synchronous, or a concurrent
+        # session's writes land in rollback-journal mode and raise
+        # "database is locked" under contention.
         self._local = threading.local()
         self._all_conns: list[sqlite3.Connection] = []
         self._conn_lock = threading.Lock()
@@ -188,6 +253,9 @@ class CacheStore:
         try:
             conn.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
             conn.execute("PRAGMA journal_mode = WAL")
+            conn.execute("PRAGMA synchronous = NORMAL")
+            if _row_format(conn) != ROW_FORMAT:
+                self._rebuild(conn)
             self._schema(conn)
             conn.commit()
         except sqlite3.DatabaseError:
@@ -197,13 +265,34 @@ class CacheStore:
             self._all_conns.append(conn)
         return conn
 
+    _ROW_TABLES = ("measurements", "quarantine", "usage")
+    """The tables a change of :data:`ROW_FORMAT` rebuilds empty.  ``usage``
+    is the service store's LRU table: a plain store opening a service file
+    first must drop it too, or its stamps would outlive the rows."""
+
+    def _rebuild(self, conn: sqlite3.Connection) -> None:
+        """Stamp a new file with :data:`ROW_FORMAT`, rebuilding empty the
+        row tables of a file in any other format.  One transaction under
+        the write lock, so processes opening the file together rebuild it
+        once."""
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            if _row_format(conn) != ROW_FORMAT:
+                for table in self._ROW_TABLES:
+                    conn.execute(f"DROP TABLE IF EXISTS {table}")
+                self._schema(conn)
+                conn.execute(f"PRAGMA user_version = {ROW_FORMAT}")
+            conn.commit()
+        except BaseException:
+            conn.rollback()
+            raise
+
     def _schema(self, conn: sqlite3.Connection) -> None:
         """Create the store's tables (subclass hook: the service's
         :class:`~repro.service.store.MeasurementStore` extends it)."""
         conn.execute(
             "CREATE TABLE IF NOT EXISTS measurements ("
-            " key TEXT PRIMARY KEY,"
-            " payload TEXT NOT NULL)"
+            f" key TEXT PRIMARY KEY, {_COLUMNS})"
         )
         conn.execute(
             "CREATE TABLE IF NOT EXISTS quarantine ("
@@ -230,36 +319,23 @@ class CacheStore:
                 sibling.unlink()
         return target
 
-    def _decode_or_quarantine(self, key: str, payload):
-        """Decode a payload; a corrupt one is moved to the quarantine
-        table and reported as a miss (``None``), never raised."""
-        try:
-            return _decode(payload)
-        except Exception as e:
-            self.corrupt += 1
-            self._conn.execute(
-                "INSERT OR REPLACE INTO quarantine (key, payload, error)"
-                " VALUES (?, ?, ?)",
-                (key, str(payload), f"{type(e).__name__}: {e}"),
-            )
-            self._conn.execute(
-                "DELETE FROM measurements WHERE key = ?", (key,)
-            )
-            self._conn.commit()
-            return None
+    def _quarantine(self, key: str, values, error: Exception) -> None:
+        """Move a row that failed to decode to the quarantine table; the
+        caller reports it as a miss, so the point is re-measured."""
+        self.corrupt += 1
+        conn = self._conn
+        conn.execute(
+            "INSERT OR REPLACE INTO quarantine (key, payload, error)"
+            " VALUES (?, ?, ?)",
+            (key, repr(values), f"{type(error).__name__}: {error}"),
+        )
+        conn.execute("DELETE FROM measurements WHERE key = ?", (key,))
+        conn.commit()
 
     # -- single-item API -----------------------------------------------------
 
     def get(self, key: str) -> VariantMeasurement | None:
-        row = self._conn.execute(
-            "SELECT payload FROM measurements WHERE key = ?", (key,)
-        ).fetchone()
-        m = self._decode_or_quarantine(key, row[0]) if row else None
-        if m is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return m
+        return self.get_many([key]).get(key)
 
     def put(self, key: str, measurement: VariantMeasurement) -> None:
         self.put_many([(key, measurement)])
@@ -275,28 +351,33 @@ class CacheStore:
             chunk = keys[lo:lo + CHUNK]
             qs = ",".join("?" * len(chunk))
             rows = self._conn.execute(
-                f"SELECT key, payload FROM measurements WHERE key IN ({qs})",
+                f"SELECT key, {_COLUMNS} FROM measurements"
+                f" WHERE key IN ({qs})",
                 chunk,
             ).fetchall()
-            for key, payload in rows:
-                m = self._decode_or_quarantine(key, payload)
-                if m is not None:
-                    found[key] = m
-        self.hits += len(found)
-        self.misses += len(keys) - len(found)
+            for row in rows:
+                try:
+                    found[row[0]] = _decode(row[1:])
+                except Exception as e:
+                    self._quarantine(row[0], row[1:], e)
+        hits = sum(map(found.__contains__, keys))
+        self.hits += hits
+        self.misses += len(keys) - hits
         return found
 
     def put_many(self, items) -> None:
-        """Persist ``(key, measurement)`` pairs (idempotent upsert)."""
-        rows = [(k, _encode(m)) for k, m in items]
+        """Persist ``(key, measurement)`` pairs (idempotent upsert) as
+        one transaction."""
+        rows = [(k, *_encode(m)) for k, m in items]
         if not rows:
             return
-        self._conn.executemany(
-            "INSERT OR REPLACE INTO measurements (key, payload)"
-            " VALUES (?, ?)",
-            rows,
-        )
+        self._conn.executemany(_UPSERT, rows)
+        self._touch([row[0] for row in rows])
         self._conn.commit()
+
+    def _touch(self, keys) -> None:
+        """Record that ``keys`` were just used, inside the caller's
+        transaction (subclass hook: the service store's LRU)."""
 
     # -- maintenance ---------------------------------------------------------
 
@@ -307,8 +388,8 @@ class CacheStore:
         return int(n)
 
     def quarantined(self) -> list:
-        """``(key, error)`` rows of payloads sidelined by decode
-        failures, for post-mortem."""
+        """``(key, error)`` of the rows sidelined by decode failures,
+        for post-mortem."""
         return self._conn.execute(
             "SELECT key, error FROM quarantine ORDER BY key"
         ).fetchall()

@@ -161,8 +161,8 @@ def maybe_inject(indices, attempt: int = 0) -> None:
 
 def corrupt_rows(store, seed: int = 0, fraction: float = 1.0,
                  limit: int | None = None) -> list:
-    """Overwrite a deterministic subset of a store's payloads with
-    garbage, returning the corrupted keys (in key order).
+    """Overwrite the ``seconds`` of a deterministic subset of a store's
+    rows with text, returning the corrupted keys (in key order).
 
     The engine must treat every corrupted row as a miss -- quarantined
     and re-measured, never a crash (see ``CacheStore``).
@@ -179,7 +179,7 @@ def corrupt_rows(store, seed: int = 0, fraction: float = 1.0,
     if limit is not None:
         chosen = chosen[:limit]
     store._conn.executemany(
-        "UPDATE measurements SET payload = ? WHERE key = ?",
+        "UPDATE measurements SET seconds = ? WHERE key = ?",
         [("\x00chaos:" + k[:8], k) for k in chosen],
     )
     store._conn.commit()

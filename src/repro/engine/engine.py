@@ -44,6 +44,10 @@ from repro.engine.work import build_pairs, build_work_list, shard_work
 from repro.kernels.base import Benchmark
 from repro.sim.timing import DEFAULT_PARAMS, ModelParams
 
+_CONTEXT_LIMIT = 256
+"""Context digests an engine keeps before starting over (the corpus has
+15 kernels on 4 GPUs)."""
+
 
 @dataclass(frozen=True)
 class SweepStats:
@@ -60,7 +64,7 @@ class SweepStats:
     recovered: int = 0
     """Shards that succeeded after at least one fault."""
     corrupt: int = 0
-    """Cache payloads that failed to decode and were re-measured."""
+    """Cache rows that failed to decode and were re-measured."""
 
     @property
     def hit_rate(self) -> float:
@@ -105,6 +109,10 @@ class SweepEngine:
         self.total_retries = 0
         self.total_failures = 0
         self.total_recovered = 0
+        self._contexts: dict = {}
+        """``(kernel name, GPU, id(specs), id(params))`` -> ``(specs,
+        params, digest)``.  An entry holds the two objects its key names
+        by identity, so neither id can be reused while it lives."""
         self._executor = PoolExecutor(self.jobs, policy=policy)
 
     def close(self) -> None:
@@ -151,6 +159,20 @@ class SweepEngine:
 
     # -- pipeline ------------------------------------------------------------
 
+    def _context(self, measurer: Measurer) -> str:
+        """The sweep's :func:`context_key`, computed once per (kernel,
+        GPU, specs, params) rather than once per sweep."""
+        benchmark, params = measurer.benchmark, measurer.params
+        key = (benchmark.name, measurer.gpu, id(benchmark.specs), id(params))
+        entry = self._contexts.get(key)
+        if entry is None:
+            if len(self._contexts) >= _CONTEXT_LIMIT:
+                self._contexts.clear()
+            digest = context_key(benchmark.name, measurer.gpu, params,
+                                 specs=benchmark.specs)
+            entry = self._contexts[key] = (benchmark.specs, params, digest)
+        return entry[2]
+
     def _execute(self, measurer, items, label) -> list:
         # the root span of the engine's trace subtree ("sweep ..." or
         # "batch ..."); shard/attempt/measure spans nest under it
@@ -169,8 +191,7 @@ class SweepEngine:
         keys = None
         benchmark, gpu = measurer.benchmark, measurer.gpu
         if self.cache is not None and items:
-            ctx = context_key(benchmark.name, gpu, measurer.params,
-                              specs=benchmark.specs)
+            ctx = self._context(measurer)
             keys = [
                 point_key(ctx, item.config, item.size) for item in items
             ]

@@ -12,9 +12,12 @@ server-owned WAL database shared by every tuning session:
 - **schema versioning**: a ``meta`` table records the store schema; an
   incompatible store found on disk is emptied and rebuilt rather than
   misread (measurements are a cache -- rebuilding costs time, never
-  correctness);
+  correctness).  A file in another row format
+  (:data:`~repro.engine.cache.ROW_FORMAT`) loses its ``usage`` table
+  along with the rows, whichever store class opens it first;
 - **LRU usage tracking**: every get/put stamps the touched keys with a
-  monotonic tick in a ``usage`` table, and :meth:`evict` deletes the
+  monotonic tick in a ``usage`` table (a put commits its rows and their
+  stamps as one transaction), and :meth:`evict` deletes the
   least-recently-used overflow beyond ``max_entries``, so a long-running
   server's database stays bounded;
 - **thread safety** comes from the base class's per-thread connections
@@ -102,9 +105,8 @@ class MeasurementStore(CacheStore):
     # -- LRU bookkeeping -----------------------------------------------------
 
     def _touch(self, keys) -> None:
+        """Stamp ``keys`` with the next ticks; the caller commits."""
         keys = list(keys)
-        if not keys:
-            return
         with self._tick_lock:
             start = self._tick
             self._tick += len(keys)
@@ -112,23 +114,19 @@ class MeasurementStore(CacheStore):
             "INSERT OR REPLACE INTO usage (key, tick) VALUES (?, ?)",
             [(k, start + i) for i, k in enumerate(keys)],
         )
-        self._conn.commit()
-
-    def get(self, key: str):
-        m = super().get(key)
-        if m is not None:
-            self._touch([key])
-        return m
 
     def get_many(self, keys) -> dict:
         found = super().get_many(keys)
-        self._touch(found)
+        if found:
+            self._touch(found)
+            self._conn.commit()
         return found
 
     def put_many(self, items) -> None:
-        items = list(items)
+        # the service store's own entry point, which
+        # benchmarks/e2e/layers.py traces; the base class commits the rows
+        # together with their usage stamps (see _touch)
         super().put_many(items)
-        self._touch(k for k, _m in items)
 
     def clear(self) -> None:
         super().clear()

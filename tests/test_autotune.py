@@ -3,6 +3,7 @@ measurement, ranking, and every search strategy -- including the batch
 ask/tell protocol, budget accounting, infeasible-space behaviour, and
 byte-identical serial/parallel evaluation."""
 
+import json
 import math
 import os
 
@@ -512,7 +513,6 @@ class TestBatchedStrategies:
     @pytest.mark.parametrize("search,kwargs", STRATEGY_MATRIX)
     def test_engine_results_identical_to_serial(self, search, kwargs):
         from repro.engine import SweepEngine
-        from repro.engine.cache import _encode
 
         bm = get_benchmark("atax")
 
@@ -531,9 +531,9 @@ class TestBatchedStrategies:
             assert out.search.history == base.history
             assert out.best_config == base.best_config
             assert out.best_seconds == base.best_value
-            assert [_encode(m) for m in out.results.measurements] == [
-                _encode(m) for m in measured
-            ]
+            assert [
+                json.dumps(vars(m)) for m in out.results.measurements
+            ] == [json.dumps(vars(m)) for m in measured]
 
     @pytest.mark.parametrize("search,kwargs", STRATEGY_MATRIX)
     def test_every_strategy_consults_engine(self, search, kwargs):

@@ -3,6 +3,7 @@ the cached-sweep speedup the engine exists for."""
 
 from __future__ import annotations
 
+import json
 import math
 import time
 
@@ -18,10 +19,10 @@ from repro.engine import (
     build_work_list,
     compile_key,
     measurement_key,
+    point_key,
     shard_work,
     stable_hash,
 )
-from repro.engine.cache import _decode, _encode
 from repro.experiments import common
 from repro.experiments.runner import main as runner_main
 from repro.kernels import get_benchmark
@@ -85,13 +86,29 @@ class TestCacheKeys:
             "c1c2c0dcbf9a1ddbdb2aecce24dd5311deaab7e80951999be551508b24b66acc"
         )
 
-    def test_measurement_roundtrip_including_inf(self):
+    @pytest.mark.parametrize("config", [
+        {"TC": 64, "BC": 48, "UIF": 1, "PL": 16, "CFLAGS": ""},
+        {"CFLAGS": "-use_fast_math", "TC": 1024},
+        {"x": 2.5, "y": -0.0, "z": float("inf"), "n": None, "b": True},
+        {"name": 'é"\\\n', "big": 10**20, "seq": [1, (2, 3)]},
+        {"other": frozenset({1})},  # not JSON: encoded by repr
+        {},
+    ])
+    def test_point_key_hashes_the_canonical_point(self, config):
+        """``point_key`` writes the text ``stable_hash`` would dump."""
+        ctx = 'ctx "é"'
+        assert point_key(ctx, config, 128) == stable_hash(
+            {"ctx": ctx, "config": config, "size": 128}
+        )
+
+    def test_measurement_roundtrip_including_inf(self, tmp_path):
         m = VariantMeasurement(
             config={"TC": 2048, "BC": 48}, size=64,
             seconds=float("inf"), occupancy=0.0,
             regs_per_thread=32, reg_instructions=0.0,
         )
-        back = _decode(_encode(m))
+        CacheStore(tmp_path).put("k", m)
+        back = CacheStore(tmp_path).get("k")
         assert back == m and math.isinf(back.seconds)
 
 
@@ -186,8 +203,8 @@ class TestSweepEngine:
         )
         assert par.measurements == serial
         # byte-identical, not merely approximately equal
-        assert [_encode(m) for m in par.measurements] == [
-            _encode(m) for m in serial
+        assert [json.dumps(vars(m)) for m in par.measurements] == [
+            json.dumps(vars(m)) for m in serial
         ]
 
     def test_cache_miss_then_hit_semantics(self, tmp_path):
@@ -199,6 +216,26 @@ class TestSweepEngine:
         assert engine.last_stats.hits == len(second)
         assert engine.last_stats.measured == 0
         assert second == first == self.serial()
+
+    def test_context_digest_computed_once_per_context(self, tmp_path,
+                                                      monkeypatch):
+        from repro.engine import engine as engine_module
+
+        calls = []
+        real = engine_module.context_key
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "context_key", counting)
+        engine = SweepEngine(jobs=1, cache=CacheStore(tmp_path))
+        for _ in range(3):
+            engine.sweep(ATAX, K20, tiny_space(), self.SIZES)
+        assert calls == ["atax"]
+        engine.sweep(ATAX, K20, tiny_space(), self.SIZES,
+                     params=ModelParams(chain_fp=11.0))
+        assert calls == ["atax", "atax"]
 
     def test_parallel_cached_still_identical(self, tmp_path):
         serial = self.serial()

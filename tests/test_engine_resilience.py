@@ -11,6 +11,7 @@ scales with ``REPRO_CHAOS_BUDGET`` like the fuzz campaigns do.
 
 from __future__ import annotations
 
+import json
 import os
 import sqlite3
 import warnings
@@ -29,7 +30,6 @@ from repro.engine import (
     SweepEngine,
 )
 from repro.engine import chaos
-from repro.engine.cache import _encode
 from repro.engine.work import split_shard
 from repro.kernels import get_benchmark
 
@@ -67,7 +67,9 @@ def _no_leftover_chaos():
 
 
 def assert_byte_identical(out, serial):
-    assert [_encode(m) for m in out] == [_encode(m) for m in serial]
+    assert [json.dumps(vars(m)) for m in out] == [
+        json.dumps(vars(m)) for m in serial
+    ]
 
 
 # ---------------------------------------------------------------------------

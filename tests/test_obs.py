@@ -20,7 +20,6 @@ from repro.arch import get_gpu
 from repro.autotune.space import Parameter, ParameterSpace
 from repro.codegen.compiler import CompileOptions, compile_module
 from repro.engine import CacheStore, RetryPolicy, SweepEngine, chaos
-from repro.engine.cache import _encode
 from repro.experiments import common
 from repro.experiments.runner import main as runner_main
 from repro.kernels import get_benchmark
@@ -304,7 +303,9 @@ def span_identity(spans):
 
 
 def assert_byte_identical(out, serial):
-    assert [_encode(m) for m in out] == [_encode(m) for m in serial]
+    assert [json.dumps(vars(m)) for m in out] == [
+        json.dumps(vars(m)) for m in serial
+    ]
 
 
 CHAOS_SPEC = chaos.ChaosSpec(seed=2, kill_rate=0.5, raise_rate=0.5)

@@ -1,15 +1,29 @@
 """The shared measurement store and the hardened CacheStore beneath it:
 per-connection WAL pragmas, cross-thread access, idempotent flush,
-schema-version adoption, and LRU eviction.
+schema-version adoption, LRU eviction, typed rows and their format
+upgrade, and commit durability.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import os
 import sqlite3
+import subprocess
+import sys
 import threading
+from dataclasses import asdict, replace
+from pathlib import Path
 
+import pytest
+
+from repro.arch import get_gpu
 from repro.autotune.measure import VariantMeasurement
-from repro.engine.cache import CacheStore
+from repro.autotune.space import Parameter, ParameterSpace
+from repro.engine import SweepEngine
+from repro.engine.cache import ROW_FORMAT, CacheStore
+from repro.kernels import get_benchmark
 from repro.service.store import STORE_SCHEMA_VERSION, MeasurementStore
 
 
@@ -153,3 +167,227 @@ def test_engine_never_closes_a_shared_store(tmp_path):
         pass
     store.put("still-open", _m(0))  # would raise if the engine closed it
     store.close()
+
+
+# ---------------------------------------------------------------------------
+# typed rows
+
+
+def _bytes(m: VariantMeasurement) -> str:
+    return json.dumps(vars(m))
+
+
+def test_typed_rows_return_what_was_written(tmp_path):
+    m = VariantMeasurement(
+        config={"TC": 64, "CFLAGS": "-use_fast_math", "BC": 48}, size=16,
+        seconds=math.inf, occupancy=0.0, regs_per_thread=20,
+        reg_instructions=12345,
+    )
+    CacheStore(tmp_path).put("k", m)
+    back = CacheStore(tmp_path).get("k")
+    assert back == m
+    assert type(back.reg_instructions) is int
+    assert type(back.occupancy) is float and math.isinf(back.seconds)
+    assert list(back.config) == ["TC", "CFLAGS", "BC"]  # its own order
+    assert _bytes(back) == _bytes(m)
+
+
+@pytest.mark.parametrize("field", ["seconds", "occupancy",
+                                   "reg_instructions"])
+def test_nan_reads_back_as_a_miss(tmp_path, field):
+    """SQLite stores a NaN as NULL; the row must read as a miss, never
+    as a measurement holding ``None``."""
+    store = CacheStore(tmp_path)
+    store.put("k", replace(_m(0), **{field: math.nan}))
+    assert store.get("k") is None
+    assert (store.hits, store.misses, store.corrupt) == (0, 1, 1)
+    assert [k for k, _ in store.quarantined()] == ["k"]
+
+
+ATAX = get_benchmark("atax")
+K20 = get_gpu("kepler")
+TINY = ParameterSpace([
+    Parameter("TC", (64, 128, 256)),
+    Parameter("BC", (48,)),
+    Parameter("UIF", (1,)),
+    Parameter("PL", (16,)),
+    Parameter("CFLAGS", ("",)),
+])
+
+
+@pytest.mark.parametrize("column,value", [
+    ("config", None), ("config", 7), ("config", "[64, 48]"),
+    ("config", "{not json"),
+    ("size", None), ("size", "16"), ("size", 16.0),
+    ("seconds", None), ("seconds", "fast"), ("seconds", b"\x00"),
+    ("occupancy", None), ("occupancy", "0.5"),
+    ("regs", None), ("regs", 20.5),
+    ("reg_instructions", None), ("reg_instructions", "100"),
+])
+def test_wrong_typed_value_is_quarantined_and_remeasured(tmp_path, column,
+                                                         value):
+    store = CacheStore(tmp_path)
+    engine = SweepEngine(jobs=1, cache=store)
+    first = engine.sweep(ATAX, K20, TINY, ATAX.sizes[:1])
+    (key,) = store._conn.execute(
+        "SELECT key FROM measurements ORDER BY key LIMIT 1"
+    ).fetchone()
+    store._conn.execute(
+        f"UPDATE measurements SET {column} = ? WHERE key = ?", (value, key)
+    )
+    store._conn.commit()
+
+    again = engine.sweep(ATAX, K20, TINY, ATAX.sizes[:1])
+    assert [_bytes(m) for m in again] == [_bytes(m) for m in first]
+    stats = engine.last_stats
+    assert (stats.corrupt, stats.measured, stats.hits) == (
+        1, 1, len(first) - 1
+    )
+    assert [k for k, _ in store.quarantined()] == [key]
+    engine.sweep(ATAX, K20, TINY, ATAX.sizes[:1])
+    assert engine.last_stats.hits == len(first)  # repaired in place
+
+
+# ---------------------------------------------------------------------------
+# format upgrade
+
+
+def _parent_file(path: Path, service_tables: bool) -> None:
+    """A store file as the JSON-payload version of the code left it:
+    its DDL, no ``user_version`` stamp, and one JSON row."""
+    path.mkdir(parents=True, exist_ok=True)
+    conn = sqlite3.connect(str(path / "measurements.sqlite"))
+    conn.execute("PRAGMA journal_mode = WAL")
+    conn.execute("CREATE TABLE measurements ("
+                 " key TEXT PRIMARY KEY, payload TEXT NOT NULL)")
+    conn.execute("CREATE TABLE quarantine ("
+                 " key TEXT PRIMARY KEY, payload TEXT, error TEXT)")
+    conn.execute("INSERT INTO measurements VALUES (?, ?)",
+                 ("old", json.dumps(asdict(_m(0)))))
+    if service_tables:
+        conn.execute("CREATE TABLE meta ("
+                     " key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+        conn.execute("CREATE TABLE usage ("
+                     " key TEXT PRIMARY KEY, tick INTEGER NOT NULL)")
+        conn.execute("CREATE INDEX usage_by_tick ON usage (tick)")
+        conn.execute("INSERT INTO meta VALUES ('store_schema', '1')")
+        conn.execute("INSERT INTO usage VALUES ('old', 7)")
+    conn.commit()
+    conn.close()
+
+
+@pytest.mark.parametrize("service_tables", [False, True])
+@pytest.mark.parametrize("cls", [CacheStore, MeasurementStore])
+def test_json_payload_file_is_rebuilt_not_misread(tmp_path, cls,
+                                                   service_tables):
+    _parent_file(tmp_path, service_tables)
+    store = cls(tmp_path)
+    assert store.get("old") is None
+    assert len(store) == 0 and store.corrupt == 0  # rebuilt, not sidelined
+    store.put("new", _m(1))
+    assert store.get("new") == _m(1)
+    store.close()
+
+    # the stamp holds: reopening keeps the new row
+    again = cls(tmp_path)
+    assert again.get("new") == _m(1)
+    assert again._conn.execute("PRAGMA user_version").fetchone() == (
+        ROW_FORMAT,
+    )
+    again.close()
+
+    # the old row's usage stamp went with it, whichever class opened the
+    # file first
+    service = MeasurementStore(tmp_path)
+    assert service._conn.execute("SELECT key FROM usage").fetchall() == (
+        [("new",)] if cls is MeasurementStore else []
+    )
+    service.close()
+
+
+# ---------------------------------------------------------------------------
+# durability
+
+
+def test_every_connection_commits_with_synchronous_normal(tmp_path):
+    store = MeasurementStore(tmp_path)
+    seen: dict[str, int] = {}
+
+    def probe(label: str) -> None:
+        (seen[label],) = store._conn.execute(
+            "PRAGMA synchronous"
+        ).fetchone()
+
+    probe("main")
+    t = threading.Thread(target=probe, args=("worker",))
+    t.start()
+    t.join()
+    assert seen == {"main": 1, "worker": 1}  # 1 is NORMAL
+    store.close()
+
+
+def test_put_many_commits_rows_and_usage_once(tmp_path):
+    store = MeasurementStore(tmp_path)
+    statements: list = []
+    store._conn.set_trace_callback(statements.append)
+    store.put_many((f"k{i}", _m(i)) for i in range(3))
+    store._conn.set_trace_callback(None)
+    assert [s for s in statements if s.upper().startswith("COMMIT")] == [
+        "COMMIT"
+    ]
+    assert len(store.get_many([f"k{i}" for i in range(3)])) == 3
+    (stamped,) = store._conn.execute("SELECT COUNT(*) FROM usage").fetchone()
+    assert stamped == 3
+    store.close()
+
+
+_CHILD = """
+import os, sys
+from repro.autotune.measure import VariantMeasurement
+from repro.engine.cache import CacheStore
+from repro.service.store import MeasurementStore
+
+store = {cls}(sys.argv[1])
+store.put_many(
+    (f"k{{i}}", VariantMeasurement({{"TC": 32 * (i + 1), "BC": 48}}, 16,
+                                   1e-4 * (i + 1), 0.5, 20, 100.0))
+    for i in range(5)
+)
+os._exit(0)  # no close, no checkpoint: only the commits themselves
+"""
+
+
+@pytest.mark.parametrize("cls", [CacheStore, MeasurementStore])
+def test_commits_survive_a_child_that_exits_hard(tmp_path, cls):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run(
+        [sys.executable, "-c", _CHILD.format(cls=cls.__name__),
+         str(tmp_path)],
+        env=env, check=True, timeout=120,
+    )
+    store = cls(tmp_path)
+    found = store.get_many([f"k{i}" for i in range(5)])
+    assert found == {f"k{i}": _m(i) for i in range(5)}
+    store.close()
+
+
+# ---------------------------------------------------------------------------
+# hit and miss counters
+
+
+def test_repeated_keys_count_once_per_request(tmp_path):
+    """A key asked for twice counts twice, for the store and for the
+    :class:`StoreStats` a client reads."""
+    from repro.client import connect
+    from repro.service.server import ThreadedServer
+
+    with ThreadedServer(cache_dir=tmp_path, drainers=1) as server:
+        store = server.server.store
+        store.put("k", _m(0))
+        found = store.get_many(["k", "k", "absent", "absent"])
+        assert found == {"k": _m(0)}
+        assert (store.hits, store.misses) == (2, 2)
+        stats = connect(server.url).store_stats()
+    assert (stats.hits, stats.misses) == (2, 2)
