@@ -271,9 +271,9 @@ class Measurer:
         occ = hw_occupancy(
             self.gpu, tc, mod.regs_per_thread, mod.static_smem_bytes
         )
-        reg_instr = sum(
-            exact_counts(ck, env, tc, bc).reg_ops for ck in mod
-        )
+        reg_instr = 0.0  # summed left to right, like every measured float
+        for ck in mod:
+            reg_instr += exact_counts(ck, env, tc, bc).reg_ops
         return VariantMeasurement(
             config=dict(config),
             size=size,

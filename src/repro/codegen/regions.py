@@ -121,25 +121,94 @@ class Region:
             yield from c.walk()
 
 
-@dataclass(frozen=True)
+_CATEGORIES = tuple(InstrCategory)
+
+ORDINAL = {cat: i for i, cat in enumerate(_CATEGORIES)}
+"""Each :class:`InstrCategory`'s index in a :class:`CountForm` vector:
+its declaration ordinal."""
+
+REG_OPS = len(_CATEGORIES)
+"""Vector index of register-operand traffic."""
+
+TRANSACTIONS = REG_OPS + 1
+"""Vector index of memory transactions."""
+
+DRAM_BYTES = REG_OPS + 2
+"""Vector index of DRAM bytes."""
+
+ACCESSES = REG_OPS + 3
+"""Vector index of the first memory access's thread executions."""
+
+
+class CountForm:
+    """Dynamic counts as affine functions of the launched thread count.
+
+    At ``T`` threads every count is ``base[i] + T * slope[i]``.  Both
+    vectors hold one entry per :class:`InstrCategory` (indexed by
+    :data:`ORDINAL`), then register-operand traffic, memory transactions
+    and DRAM bytes, then from :data:`ACCESSES` on the thread executions
+    of each access in ``accesses``.  ``order`` holds the ordinals of the
+    categories counted, in the order every sum over categories runs; the
+    entries of other categories are 0.  Forms are weakly referenceable,
+    so what a reader derives from one can be memoized with it.
+    """
+
+    __slots__ = ("order", "base", "slope", "accesses", "__weakref__")
+
+    def __init__(self, order: tuple, base: tuple, slope: tuple,
+                 accesses: tuple):
+        self.order = order
+        self.base = base
+        self.slope = slope
+        self.accesses = accesses
+
+
 class DynamicCounts:
-    """Evaluated dynamic instruction counts for one launch.
+    """Evaluated dynamic instruction counts for one launch: a
+    :class:`CountForm` at ``total_threads``, each count computed when
+    read.
 
     ``by_category`` maps Table II categories to execution counts;
     ``reg_ops`` is total register-operand traffic (the paper's ``Regs``
-    metric / O_reg); ``mem_traffic`` is a list of ``(MemAccess, thread
+    metric / O_reg); ``mem_traffic`` is a tuple of ``(MemAccess, thread
     executions)`` pairs from which transaction/byte totals derive;
     ``mem_transactions`` and ``dram_bytes`` are the pattern-weighted totals
     assuming no cache effects (the timing model refines them with its
     occupancy-dependent cache model).
     """
 
-    by_category: dict
-    reg_ops: float
-    mem_transactions: float
-    dram_bytes: float
-    total_threads: int
-    mem_traffic: tuple = ()
+    __slots__ = ("form", "total_threads")
+
+    def __init__(self, form: CountForm, total_threads: int):
+        self.form = form
+        self.total_threads = total_threads
+
+    def _at(self, i: int) -> float:
+        return self.form.base[i] + self.total_threads * self.form.slope[i]
+
+    @property
+    def by_category(self) -> dict:
+        base, slope = self.form.base, self.form.slope
+        t = self.total_threads
+        return {_CATEGORIES[i]: base[i] + t * slope[i]
+                for i in self.form.order}
+
+    @property
+    def reg_ops(self) -> float:
+        return self._at(REG_OPS)
+
+    @property
+    def mem_transactions(self) -> float:
+        return self._at(TRANSACTIONS)
+
+    @property
+    def dram_bytes(self) -> float:
+        return self._at(DRAM_BYTES)
+
+    @property
+    def mem_traffic(self) -> tuple:
+        return tuple((acc, self._at(i))
+                     for i, acc in enumerate(self.form.accesses, ACCESSES))
 
     def by_pipe(self) -> dict[PipeClass, float]:
         """Aggregate to the paper's four classes: O_fl, O_mem, O_ctrl, O_reg.
@@ -152,10 +221,6 @@ class DynamicCounts:
             agg[cat.pipe] += n
         agg[PipeClass.REG] += self.reg_ops
         return agg
-
-    @property
-    def total_instructions(self) -> float:
-        return float(sum(self.by_category.values()))
 
 
 BranchFractionFn = Callable[[Region, dict, list], float]
@@ -241,7 +306,8 @@ def evaluate_region_tree(
     reg_ops = 0.0
     transactions = 0.0
     dram_bytes = 0.0
-    traffic: list = []
+    accesses: list = []
+    executions: list = []
 
     def visit(region: Region, count: float, loops: list) -> None:
         nonlocal reg_ops, transactions, dram_bytes
@@ -250,7 +316,8 @@ def evaluate_region_tree(
         reg_ops += region.reg_ops * count
         warps = count / warp_size
         for acc in region.mem_accesses:
-            traffic.append((acc, count))
+            accesses.append(acc)
+            executions.append(count)
             tx = acc.transactions_per_warp(warp_size)
             transactions += tx * warps
             if acc.space is MemSpace.GLOBAL:
@@ -270,11 +337,15 @@ def evaluate_region_tree(
                 raise ValueError(f"unexpected child region kind {child.kind}")
 
     visit(root, float(total_threads), [])
-    return DynamicCounts(
-        by_category=dict(by_cat),
-        reg_ops=reg_ops,
-        mem_transactions=transactions,
-        dram_bytes=dram_bytes,
-        total_threads=total_threads,
-        mem_traffic=tuple(traffic),
-    )
+    # the counts at ``total_threads`` as a form with zero slope; the
+    # categories stay in first-counted order
+    base = [0.0] * ACCESSES
+    for cat, n in by_cat.items():
+        base[ORDINAL[cat]] = n
+    base[REG_OPS] = reg_ops
+    base[TRANSACTIONS] = transactions
+    base[DRAM_BYTES] = dram_bytes
+    base += executions
+    form = CountForm(tuple(ORDINAL[cat] for cat in by_cat), tuple(base),
+                     (0.0,) * len(base), tuple(accesses))
+    return DynamicCounts(form, total_threads)

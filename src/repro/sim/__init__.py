@@ -12,8 +12,9 @@ Three cooperating models replace the paper's physical GPUs:
   condition evaluation over iteration domains).  Agrees with the emulator
   (tested); its tree walk does not depend on problem size and each
   O(domain) branch-condition pass runs once per (guard, domain, env) per
-  process.  This is the "dynamic truth" for Table VI and the input to the
-  timing model.
+  process.  Counts are affine in the thread count, so each (kernel, env,
+  count level) keeps one form, read at every launch.  This is the
+  "dynamic truth" for Table VI and the input to the timing model.
 - :mod:`repro.sim.timing` -- the analytic performance model that plays the
   role of running on hardware: occupancy-driven latency hiding, Table II
   issue throughput, DRAM bandwidth with cache/coalescing effects, atomic

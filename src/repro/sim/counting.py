@@ -12,8 +12,12 @@ Evaluates a compiled kernel's region tree with *exact* multiplicities:
 The results agree with the warp emulator (asserted in tests).  The region
 tree walk's cost does not depend on problem size; the branch-domain pass
 is O(domain) and runs once per (guard, domain, env) per process, because
-its result is memoized by structure (:data:`_fraction_cache`).  That is
-what lets the timing model stand in for 5,120-variant empirical sweeps.
+its result is memoized by structure (:data:`_fraction_cache`).  Counts
+are affine in the launched thread count, so two walks per (kernel, env,
+count level) become one :class:`~repro.codegen.regions.CountForm`
+(:data:`_count_cache`), and :func:`exact_counts` reads it at any launch
+without walking or building anything else.  That is what lets the
+timing model stand in for 5,120-variant empirical sweeps.
 
 Data-dependent control flow (CSR row extents, skewed histogram keys,
 compaction guards) is supported *input-aware*: bind the concrete input
@@ -35,6 +39,8 @@ from repro import obs
 from repro.codegen.ast_nodes import evaluate_expr, evaluate_expr_numpy
 from repro.codegen.compiler import CompiledKernel
 from repro.codegen.regions import (
+    ORDINAL,
+    CountForm,
     DynamicCounts,
     Region,
     RegionKind,
@@ -157,12 +163,14 @@ most :data:`_MEMO_LIMIT` entries.
 """
 
 _count_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-"""Memo: kernel object -> {(env, warp_level): (eval@T=0, eval@T=1)}.
+"""Memo: kernel object -> {(env, warp_level): CountForm}.
 
 Counts are affine in the launched thread count T (only the ROOT region
 scales with T; the parallel loop executes a fixed M iterations), so two
 tree walks per kernel, env and count level determine every launch
-configuration; the branch-domain passes behind them come from
+configuration: :func:`_affine` turns them into one
+:class:`~repro.codegen.regions.CountForm`, and each launch reads it at
+its own T.  The branch-domain passes behind the walks come from
 :data:`_fraction_cache`.  Keyed by identity, so a kernel's entry dies
 with the kernel object: a ``Measurer``'s own
 :class:`~repro.codegen.compiler.MeasuredKernel` views die with it, even
@@ -182,28 +190,22 @@ def _env_key(env: dict) -> tuple:
     return tuple(parts)
 
 
-def _combine(at0: DynamicCounts, at1: DynamicCounts,
-             threads: int) -> DynamicCounts:
-    """Affine reconstruction: counts(T) = at0 + T * (at1 - at0)."""
+def _affine(at0: DynamicCounts, at1: DynamicCounts) -> CountForm:
+    """The form of walks at T = 0 and T = 1: counts(T) = at0 + T * (at1 - at0).
+
+    Categories are summed in the iteration order of the union of the two
+    walks' category sets.  :class:`~repro.arch.throughput.InstrCategory`
+    members hash by name, so that order follows the string-hash seed;
+    it is kept because every measurement made so far summed in it.
+    """
     cats = set(at0.by_category) | set(at1.by_category)
-    by_cat = {}
-    for c in cats:
-        a = at0.by_category.get(c, 0.0)
-        b = at1.by_category.get(c, 0.0)
-        by_cat[c] = a + threads * (b - a)
-    traffic = tuple(
-        (acc0, n0 + threads * (n1 - n0))
-        for (acc0, n0), (_acc1, n1) in zip(at0.mem_traffic, at1.mem_traffic)
-    )
-    return DynamicCounts(
-        by_category=by_cat,
-        reg_ops=at0.reg_ops + threads * (at1.reg_ops - at0.reg_ops),
-        mem_transactions=at0.mem_transactions
-        + threads * (at1.mem_transactions - at0.mem_transactions),
-        dram_bytes=at0.dram_bytes
-        + threads * (at1.dram_bytes - at0.dram_bytes),
-        total_threads=threads,
-        mem_traffic=traffic,
+    # a walk's form has zero slope: its base is its counts
+    a, b = at0.form.base, at1.form.base
+    return CountForm(
+        tuple(ORDINAL[c] for c in cats),
+        a,
+        tuple(y - x for x, y in zip(a, b)),
+        at0.form.accesses,
     )
 
 
@@ -238,24 +240,26 @@ def exact_counts(
     bc: int,
     warp_level: bool = False,
 ) -> DynamicCounts:
-    """Exact dynamic counts for launching ``ck`` with (tc, bc) on ``env``.
+    """Exact dynamic counts for launching ``ck`` with (tc, bc) on ``env``:
+    the memoized form of (``ck``, ``env``, ``warp_level``) at
+    ``T = tc * bc``, its counts computed when read.
 
     With ``warp_level=True`` branch arms use warp-issue multiplicities
     (divergence makes warps pay for both arms); category totals then
     represent thread-slots issued, i.e. ``counts / 32`` is the warp-issue
     count.
     """
-    frac = warp_branch_fraction if warp_level else exact_branch_fraction
     memo = _count_cache.setdefault(ck, {})
     key = (_env_key(env), warp_level)
-    cached = memo.get(key)
-    if cached is None:
+    form = memo.get(key)
+    if form is None:
+        frac = warp_branch_fraction if warp_level else exact_branch_fraction
         at0 = evaluate_region_tree(
             ck.root_region, env, total_threads=0, branch_fraction=frac
         )
         at1 = evaluate_region_tree(
             ck.root_region, env, total_threads=1, branch_fraction=frac
         )
-        cached = (at0, at1)
-        _memo_put(memo, key, cached)
-    return _combine(*cached, tc * bc)
+        form = _affine(at0, at1)
+        _memo_put(memo, key, form)
+    return DynamicCounts(form, tc * bc)

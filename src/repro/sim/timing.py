@@ -31,18 +31,27 @@ paper reasons about qualitatively:
 The model is deterministic; :func:`measure_benchmark` adds seeded lognormal
 noise and applies the paper's measurement protocol (Sec. IV-A: ten
 repetitions, take the fifth trial).
+
+Each launch reads its kernels' count forms
+(:class:`~repro.codegen.regions.CountForm`) directly: category vectors
+by ordinal against per-SM IPC and chain-weight tables, and per-access
+terms worked out once per form.  Every float sum is a left-to-right
+``+=`` fold in the form's summation order, never ``sum()``: Python 3.12
+made ``sum()`` over floats compensated, which would tie the last bits
+of a measurement to the interpreter version.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 from repro.arch.specs import GPUSpec
-from repro.arch.throughput import InstrCategory, PipeClass, throughput_for
+from repro.arch.throughput import THROUGHPUT_BY_SM, InstrCategory, PipeClass
 from repro.codegen.ast_nodes import evaluate_expr
 from repro.codegen.compiler import CompiledKernel, CompiledModule
-from repro.codegen.regions import MemAccess
+from repro.codegen.regions import ACCESSES, ORDINAL, CountForm, MemAccess
 from repro.ptx.isa import MemSpace
 from repro.sim.counting import exact_counts
 from repro.sim.occupancy_hw import hw_resident_blocks
@@ -155,59 +164,100 @@ _UNLAUNCHABLE = KernelTiming(
 )
 
 
+_IPC_BY_SM = {
+    sm: tuple(table.ipc(cat) for cat in InstrCategory)
+    for sm, table in THROUGHPUT_BY_SM.items()
+}
+"""Table II IPCs per SM version, indexed by category ordinal."""
+
+
+def _chain_kind(cat: InstrCategory) -> int | None:
+    if cat.pipe is PipeClass.MEM:
+        return None  # charged per access
+    if cat in (InstrCategory.FP32, InstrCategory.FP64):
+        return 0
+    if cat is InstrCategory.LOG_SIN_COS:
+        return 1
+    if cat.pipe is PipeClass.CTRL:
+        return 2
+    return 3
+
+
+_CHAIN_KIND = tuple(_chain_kind(cat) for cat in InstrCategory)
+"""Per category ordinal: its dependent-chain weight as an index into
+``(chain_fp, chain_sfu, chain_ctrl, chain_alu)``, or None for memory
+instructions."""
+
+_SFU = ORDINAL[InstrCategory.LOG_SIN_COS]
+
+# how an access's DRAM bytes are charged
+_NO_DRAM, _L2, _SEGMENTS, _REUSE = range(4)
+# its per-execution dependent-chain latency
+_SHARED, _CONST_HIT, _RELOAD, _DRAM = range(4)
+# how an atomic access is serialized
+_NOT_ATOMIC, _CHIP, _ISSUE = range(3)
+
+
+def _access_terms(acc: MemAccess) -> tuple:
+    """``(DRAM rule, segments, chain kind, atomic rule)`` of one static
+    access, which :meth:`TimingModel.kernel_time` charges per launch.
+
+    ``_L2`` charges a fraction of the warp's bytes, ``_SEGMENTS``
+    charges ``segments`` 32-byte DRAM segments per warp execution, and
+    ``_REUSE`` charges between 32 segments and the ideal ``segments`` as
+    the resident working set fits in L1.
+    """
+    if not acc.is_atomic:
+        atomic = _NOT_ATOMIC
+    elif acc.pattern == "uniform":
+        atomic = _CHIP  # same-address atomics serialize chip-wide
+    else:
+        atomic = _ISSUE
+    if acc.space is not MemSpace.GLOBAL:
+        return _NO_DRAM, 0.0, _SHARED, atomic
+    elem = acc.dtype.nbytes
+    if acc.pattern == "uniform":
+        dram, segs = _L2, 0.0
+    elif acc.pattern == "coalesced":
+        if acc.seq_stride == 0 and not acc.is_store and not acc.is_atomic:
+            # same address every iteration (hoistable RMW load): L1-hot
+            dram, segs = _L2, 0.0
+        else:
+            dram, segs = _SEGMENTS, max(1.0, 32.0 * elem / 32.0)
+    elif acc.seq_stride == 1:
+        # strided, but consecutive iterations reuse the line while it
+        # survives in L1
+        dram, segs = _REUSE, 32.0 * elem / 32.0
+    else:
+        # strided: each lane in its own segment
+        dram, segs = _SEGMENTS, 32.0
+    if acc.pattern == "uniform":
+        chain = _CONST_HIT
+    elif acc.seq_stride == 0 and not acc.is_store:
+        chain = _RELOAD  # same-address reload: serial
+    else:
+        chain = _DRAM
+    return dram, segs, chain, atomic
+
+
+_terms: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+"""Memo: count form -> :func:`_access_terms` of each of its accesses."""
+
+
+def _terms_of(form: CountForm) -> tuple:
+    terms = _terms.get(form)
+    if terms is None:
+        terms = _terms[form] = tuple(map(_access_terms, form.accesses))
+    return terms
+
+
 class TimingModel:
     """Timing evaluation of compiled kernels on one GPU."""
 
     def __init__(self, gpu: GPUSpec, params: ModelParams = DEFAULT_PARAMS):
         self.gpu = gpu
         self.params = params
-        self.throughput = throughput_for(gpu)
-
-    # -- memory traffic under the cache model ------------------------------
-
-    def _l1_bytes(self, l1_pref_kb: int) -> float:
-        fixed = self.params.l1_kb_fixed.get(self.gpu.sm_version)
-        return (fixed if fixed is not None else l1_pref_kb) * 1024.0
-
-    def _access_dram_bytes(
-        self, acc: MemAccess, warp_execs: float, active_warps: float,
-        l1_pref_kb: int,
-    ) -> float:
-        """DRAM bytes one static access contributes over the launch."""
-        if acc.space is not MemSpace.GLOBAL:
-            return 0.0
-        elem = acc.dtype.nbytes
-        if acc.pattern == "uniform":
-            return warp_execs * 32.0 * self.params.uniform_l2_bytes_factor
-        if acc.pattern == "coalesced":
-            if acc.seq_stride == 0 and not acc.is_store and not acc.is_atomic:
-                # same address every iteration (hoistable RMW load): L1-hot
-                return warp_execs * 32.0 * self.params.uniform_l2_bytes_factor
-            segs = max(1.0, 32.0 * elem / 32.0)  # 32-byte DRAM segments
-            return warp_execs * segs * 32.0
-        # strided: each lane in its own segment...
-        worst_segs = 32.0
-        if acc.seq_stride == 1:
-            # ...but consecutive iterations reuse the line while the
-            # resident working set fits in L1
-            line = 128.0
-            ideal_segs = 32.0 * elem / 32.0
-            working = active_warps * 32.0 * line
-            fit = min(1.0, self._l1_bytes(l1_pref_kb) / max(working, 1.0))
-            segs = worst_segs - fit * (worst_segs - ideal_segs)
-        else:
-            segs = worst_segs
-        return warp_execs * segs * 32.0
-
-    def _access_chain_latency(self, acc: MemAccess) -> float:
-        """Per-execution dependent-chain latency of one memory access."""
-        if acc.space is not MemSpace.GLOBAL:
-            return 4.0  # shared memory
-        if acc.pattern == "uniform":
-            return self.params.rmw_latency * 0.5  # constant-cache style hit
-        if acc.seq_stride == 0 and not acc.is_store:
-            return self.params.rmw_latency  # same-address reload: serial
-        return self.gpu.dram_latency_cycles / self.params.mem_mlp
+        self.ipc = _IPC_BY_SM[gpu.sm_version]
 
     # -- the model ---------------------------------------------------------
 
@@ -246,13 +296,16 @@ class TimingModel:
         work_frac = blocks_per_sm / working_blocks
 
         # dynamic counts: thread-level (work) and warp-level (issue slots);
-        # the zero-thread evaluation isolates the loop body from the
-        # per-thread preamble, which runs on *every* block (idle blocks
-        # execute their preamble on otherwise-idle SMs, so it must not be
-        # charged to the busiest working SM)
+        # the zero-thread warp counts (the form's base) isolate the loop
+        # body from the per-thread preamble, which runs on *every* block
+        # (idle blocks execute their preamble on otherwise-idle SMs, so it
+        # must not be charged to the busiest working SM)
         tcounts = exact_counts(ck, env, tc, bc, warp_level=False)
         wcounts = exact_counts(ck, env, tc, bc, warp_level=True)
-        wloop = exact_counts(ck, env, 1, 0, warp_level=True)
+        t = wcounts.total_threads
+        tf, wf = tcounts.form, wcounts.form
+        tbase, tslope = tf.base, tf.slope
+        wbase, wslope = wf.base, wf.slope
 
         all_blocks_per_sm = -(-bc // min(gpu.multiprocessors, bc))
         root_frac = all_blocks_per_sm / bc
@@ -260,16 +313,17 @@ class TimingModel:
         # ---- issue cycles on the busiest SM, with block-switch churn and
         #      occupancy-dependent latency hiding
         issue = 0.0
-        total_ops = max(1.0, sum(wcounts.by_category.values()))
-        sfu_frac = wcounts.by_category.get(
-            InstrCategory.LOG_SIN_COS, 0.0
-        ) / total_ops
-        for cat, n in wcounts.by_category.items():
-            n_loop = wloop.by_category.get(cat, 0.0)
+        warp_ops = [wbase[i] + t * wslope[i] for i in wf.order]
+        total_ops = 0.0
+        for n in warp_ops:
+            total_ops += n
+        total_ops = max(1.0, total_ops)
+        sfu_frac = (wbase[_SFU] + t * wslope[_SFU]) / total_ops
+        ipc = self.ipc
+        for i, n in zip(wf.order, warp_ops):
+            n_loop = wbase[i] + 0 * wslope[i]  # the warp counts at T = 0
             n_root = max(0.0, n - n_loop)
-            issue += (
-                n_loop * work_frac + n_root * root_frac
-            ) / self.throughput.ipc(cat)
+            issue += (n_loop * work_frac + n_root * root_frac) / ipc[i]
         # "small block sizes will result in many active blocks running on
         # the SM in a time-shared manner, where unnecessary switching of
         # blocks may degrade performance" (paper Sec. III-B1): scheduler
@@ -280,39 +334,47 @@ class TimingModel:
         hiding = min(1.0, active_warps / w_need)
         issue *= churn / hiding
 
-        # ---- memory traffic, atomics
+        # ---- memory traffic under the cache model, atomics
+        terms = _terms_of(tf)
+        execs_of = [tbase[k] + t * tslope[k]
+                    for k in range(ACCESSES, len(tbase))]
         dram_bytes = 0.0
         atomic_chip = 0.0
-        for acc, execs in tcounts.mem_traffic:
+        fit = None
+        for (rule, segs, _, atomic), execs in zip(terms, execs_of):
             warp_execs = execs / 32.0
-            dram_bytes += self._access_dram_bytes(
-                acc, warp_execs, active_warps, launch.l1_pref_kb
-            )
-            if acc.is_atomic:
-                if acc.pattern == "uniform":
-                    atomic_chip += execs * p.atomic_conflict_cycles
-                else:
-                    issue += warp_execs * work_frac * p.atomic_coalesced_cycles
+            if rule == _L2:
+                dram_bytes += warp_execs * 32.0 * p.uniform_l2_bytes_factor
+            elif rule == _SEGMENTS:
+                dram_bytes += warp_execs * segs * 32.0
+            elif rule == _REUSE:
+                # consecutive iterations reuse a 128-byte line while the
+                # resident working set fits in L1
+                if fit is None:
+                    fixed = p.l1_kb_fixed.get(gpu.sm_version)
+                    l1_kb = fixed if fixed is not None else launch.l1_pref_kb
+                    working = active_warps * 32.0 * 128.0
+                    fit = min(1.0, l1_kb * 1024.0 / max(working, 1.0))
+                dram_bytes += warp_execs * (32.0 - fit * (32.0 - segs)) * 32.0
+            if atomic == _CHIP:
+                atomic_chip += execs * p.atomic_conflict_cycles
+            elif atomic == _ISSUE:
+                issue += warp_execs * work_frac * p.atomic_coalesced_cycles
 
         # ---- pipelined latency floor (per-thread dependent work)
         active_threads = max(1, min(launch.total_threads, max(m, 1)))
         lat_per_thread = 0.0
-        for cat, n in tcounts.by_category.items():
-            per = n / active_threads
-            if cat.pipe is PipeClass.MEM:
-                continue  # charged per-access below
-            if cat in (InstrCategory.FP32, InstrCategory.FP64):
-                lat_per_thread += per * p.chain_fp
-            elif cat is InstrCategory.LOG_SIN_COS:
-                lat_per_thread += per * p.chain_sfu
-            elif cat.pipe is PipeClass.CTRL:
-                lat_per_thread += per * p.chain_ctrl
-            else:
-                lat_per_thread += per * p.chain_alu
-        for acc, execs in tcounts.mem_traffic:
-            lat_per_thread += (
-                execs / active_threads
-            ) * self._access_chain_latency(acc)
+        chain = (p.chain_fp, p.chain_sfu, p.chain_ctrl, p.chain_alu)
+        for i in tf.order:
+            kind = _CHAIN_KIND[i]
+            if kind is not None:
+                per = (tbase[i] + t * tslope[i]) / active_threads
+                lat_per_thread += per * chain[kind]
+        # indexed by _SHARED, _CONST_HIT, _RELOAD and _DRAM
+        access_chain = (4.0, p.rmw_latency * 0.5, p.rmw_latency,
+                        gpu.dram_latency_cycles / p.mem_mlp)
+        for (_, _, kind, _), execs in zip(terms, execs_of):
+            lat_per_thread += (execs / active_threads) * access_chain[kind]
         latency_cycles = lat_per_thread * waves
 
         # ---- DRAM bandwidth bound (chip-wide, ramping with queue depth)
@@ -342,10 +404,12 @@ class TimingModel:
     def benchmark_time(
         self, module: CompiledModule, launch: LaunchConfig, env: dict
     ) -> float:
-        """Deterministic total seconds for all kernels of a benchmark."""
-        return sum(
-            self.kernel_time(ck, launch, env).seconds for ck in module
-        )
+        """Deterministic total seconds for all kernels of a benchmark,
+        summed left to right."""
+        total = 0.0
+        for ck in module:
+            total += self.kernel_time(ck, launch, env).seconds
+        return total
 
 
 def simulate_benchmark_time(

@@ -21,14 +21,15 @@ import sys
 from pathlib import Path
 
 DEFAULT_PATTERNS = ("emulator", "sweep", "codec", "fig6", "compile",
-                    "search_batch")
+                    "search_batch", "measure")
 """Benchmarks watched by default: the emulator fast path, the engine
 sweep/cache paths -- the two hot paths with asserted speedup bars -- the
 service protocol codec, the Fig. 6 search, whose cost is the
 closed-form counting of recompiled variants, the compile pipeline
-every measured variant goes through, and the batched genetic search,
+every measured variant goes through, the batched genetic search,
 which slows down if search rounds start compiling their modules
-again."""
+again, and the per-point measurement (counting, timing and noise) every
+cold sweep pays."""
 
 
 def load_medians(path: str | Path) -> dict[str, float]:

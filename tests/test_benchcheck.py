@@ -56,6 +56,13 @@ class TestFindRegressions:
         assert [r[0] for r in regs] == [name]
         assert find_regressions({name: 1.2}, {name: 1.0}) == []
 
+    def test_measure_watched_by_default(self):
+        name = ("benchmarks/test_bench_measure.py::"
+                "test_bench_measure_warm_points")
+        regs = find_regressions({name: 1.4}, {name: 1.0})
+        assert [r[0] for r in regs] == [name]
+        assert find_regressions({name: 1.2}, {name: 1.0}) == []
+
     def test_search_batch_watched_by_default(self):
         name = ("benchmarks/test_bench_search_batch.py::"
                 "test_bench_genetic_parallel_beats_serial")

@@ -6,6 +6,7 @@ data-absent fallback counters, and warp-level count semantics.
 """
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -17,9 +18,13 @@ from repro.codegen.ast_nodes import IntConst, VarRef
 from repro.codegen.compiler import CompileOptions, compile_module
 from repro.kernels import BENCHMARKS, get_benchmark
 from repro.sim import counting
-from repro.sim.counting import exact_branch_fraction, exact_counts
+from repro.sim.counting import (
+    exact_branch_fraction,
+    exact_counts,
+    warp_branch_fraction,
+)
 from repro.sim.emulator import run_benchmark_emulated
-from repro.codegen.regions import Region, RegionKind
+from repro.codegen.regions import Region, RegionKind, evaluate_region_tree
 from repro.util.rng import rng_for
 
 from tests.conftest import make_benchmark_run
@@ -159,6 +164,66 @@ class TestAffineCache:
         del mod
         gc.collect()
         assert len(counting._count_cache) == 0
+
+
+def _two_walk_counts(ck, env, threads: int, warp_level: bool) -> dict:
+    """Counts at ``threads`` from two tree walks, combined the way the
+    count memo always has: categories in the iteration order of the
+    union of the walks' category sets, every count ``a + T * (b - a)``."""
+    frac = warp_branch_fraction if warp_level else exact_branch_fraction
+    at0, at1 = (evaluate_region_tree(ck.root_region, env, total_threads=t,
+                                     branch_fraction=frac)
+                for t in (0, 1))
+    d0, d1 = at0.by_category, at1.by_category
+
+    def at(a, b):
+        return a + threads * (b - a)
+
+    return {
+        "by_category": [(c, at(d0.get(c, 0.0), d1.get(c, 0.0)))
+                        for c in set(d0) | set(d1)],
+        "reg_ops": at(at0.reg_ops, at1.reg_ops),
+        "mem_transactions": at(at0.mem_transactions, at1.mem_transactions),
+        "dram_bytes": at(at0.dram_bytes, at1.dram_bytes),
+        "mem_traffic": [(acc, at(n0, n1)) for (acc, n0), (_, n1)
+                        in zip(at0.mem_traffic, at1.mem_traffic)],
+    }
+
+
+def _bits(counts: dict) -> dict:
+    """``counts`` with every float as ``float.hex``."""
+    def hexed(v):
+        return v.hex() if isinstance(v, float) else v
+
+    return {k: [(a, hexed(b)) for a, b in v] if isinstance(v, list)
+            else hexed(v) for k, v in counts.items()}
+
+
+class TestAffineForm:
+    """``exact_counts`` reads one memoized form per kernel, env and count
+    level; every bit it gives equals the two-walk combination."""
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_form_matches_two_walks_bit_for_bit(self, name):
+        bm = get_benchmark(name)
+        for gpu in ALL_GPUS:
+            mod = compile_module(name, list(bm.specs),
+                                 CompileOptions(gpu=gpu))
+            for n, ck, warp_level, (tc, bc) in itertools.product(
+                    sorted(bm.sizes)[:2], mod, (False, True),
+                    ((1, 0), (1, 1), (32, 24), (1024, 192))):
+                env = bm.param_env(n)
+                dc = exact_counts(ck, env, tc, bc, warp_level=warp_level)
+                got = {
+                    "by_category": list(dc.by_category.items()),
+                    "reg_ops": dc.reg_ops,
+                    "mem_transactions": dc.mem_transactions,
+                    "dram_bytes": dc.dram_bytes,
+                    "mem_traffic": list(dc.mem_traffic),
+                }
+                want = _two_walk_counts(ck, env, tc * bc, warp_level)
+                assert _bits(got) == _bits(want), (
+                    gpu.name, n, ck.name, warp_level, tc, bc)
 
 
 @pytest.fixture

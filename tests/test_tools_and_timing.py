@@ -4,8 +4,14 @@
 import pytest
 
 from repro.arch import K20, P100
-from repro.codegen.compiler import CompileOptions, compile_module
-from repro.codegen.regions import MemAccess
+from repro.arch.throughput import InstrCategory
+from repro.codegen.ast_nodes import IntConst
+from repro.codegen.compiler import (
+    CompileOptions,
+    MeasuredKernel,
+    compile_module,
+)
+from repro.codegen.regions import MemAccess, Region, RegionKind
 from repro.kernels import get_benchmark
 from repro.ptx.isa import DType, MemSpace
 from repro.sim.timing import (
@@ -138,6 +144,30 @@ class TestTimingModelUnits:
             K20, ModelParams(launch_overhead_s=1e-3)
         ).benchmark_time(atax_mod, launch, env)
         assert slow > base
+
+    @pytest.mark.parametrize("space", [MemSpace.GLOBAL, MemSpace.SHARED])
+    def test_atomics_serialize_in_every_space(self, space):
+        """Same-address atomics cost chip-wide cycles and spread-out ones
+        issue cycles, whichever memory space they update."""
+        def kernel(pattern, atomic):
+            loop = Region(id="p", kind=RegionKind.PLOOP, loop_var="i",
+                          lower=IntConst(0), upper=IntConst(1 << 16))
+            loop.add_instruction(InstrCategory.FP32, 3)
+            loop.mem_accesses.append(MemAccess(
+                space, DType.F32, pattern, 1, True, is_atomic=atomic))
+            root = Region(id="r", kind=RegionKind.ROOT, children=[loop])
+            return MeasuredKernel("k", 16, 0, root, None,
+                                  CompileOptions(gpu=K20))
+
+        tm, launch = TimingModel(K20), LaunchConfig(128, 48)
+        times = {(pattern, atomic): tm.kernel_time(
+                     kernel(pattern, atomic), launch, {})
+                 for pattern in ("uniform", "strided")
+                 for atomic in (False, True)}
+        assert (times["uniform", True].mem_cycles
+                > times["uniform", False].mem_cycles)
+        assert (times["strided", True].issue_cycles
+                > times["strided", False].issue_cycles)
 
     def test_p100_spread_advantage(self):
         """More SMs reward spreading small-M kernels across more blocks."""
