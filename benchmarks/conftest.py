@@ -10,18 +10,22 @@ time through pytest-benchmark.  Run with::
 The rendered artifact is printed with ``-s`` (or captured in the report).
 """
 
+import weakref
 from collections import OrderedDict
 
 import pytest
 
 from repro.autotune import measure
 from repro.experiments.common import clear_sweep_cache
+from repro.sim import counting
 
 
 @pytest.fixture(autouse=True)
 def _fresh_sweep_cache(monkeypatch):
     """Benchmarks must measure real work, not a warm sweep cache or the
-    modules an earlier bench compiled."""
+    modules and count forms an earlier bench built."""
     clear_sweep_cache()
     monkeypatch.setattr(measure, "_views", OrderedDict())
+    monkeypatch.setattr(measure, "_trees", weakref.WeakValueDictionary())
+    monkeypatch.setattr(counting, "_count_cache", {})
     yield

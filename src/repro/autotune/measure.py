@@ -15,8 +15,10 @@ view of each compiled kernel.  The process keeps the views of registered
 benchmarks in one bounded LRU keyed by (kernel, GPU, ``UIF``,
 fast-math), so every measurer in a process -- each tune, sweep, managed
 session and replay -- compiles a module only the first time the process
-needs it.  Code that reads instructions (the static analyzer, lint,
-disassembly, the suite's Eq. 6 profile) compiles full modules itself.
+needs it, and counts each of its region trees only the first time
+(:data:`repro.sim.counting._count_cache`).  Code that reads instructions
+(the static analyzer, lint, disassembly, the suite's Eq. 6 profile)
+compiles full modules itself.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import os
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro import obs
 from repro.arch.specs import GPUSpec
@@ -128,8 +130,9 @@ _views: OrderedDict = OrderedDict()
 _trees: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 """``(kernel, kernel index, UIF, fast-math, 64-bit addressing)`` -> the
 region tree the cached views of that key share.  Lowering reads nothing
-else, so GPUs of one address width compile equal trees; one lives only
-while some cached view holds it."""
+else, so GPUs of one address width compile equal trees, and share their
+count forms.  A tree lives only while a cached view or a count form
+holds it."""
 
 _lock = threading.Lock()
 """Guards :data:`_views` and :data:`_trees`: fleet drainers and
@@ -190,24 +193,12 @@ def _cached_view(benchmark: Benchmark,
     return view
 
 
-_last_rebuilt: list = [None, None]
-"""``[(name, gpu, params), Measurer]``: the one measurer this process
-last rebuilt from a pickle (see :func:`_rebuild`)."""
-
-
 def _rebuild(name: str, gpu: GPUSpec, params: ModelParams) -> Measurer:
-    """Unpickle a registered benchmark's :class:`Measurer`.
+    """Unpickle a registered benchmark's :class:`Measurer`: a fresh one,
+    whose modules and count forms come from the process's caches."""
+    from repro.kernels import get_benchmark
 
-    A worker keeps only the measurer it last rebuilt, so consecutive
-    shards of one ``(kernel, GPU, model)`` -- every round of a search --
-    reuse its kernel views, count memos included.
-    """
-    key = (name, gpu, params)
-    if _last_rebuilt[0] != key:
-        from repro.kernels import get_benchmark
-
-        _last_rebuilt[:] = [key, Measurer(get_benchmark(name), gpu, params)]
-    return _last_rebuilt[1]
+    return Measurer(get_benchmark(name), gpu, params)
 
 
 class Measurer:
@@ -215,13 +206,11 @@ class Measurer:
 
     The one measurement context: the sweep engine, its worker pool and
     the service fleet all carry a measurer rather than its fields, and
-    its module memo serves every batch measured on it.  The memo holds
-    the measurer's own :class:`MeasuredKernel` objects, so the count
-    memos keyed on them live and die with the measurer.  For a
-    registered benchmark they share their region trees with the
-    process's view cache, which compiles each module once per process;
-    any other benchmark (its name does not identify its specs) is
-    compiled once per measurer.
+    its module memo serves every batch measured on it.  For a registered
+    benchmark the memo holds the process's cached views, so each module
+    compiles once per process; any other benchmark (its name does not
+    identify its specs) is compiled once per measurer.  Count forms are
+    the process's either way (:func:`~repro.sim.counting.exact_counts`).
     """
 
     def __init__(
@@ -250,12 +239,12 @@ class Measurer:
         if mod is None:
             options = compile_options(self.gpu, config)
             if travels_by_name(self.benchmark):
-                view = _cached_view(self.benchmark, options)
-                kernels = [replace(k) for k in view]
+                mod = _cached_view(self.benchmark, options)
             else:
-                kernels = [MeasuredKernel.of(ck)
-                           for ck in _compile(self.benchmark, options)]
-            mod = CompiledModule(self.benchmark.name, kernels, options)
+                mod = CompiledModule(self.benchmark.name, [
+                    MeasuredKernel.of(ck)
+                    for ck in _compile(self.benchmark, options)
+                ], options)
             self._modules[key] = mod
         return mod
 

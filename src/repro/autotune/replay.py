@@ -82,19 +82,21 @@ class SessionRecorder:
 
     def run(self, size: int, use_rule: bool = False) -> SessionRecord:
         t0 = time.time()
-        out = self.tuner.tune(size=size, search="static", use_rule=use_rule)
-        strategy_report = None
-        # the StaticSearch instance stashes its analysis report
+        strategy = self.tuner.make_search("static", use_rule=use_rule,
+                                          size=size)
+        out = self.tuner.tune(size=size, search=strategy)
+        # the static search keeps the analysis it pruned the space with
+        rep = strategy.last_report
         space = self.tuner.space
-        record = SessionRecord(
+        return SessionRecord(
             benchmark=self.benchmark.name,
             gpu=self.gpu.name,
             size=size,
             space_names=space.names(),
             space_values={p.name: list(p.values) for p in space.parameters},
-            suggested_threads=[],
-            rule_threads=[],
-            intensity=float("nan"),
+            suggested_threads=list(rep.suggestion.threads),
+            rule_threads=list(rep.rule_threads),
+            intensity=rep.intensity,
             use_rule=use_rule,
             searched_threads=sorted(
                 {m.config["TC"] for m in out.results.measurements}
@@ -107,18 +109,6 @@ class SessionRecorder:
             best_seconds=out.best_seconds,
             wall_seconds=time.time() - t0,
         )
-        # recover the analysis snapshot for the record
-        from repro.core.analyzer import StaticAnalyzer
-
-        rep = StaticAnalyzer(self.gpu).analyze(
-            list(self.benchmark.specs),
-            self.benchmark.param_env(size),
-            name=self.benchmark.name,
-        )
-        record.suggested_threads = list(rep.suggestion.threads)
-        record.rule_threads = list(rep.rule_threads)
-        record.intensity = rep.intensity
-        return record
 
 
 @dataclass(frozen=True)

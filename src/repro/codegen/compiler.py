@@ -109,8 +109,8 @@ class MeasuredKernel:
     numbers, the region tree and the parallel extent.  It has no
     instructions, specs or log, so the analyses that need them --
     disassembly, divergence, the static mix -- fail on a view rather
-    than read the wrong thing.  Identity-hashable (``eq=False``) like
-    the kernel it projects, so count memos key on each view object.
+    than read the wrong thing.  Compared by identity (``eq=False``) like
+    the kernel it projects.
     """
 
     name: str

@@ -3,11 +3,12 @@
 Each task is ``(measurer, shard)``: the caller's
 :class:`~repro.autotune.measure.Measurer` and a shard of
 :class:`~repro.engine.work.WorkItem`.  Inline shards run on that
-measurer itself; a worker process rebuilds it from its pickle and keeps
-the one it last rebuilt, so consecutive shards of one kernel and GPU --
-every round of a search -- compile each module once (shards are grouped
-by compile key upstream).  Workers return ``(item index, measurement)``
-pairs; ordering is restored by the engine, never by arrival time.
+measurer itself; a worker process rebuilds a fresh one from its pickle
+for each task, and its modules and count forms come from the worker's
+process-wide caches, so every shard of one kernel and GPU -- every
+round of a search -- compiles each module and counts each region tree
+once per worker.  Workers return ``(item index, measurement)`` pairs;
+ordering is restored by the engine, never by arrival time.
 
 Unlike a bare ``Pool.imap_unordered``, execution here is *supervised*
 (see :mod:`repro.engine.resilience`): every shard runs in a dedicated
@@ -78,9 +79,10 @@ def evaluate_shard(task, attempt: int = 0) -> list:
     """Measure one ``(measurer, shard)`` task; the entry point both
     workers and the inline path run.
 
-    Inline, ``measurer`` is the caller's own, so its compiled modules
-    serve every shard and batch; a worker receives it rebuilt from its
-    pickle (:meth:`~repro.autotune.measure.Measurer.__reduce__`).
+    Inline, ``measurer`` is the caller's own; a worker receives a fresh
+    one rebuilt from its pickle
+    (:meth:`~repro.autotune.measure.Measurer.__reduce__`).  Either way
+    its modules and count forms come from the process's caches.
     ``attempt`` is the supervisor's 0-based retry count, consulted only
     by the chaos harness.
     """

@@ -13,11 +13,11 @@ The results agree with the warp emulator (asserted in tests).  The region
 tree walk's cost does not depend on problem size; the branch-domain pass
 is O(domain) and runs once per (guard, domain, env) per process, because
 its result is memoized by structure (:data:`_fraction_cache`).  Counts
-are affine in the launched thread count, so two walks per (kernel, env,
-count level) become one :class:`~repro.codegen.regions.CountForm`
-(:data:`_count_cache`), and :func:`exact_counts` reads it at any launch
-without walking or building anything else.  That is what lets the
-timing model stand in for 5,120-variant empirical sweeps.
+are affine in the launched thread count, so two walks per (region tree,
+env, count level) become one :class:`~repro.codegen.regions.CountForm`
+(:data:`_count_cache`), which every kernel over that tree in the process
+reads at any launch without walking or building anything else.  That is
+what lets the timing model stand in for 5,120-variant empirical sweeps.
 
 Data-dependent control flow (CSR row extents, skewed histogram keys,
 compaction guards) is supported *input-aware*: bind the concrete input
@@ -30,8 +30,6 @@ degradation story the paper's static analyzer lives with.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -162,20 +160,21 @@ Input arrays bound in ``env`` are part of the key by content.  Holds at
 most :data:`_MEMO_LIMIT` entries.
 """
 
-_count_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-"""Memo: kernel object -> {(env, warp_level): CountForm}.
+_count_cache: dict = {}
+"""Memo: (id of a region tree, env, warp_level) -> (tree, CountForm).
 
 Counts are affine in the launched thread count T (only the ROOT region
 scales with T; the parallel loop executes a fixed M iterations), so two
-tree walks per kernel, env and count level determine every launch
+tree walks per tree, env and count level determine every launch
 configuration: :func:`_affine` turns them into one
 :class:`~repro.codegen.regions.CountForm`, and each launch reads it at
-its own T.  The branch-domain passes behind the walks come from
-:data:`_fraction_cache`.  Keyed by identity, so a kernel's entry dies
-with the kernel object: a ``Measurer``'s own
-:class:`~repro.codegen.compiler.MeasuredKernel` views die with it, even
-though the region trees they share stay in the process's module cache.
-Holds at most :data:`_MEMO_LIMIT` envs per kernel.
+its own T.  A form depends on nothing but the tree, so every kernel over
+one tree reads it: each measurer in the process, and the GPUs whose
+views share a tree (``autotune.measure._trees``).  ``Region`` is an
+``eq=True`` dataclass and unhashable, so the key holds the tree's id and
+the entry the tree itself, which keeps the id from being reused while
+the entry lives.  The branch-domain passes behind the walks come from
+:data:`_fraction_cache`.  Holds at most :data:`_MEMO_LIMIT` entries.
 """
 
 
@@ -241,25 +240,28 @@ def exact_counts(
     warp_level: bool = False,
 ) -> DynamicCounts:
     """Exact dynamic counts for launching ``ck`` with (tc, bc) on ``env``:
-    the memoized form of (``ck``, ``env``, ``warp_level``) at
-    ``T = tc * bc``, its counts computed when read.
+    the memoized form of (``ck``'s region tree, ``env``, ``warp_level``)
+    at ``T = tc * bc``, its counts computed when read.  A memo miss adds
+    ``counting.forms``.
 
     With ``warp_level=True`` branch arms use warp-issue multiplicities
     (divergence makes warps pay for both arms); category totals then
     represent thread-slots issued, i.e. ``counts / 32`` is the warp-issue
     count.
     """
-    memo = _count_cache.setdefault(ck, {})
-    key = (_env_key(env), warp_level)
-    form = memo.get(key)
-    if form is None:
+    root = ck.root_region
+    key = (id(root), _env_key(env), warp_level)
+    entry = _count_cache.get(key)
+    if entry is None:
+        # two threads that miss together build equal forms; either may stay
         frac = warp_branch_fraction if warp_level else exact_branch_fraction
         at0 = evaluate_region_tree(
-            ck.root_region, env, total_threads=0, branch_fraction=frac
+            root, env, total_threads=0, branch_fraction=frac
         )
         at1 = evaluate_region_tree(
-            ck.root_region, env, total_threads=1, branch_fraction=frac
+            root, env, total_threads=1, branch_fraction=frac
         )
-        form = _affine(at0, at1)
-        _memo_put(memo, key, form)
-    return DynamicCounts(form, tc * bc)
+        entry = (root, _affine(at0, at1))
+        _memo_put(_count_cache, key, entry)
+        obs.add("counting.forms")
+    return DynamicCounts(entry[1], tc * bc)

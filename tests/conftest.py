@@ -72,14 +72,18 @@ def rng():
 
 @pytest.fixture
 def cold_module_cache(monkeypatch):
-    """An empty process-wide module cache for one test, so its measurers
-    compile every module they need even after other tests warmed the
-    cache."""
+    """Empty process-wide module, region-tree and count-form caches for
+    one test, so its measurers compile and count every module they need
+    even after other tests warmed the caches."""
+    import weakref
     from collections import OrderedDict
 
     from repro.autotune import measure
+    from repro.sim import counting
 
     monkeypatch.setattr(measure, "_views", OrderedDict())
+    monkeypatch.setattr(measure, "_trees", weakref.WeakValueDictionary())
+    monkeypatch.setattr(counting, "_count_cache", {})
 
 
 def make_benchmark_run(name: str, n: int | None = None):

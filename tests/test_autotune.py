@@ -644,12 +644,6 @@ class TestBatchedStrategies:
 
 
 class TestMeasurerPickling:
-    @pytest.fixture(autouse=True)
-    def _empty_rebuild_slot(self, monkeypatch):
-        from repro.autotune import measure
-
-        monkeypatch.setattr(measure, "_last_rebuilt", [None, None])
-
     def test_pickle_drops_module_memo_keeps_measurements(self):
         import pickle
 
@@ -661,23 +655,6 @@ class TestMeasurerPickling:
         assert clone is not measurer
         assert clone._modules == {}
         assert clone.measure(cfg, 64) == expected
-
-    def test_rebuild_keeps_only_the_last_measurer(self):
-        from repro.arch import get_gpu
-        from repro.autotune import measure
-        from repro.sim.timing import DEFAULT_PARAMS, ModelParams
-
-        first = measure._rebuild("atax", K20, DEFAULT_PARAMS)
-        assert measure._rebuild("atax", K20, DEFAULT_PARAMS) is first
-        assert first.benchmark is get_benchmark("atax")
-        for other in (("bicg", K20, DEFAULT_PARAMS),
-                      ("atax", get_gpu("fermi"), DEFAULT_PARAMS),
-                      ("atax", K20, ModelParams(chain_fp=11.0))):
-            rebuilt = measure._rebuild(*other)
-            assert rebuilt is not first
-            assert (rebuilt.benchmark.name, rebuilt.gpu,
-                    rebuilt.params) == other
-        assert measure._rebuild("atax", K20, DEFAULT_PARAMS) is not first
 
 
 @pytest.mark.usefixtures("cold_module_cache")
@@ -746,25 +723,53 @@ class TestProcessModuleCache:
         after = Measurer(bm, K20).measure(self.CFG, 64)
         assert repr(after) == repr(before)
 
-    def test_count_memo_dies_with_its_measurer(self):
-        import gc
-        import weakref
-
-        from repro.autotune import measure
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The region trees every tree walk of the count memo visits."""
         from repro.sim import counting
 
-        measurer = Measurer(get_benchmark("atax"), K20)
-        measurer.measure(self.CFG, 64)
-        kernel = measurer.module_for(self.CFG).kernels[0]
-        assert kernel in counting._count_cache
-        cached = [k for view in measure._views.values() for k in view]
-        assert kernel not in cached
-        assert not any(k in counting._count_cache for k in cached)
-        ref = weakref.ref(kernel)
-        del measurer, kernel
-        gc.collect()
-        assert ref() is None
-        assert measure._views
+        roots = []
+        real = counting.evaluate_region_tree
+
+        def counting_walk(root, *args, **kwargs):
+            roots.append(root)
+            return real(root, *args, **kwargs)
+
+        monkeypatch.setattr(counting, "evaluate_region_tree", counting_walk)
+        return roots
+
+    def test_measurers_share_count_forms_per_region_tree(self, walks):
+        """Forms belong to the process, one per region tree: another
+        measurer of the same kernel and a GPU that shares the tree count
+        nothing again; a GPU with its own tree walks it."""
+        from repro.arch import M2050, P100
+
+        bm = get_benchmark("atax")
+        first = Measurer(bm, K20).measure(self.CFG, 64)
+        cold = len(walks)
+        assert cold > 0
+        assert repr(Measurer(bm, K20).measure(self.CFG, 64)) == repr(first)
+        Measurer(bm, P100).measure(self.CFG, 64)
+        assert len(walks) == cold
+        Measurer(bm, M2050).measure(self.CFG, 64)
+        assert len(walks) == 2 * cold
+
+    def test_unpickled_measurers_compile_and_count_nothing(self, compiled,
+                                                           walks):
+        """A worker builds a fresh measurer per task from its pickle;
+        what the process already compiled and counted serves it."""
+        import pickle
+
+        from repro.arch import P100
+
+        bm = get_benchmark("atax")
+        expected = [Measurer(bm, gpu).measure(self.CFG, 64)
+                    for gpu in (K20, P100)]
+        done = len(compiled), len(walks)
+        for gpu, want in zip((K20, P100), expected):
+            clone = pickle.loads(pickle.dumps(Measurer(bm, gpu)))
+            assert repr(clone.measure(self.CFG, 64)) == repr(want)
+        assert (len(compiled), len(walks)) == done
 
     def test_same_address_width_shares_one_region_tree(self):
         from repro.arch import M40, M2050, P100

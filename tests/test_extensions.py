@@ -66,6 +66,24 @@ class TestReplay:
         assert set(rec.searched_threads) == set(rec.suggested_threads)
         assert rec.intensity == pytest.approx(3.5, abs=0.3)
 
+    def test_record_analyzes_once(self, monkeypatch):
+        """The record's analysis snapshot is the one the static search
+        pruned with: one analyzer compile per session."""
+        from repro.core import analyzer
+
+        compiles = []
+        real = analyzer.compile_module
+
+        def counting(*args, **kwargs):
+            compiles.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analyzer, "compile_module", counting)
+        rec = SessionRecorder(get_benchmark("atax"), K20,
+                              space=_tiny_space()).run(size=64, use_rule=True)
+        assert compiles == ["atax"]
+        assert set(rec.searched_threads) == set(rec.rule_threads)
+
     def test_replay_validates_pruning(self):
         bm = get_benchmark("atax")
         space = _tiny_space()

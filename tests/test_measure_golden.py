@@ -15,7 +15,9 @@ a subprocess under ``PYTHONHASHSEED=0``, because that order is a set's
 iteration order over :class:`~repro.arch.throughput.InstrCategory`
 members, which hash by name: the seconds of ex14fj, gemm, gemver,
 jacobi2d, matvec2d and matvec_smem follow the string-hash seed.  A second
-subprocess checks that no digest depends on the interpreter's ``sum()``.
+subprocess checks that no digest depends on the interpreter's ``sum()``,
+nor do two hand-built modules whose sums a compensated ``sum()`` would
+round differently.
 The fixture is regenerated (only for an intended output change) with::
 
     PYTHONPATH=src python tests/test_measure_golden.py --write
@@ -30,8 +32,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.arch import ALL_GPUS, M40
-from repro.autotune.measure import Measurer
+from repro.arch import ALL_GPUS, K20, M40
+from repro.autotune.measure import Measurer, compile_config_key
+from repro.codegen.ast_nodes import IntConst
+from repro.codegen.compiler import CompileOptions, CompiledModule, MeasuredKernel
+from repro.codegen.regions import Region, RegionKind
 from repro.kernels import get_benchmark, list_benchmarks
 from repro.sim.timing import LaunchConfig, TimingModel
 
@@ -41,6 +46,15 @@ GEMVER_M40 = "0x1.b2fc17bd4bdaep-16"
 """gemver's deterministic seconds on M40 (see :func:`gemver_m40_seconds`)
 as left-to-right float sums give them.  Python 3.12's compensated
 ``sum()`` over the same four kernel times ends in ``...daf``."""
+
+
+HANDBUILT = {
+    "reg_ops": ["0x1.9ac338cca0dc1p-17", "0x1.0000000000000p+53"],
+    "sfu": ["0x1.7f55ee369c32fp+20", "0x1.0000000000001p+54"],
+}
+""":func:`handbuilt_measurements` as left-to-right float sums give them.
+A compensated ``sum()`` makes ``reg_ops``'s register instructions
+``0x1.0000000000001p+53`` and ``sfu``'s seconds ``0x1.7f55ee369c32dp+20``."""
 
 
 def golden_configs(bm) -> list[dict]:
@@ -87,6 +101,66 @@ def gemver_m40_seconds() -> str:
     env = bm.param_env(bm.smallest_size)
     return TimingModel(M40).benchmark_time(
         module, LaunchConfig(32, 48, 16), env).hex()
+
+
+def _handbuilt_module(name: str, kernels: list) -> CompiledModule:
+    """A K20 module of hand-built kernels, one per list of
+    ``(iterations, [(category, register operands), ...])`` parallel
+    loops under an empty ROOT: every count is exact and independent of
+    the launch."""
+    options = CompileOptions(gpu=K20)
+    views = []
+    for k, loops in enumerate(kernels):
+        root = Region(id="r", kind=RegionKind.ROOT)
+        for iterations, instructions in loops:
+            loop = Region(id="p", kind=RegionKind.PLOOP, loop_var="i",
+                          lower=IntConst(0), upper=IntConst(iterations))
+            for category, reg_ops in instructions:
+                loop.add_instruction(category, reg_ops)
+            root.children.append(loop)
+        views.append(MeasuredKernel(f"{name}_k{k}", 16, 0, root, None,
+                                    options))
+    return CompiledModule(name, views, options)
+
+
+def handbuilt_measurements() -> dict:
+    """``float.hex`` of the seconds and register instructions two
+    hand-built modules measure at ``TC`` 64, ``BC`` 48, on ``Measurer``'s
+    own path.  Each holds a sum whose left-to-right fold rounds away
+    exact ties that a compensated ``sum()`` keeps:
+
+    - ``reg_ops``: three kernels with 2**53, 1 and 1 register operands,
+      whose total is ``Measurer.measure``'s ``reg_instructions``;
+    - ``sfu``: one kernel issuing 2**53 special-function instructions,
+      one FP32 add and one 32-bit conversion.  Summed in the seed-0
+      order (FP32, SFU, conversion) its warp counts make
+      ``kernel_time``'s total 2**53, not 2**53 + 2.  The SFU share of
+      that total sets the warps the kernel needs, and 8 resident warps
+      are too few to hide it (``hiding`` below 1), so the total reaches
+      the issue time and the seconds.
+    """
+    import dataclasses
+
+    from repro.arch.throughput import InstrCategory as C
+
+    config = {"TC": 64, "BC": 48, "UIF": 1, "PL": 16, "CFLAGS": ""}
+    modules = {
+        "reg_ops": _handbuilt_module("reg_ops", [
+            [(1, [(C.MOVE, ops)])] for ops in (2**53, 1, 1)
+        ]),
+        "sfu": _handbuilt_module("sfu", [[
+            (2**53, [(C.LOG_SIN_COS, 2)]),
+            (1, [(C.FP32, 3), (C.CONV32, 2)]),
+        ]]),
+    }
+    out = {}
+    for name, module in modules.items():
+        bm = dataclasses.replace(get_benchmark("atax"), name=name)
+        measurer = Measurer(bm, K20)
+        measurer._modules[compile_config_key(config)] = module
+        m = measurer.measure(config, 64)
+        out[name] = [m.seconds.hex(), m.reg_instructions.hex()]
+    return out
 
 
 def compensated_sum(iterable, start=0):
@@ -156,15 +230,18 @@ def test_measurements_pinned():
 
 def test_measurements_do_not_depend_on_the_interpreters_sum():
     """Every measured float is a left-to-right fold, so a compensated
-    ``sum()`` (Python 3.12 and later) changes no digest and not gemver's
-    four-kernel time."""
+    ``sum()`` (Python 3.12 and later) changes no digest, not gemver's
+    four-kernel time and not the hand-built modules' sums."""
     golden = json.loads(FIXTURE.read_text())
     doc = run_at_seed0(
         "golden.patch_sum()\n"
-        "print(json.dumps([golden.gemver_m40_seconds(), golden.generate()]))"
+        "print(json.dumps([golden.gemver_m40_seconds(),\n"
+        "                  golden.handbuilt_measurements(),\n"
+        "                  golden.generate()]))"
     )
-    seconds, digests = doc
+    seconds, handbuilt, digests = doc
     assert seconds == GEMVER_M40
+    assert handbuilt == HANDBUILT
     assert digests == golden
 
 

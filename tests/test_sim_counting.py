@@ -5,15 +5,14 @@ affine-in-threads cache, the structural branch-fraction memo, the
 data-absent fallback counters, and warp-level count semantics.
 """
 
-import gc
 import itertools
-import weakref
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.arch import ALL_GPUS, K20, M2050
+from repro.autotune import Measurer
 from repro.codegen.ast_nodes import IntConst, VarRef
 from repro.codegen.compiler import CompileOptions, compile_module
 from repro.kernels import BENCHMARKS, get_benchmark
@@ -154,16 +153,70 @@ class TestAffineCache:
         b = exact_counts(mod.kernels[0], env, 32, 2)
         assert a.by_category == b.by_category
 
-    def test_memo_entry_dies_with_its_kernel(self, fresh_memos):
+    def test_memo_stays_bounded_and_refills_bit_for_bit(self, fresh_memos,
+                                                        monkeypatch):
+        """A full memo is cleared and refilled: it never holds more than
+        its limit, and a point counted again after a clear measures the
+        same bits."""
+        monkeypatch.setattr(counting, "_MEMO_LIMIT", 4)
         bm = get_benchmark("atax")
-        mod = compile_module("atax", list(bm.specs), CompileOptions(gpu=K20))
-        for warp_level in (False, True):
-            exact_counts(mod.kernels[0], bm.param_env(32), 64, 2,
-                         warp_level=warp_level)
-        assert len(counting._count_cache) == 1
-        del mod
-        gc.collect()
-        assert len(counting._count_cache) == 0
+        cfg = {"TC": 64, "BC": 48, "UIF": 1, "PL": 16, "CFLAGS": ""}
+        measurer = Measurer(bm, K20)
+        first = _measured_bits(measurer.measure(cfg, 64))
+        for size in (32, 64, 128, 256, 512):
+            measurer.measure(cfg, size)
+            assert len(counting._count_cache) <= 4
+        counting._count_cache.clear()
+        assert _measured_bits(measurer.measure(cfg, 64)) == first
+
+    def test_threads_missing_together_measure_serial_bits(self,
+                                                          fresh_memos):
+        """Eight threads, each on its own measurer over the same points
+        and switching as often as the interpreter allows, miss the memo
+        together and still measure exactly what a serial run does."""
+        import sys
+        import threading
+
+        points = [({"TC": tc, "BC": 48, "UIF": 1, "PL": 16, "CFLAGS": ""},
+                   n) for tc in (32, 256) for n in (32, 64, 128)]
+        bm = get_benchmark("ex14fj")
+
+        def run():
+            measurer = Measurer(bm, M2050)
+            return [_measured_bits(measurer.measure(c, n))
+                    for c, n in points]
+
+        serial = run()
+        _clear_memos()
+        start = threading.Barrier(8)
+        results, errors = [], []
+
+        def worker():
+            try:
+                start.wait()
+                results.append(run())
+            except Exception as e:  # reported below
+                errors.append(e)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert results == [serial] * 8
+
+
+def _measured_bits(m) -> tuple:
+    """A measurement's floats as ``float.hex``, with its other fields."""
+    return (m.seconds.hex(), m.occupancy.hex(), m.regs_per_thread,
+            m.reg_instructions.hex())
 
 
 def _two_walk_counts(ck, env, threads: int, warp_level: bool) -> dict:
@@ -230,7 +283,7 @@ class TestAffineForm:
 def fresh_memos(monkeypatch):
     """Empty count and branch-fraction memos for one test."""
     monkeypatch.setattr(counting, "_fraction_cache", {})
-    monkeypatch.setattr(counting, "_count_cache", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(counting, "_count_cache", {})
 
 
 def _clear_memos():
