@@ -23,9 +23,14 @@ from repro.sim import counting
 @pytest.fixture(autouse=True)
 def _fresh_sweep_cache(monkeypatch):
     """Benchmarks must measure real work, not a warm sweep cache or the
-    modules and count forms an earlier bench built."""
-    clear_sweep_cache()
-    monkeypatch.setattr(measure, "_views", OrderedDict())
-    monkeypatch.setattr(measure, "_trees", weakref.WeakValueDictionary())
-    monkeypatch.setattr(counting, "_count_cache", {})
-    yield
+    modules and count forms an earlier bench built.  Returns the function
+    that empties them, for a bench that times several cold passes."""
+
+    def empty():
+        clear_sweep_cache()
+        monkeypatch.setattr(measure, "_views", OrderedDict())
+        monkeypatch.setattr(measure, "_trees", weakref.WeakValueDictionary())
+        monkeypatch.setattr(counting, "_count_cache", {})
+
+    empty()
+    return empty

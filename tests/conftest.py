@@ -74,16 +74,21 @@ def rng():
 def cold_module_cache(monkeypatch):
     """Empty process-wide module, region-tree and count-form caches for
     one test, so its measurers compile and count every module they need
-    even after other tests warmed the caches."""
+    even after other tests warmed the caches.  Returns the function that
+    empties them, for a test that times several cold passes."""
     import weakref
     from collections import OrderedDict
 
     from repro.autotune import measure
     from repro.sim import counting
 
-    monkeypatch.setattr(measure, "_views", OrderedDict())
-    monkeypatch.setattr(measure, "_trees", weakref.WeakValueDictionary())
-    monkeypatch.setattr(counting, "_count_cache", {})
+    def empty():
+        monkeypatch.setattr(measure, "_views", OrderedDict())
+        monkeypatch.setattr(measure, "_trees", weakref.WeakValueDictionary())
+        monkeypatch.setattr(counting, "_count_cache", {})
+
+    empty()
+    return empty
 
 
 def make_benchmark_run(name: str, n: int | None = None):

@@ -290,18 +290,28 @@ class TestSweepEngine:
 
     def test_cached_rerun_at_least_5x_faster(self, tmp_path,
                                              cold_module_cache):
-        """The acceptance bar: a warm sweep is >= 5x the cold one."""
+        """The acceptance bar: a warm sweep is >= 5x the cold one.
+
+        Best of three alternating rounds on each side, each cold round
+        into a new cache with empty module caches, so a burst of load on
+        a shared host slows both sides rather than one."""
         space = common.reduced_space()
         sizes = ATAX.sizes[::2]
-        engine = SweepEngine(jobs=1, cache=CacheStore(tmp_path))
-        t0 = time.perf_counter()
-        cold = engine.sweep(ATAX, K20, space, sizes)
-        cold_t = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        warm = engine.sweep(ATAX, K20, space, sizes)
-        warm_t = time.perf_counter() - t0
-        assert warm == cold
-        assert engine.last_stats.hit_rate == 1.0
+        cold_ts, warm_ts = [], []
+        for round_ in range(3):
+            cold_module_cache()
+            engine = SweepEngine(
+                jobs=1, cache=CacheStore(tmp_path / str(round_))
+            )
+            t0 = time.perf_counter()
+            cold = engine.sweep(ATAX, K20, space, sizes)
+            cold_ts.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            warm = engine.sweep(ATAX, K20, space, sizes)
+            warm_ts.append(time.perf_counter() - t0)
+            assert warm == cold
+            assert engine.last_stats.hit_rate == 1.0
+        cold_t, warm_t = min(cold_ts), min(warm_ts)
         assert cold_t >= 5.0 * warm_t, (
             f"cached sweep only {cold_t / warm_t:.1f}x faster "
             f"(cold {cold_t:.3f}s, warm {warm_t:.3f}s)"
