@@ -4,8 +4,9 @@ Mirrors the workflow the paper integrates with (Sec. II-C, III-C, IV-A):
 
 - :mod:`repro.autotune.spec` parses ``PerfTuning`` annotations in the
   Fig. 3 syntax into a :class:`~repro.autotune.space.ParameterSpace`;
-- :mod:`repro.autotune.space` enumerates the Table III feature space
-  (``TC x BC x UIF x PL x CFLAGS`` = 5,120 variants by default);
+- :mod:`repro.autotune.space` enumerates a parameter space, such as the
+  Table III feature space (``TC x BC x UIF x PL x CFLAGS`` = 5,120
+  variants, :func:`~repro.autotune.spec.default_tuning_spec`);
 - :mod:`repro.autotune.measure` generates, compiles and "runs" each code
   variant on the simulated GPU with the paper's measurement protocol
   (ten repetitions, fifth trial);

@@ -125,17 +125,3 @@ class ParameterSpace:
                     f"{p.name!r}"
                 )
 
-
-def default_space() -> ParameterSpace:
-    """The paper's 5,120-variant space (Table III / Fig. 3).
-
-    TC in 32..1024 step 32 (32 values), BC in 24..192 step 24 (8), UIF in
-    1..5 (5), PL in {16, 48} (2), CFLAGS in {'', '-use_fast_math'} (2).
-    """
-    return ParameterSpace([
-        Parameter("TC", tuple(range(32, 1025, 32))),
-        Parameter("BC", tuple(range(24, 193, 24))),
-        Parameter("UIF", tuple(range(1, 6))),
-        Parameter("PL", (16, 48)),
-        Parameter("CFLAGS", ("", "-use_fast_math")),
-    ])

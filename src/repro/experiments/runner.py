@@ -397,8 +397,9 @@ def _print_engine_summary() -> None:
     engine ran -- it used to be gated on ``--progress``, which hid the
     lifetime cache stats from every default invocation.  Also mirrors
     the lifetime counters into the metrics registry so the snapshot is
-    self-contained."""
-    engine = common.shared_engine()
+    self-contained.  Reads the engine without building one, which would
+    open the cache file."""
+    engine = common._SHARED_ENGINE[0]
     if engine is None:
         return
     total = engine.total_measured + engine.total_hits

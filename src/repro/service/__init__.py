@@ -5,10 +5,10 @@ measurement store.
 Layers (each importable and testable on its own):
 
 - :mod:`repro.service.store` -- the server-owned measurement database
-  (:class:`~repro.engine.cache.CacheStore` promoted with schema
-  versioning, LRU usage tracking and eviction);
-- :mod:`repro.service.fleet` -- N drainers consuming a measurement
-  queue, each wrapping a supervised
+  (:class:`~repro.engine.cache.CacheStore` promoted with LRU usage
+  tracking and eviction);
+- :mod:`repro.service.fleet` -- a thread pool of N drainers, each
+  thread with its own supervised
   :class:`~repro.engine.engine.SweepEngine` over the shared store;
 - :mod:`repro.service.sessions` -- the session manager: one ask/tell
   strategy instance per session, driven to completion (managed mode) or
@@ -21,10 +21,9 @@ Layers (each importable and testable on its own):
 """
 
 from repro.service.server import Server, ThreadedServer, serve
-from repro.service.store import STORE_SCHEMA_VERSION, MeasurementStore
+from repro.service.store import MeasurementStore
 
 __all__ = [
-    "STORE_SCHEMA_VERSION",
     "MeasurementStore",
     "Server",
     "ThreadedServer",

@@ -1,18 +1,21 @@
-"""The worker fleet: N drainers consuming a shared measurement queue.
+"""The worker fleet: a thread pool of engines over the shared store.
 
 Every managed session turns each ask/tell round into one *measurement
 job* -- a ``(measurer, [(config, size), ...])`` batch on the session's
 own :class:`~repro.autotune.measure.Measurer`, so its compiled modules
-serve every round.  Jobs from all sessions land on one
-:class:`asyncio.Queue`; each of the fleet's N drainers owns a supervised
+serve every round.  Jobs from all sessions go to one
+:class:`~concurrent.futures.ThreadPoolExecutor` of ``drainers`` threads;
+each thread builds its own supervised
 :class:`~repro.engine.engine.SweepEngine` over the *shared*
-:class:`~repro.service.store.MeasurementStore` and drains jobs off the
-queue on a worker thread (``asyncio.to_thread``), so the event loop
-never blocks on a sweep.
+:class:`~repro.service.store.MeasurementStore` on its first job.  The
+event loop never blocks on a sweep, and measurement never waits behind
+the strategy calls on the loop's default executor.  A queued job whose
+session is cancelled never runs; :meth:`WorkerFleet.stop` waits for the
+running ones, so the store outlives its last write.
 
 Determinism: a session submits exactly one job per round and awaits it,
 so its results always come back in request order regardless of which
-drainer ran them or how the queue interleaved sessions -- and the
+thread ran them or how the pool interleaved sessions -- and the
 engine's own canonical-order reassembly plus the deterministic timing
 model make the measurements byte-identical to a serial in-process run
 (the acceptance test asserts exactly this across >=4 concurrent
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
 
 from repro import obs
 
@@ -35,16 +38,9 @@ class FleetError(RuntimeError):
     fault that supervision could not recover)."""
 
 
-@dataclass
-class _Job:
-    measurer: object
-    pairs: list
-    parent_span_id: str
-    future: asyncio.Future = field(repr=False, default=None)
-
-
 class WorkerFleet:
-    """N queue drainers over one shared measurement store.
+    """A pool of ``drainers`` threads, one engine each, over one shared
+    measurement store.
 
     Parameters
     ----------
@@ -53,10 +49,10 @@ class WorkerFleet:
         any :class:`~repro.engine.cache.CacheStore`); may be ``None``
         for a storeless fleet (everything is measured fresh).
     drainers:
-        Concurrent jobs in flight (one engine each).
+        Concurrent jobs in flight (one thread and engine each).
     drainer_jobs:
         Worker *processes* per engine; the default 1 runs each job
-        inline on the drainer thread under full supervision.
+        inline on its pool thread under full supervision.
     """
 
     def __init__(self, store=None, drainers: int = 2,
@@ -66,103 +62,83 @@ class WorkerFleet:
         self.store = store
         self.drainers = int(drainers)
         self.drainer_jobs = drainer_jobs
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._tasks: list[asyncio.Task] = []
+        self._pool = ThreadPoolExecutor(
+            self.drainers, thread_name_prefix="fleet-drainer"
+        )
+        self._local = threading.local()
         self._engines: list = []
-        self._stats_lock = threading.Lock()
-        self.total_measured = 0
+        self._waiting: set = set()
+        """Jobs submitted and not yet started (event-loop thread only)."""
+
+    @property
+    def total_measured(self) -> int:
         """Fresh measurements over the fleet's lifetime."""
-        self.total_hits = 0
+        return sum(engine.total_measured for engine in self._engines)
+
+    @property
+    def total_hits(self) -> int:
         """Store hits over the fleet's lifetime."""
-
-    @property
-    def started(self) -> bool:
-        return bool(self._tasks)
-
-    @property
-    def queue_depth(self) -> int:
-        return self._queue.qsize()
-
-    async def start(self) -> None:
-        if self._tasks:
-            return
-        from repro.engine import SweepEngine
-
-        for i in range(self.drainers):
-            # the shared store is a CacheStore *instance*, so no engine
-            # ever closes it (engines only own caches they opened)
-            engine = SweepEngine(jobs=self.drainer_jobs, cache=self.store)
-            self._engines.append(engine)
-            self._tasks.append(
-                asyncio.create_task(
-                    self._drain(engine), name=f"fleet-drainer-{i}"
-                )
-            )
+        return sum(engine.total_hits for engine in self._engines)
 
     async def stop(self) -> None:
-        for task in self._tasks:
-            task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks = []
+        """Cancel the queued jobs, wait for the running ones, then
+        release the engines' worker pools."""
+        await asyncio.to_thread(
+            self._pool.shutdown, wait=True, cancel_futures=True
+        )
         for engine in self._engines:
             engine.close()
-        self._engines = []
-        # fail anything still queued rather than stranding its waiter
-        while not self._queue.empty():
-            job = self._queue.get_nowait()
-            if job.future is not None and not job.future.done():
-                job.future.set_exception(
-                    FleetError("fleet stopped before the job ran")
-                )
 
     async def measure(self, measurer, pairs,
                       parent_span_id: str = "") -> list:
-        """Enqueue one measurement batch on the session's
+        """Run one measurement batch on the session's
         :class:`~repro.autotune.measure.Measurer`; await its results
         (input order).  Raises :class:`FleetError` if any point was
         quarantined -- a session must never silently receive a partial
-        batch."""
-        if not self._tasks:
-            raise RuntimeError("fleet is not started")
-        job = _Job(
-            measurer=measurer, pairs=list(pairs),
-            parent_span_id=parent_span_id,
-            future=asyncio.get_running_loop().create_future(),
-        )
-        await self._queue.put(job)
-        obs.set_gauge("service.queue_depth", self._queue.qsize())
-        return await job.future
+        batch.  Cancelling the caller before the job starts withdraws
+        it."""
+        loop = asyncio.get_running_loop()
+        job = object()
+        self._waiting.add(job)
+        obs.set_gauge("service.queue_depth", len(self._waiting))
+        try:
+            return await loop.run_in_executor(
+                self._pool, self._run_job, loop, job, measurer, pairs,
+                parent_span_id,
+            )
+        finally:
+            self._dequeue(job)
 
     # -- internals -----------------------------------------------------------
 
-    async def _drain(self, engine) -> None:
-        while True:
-            job = await self._queue.get()
-            try:
-                result = await asyncio.to_thread(self._run_job, engine, job)
-            except asyncio.CancelledError:
-                if not job.future.done():
-                    job.future.set_exception(
-                        FleetError("fleet stopped while the job ran")
-                    )
-                raise
-            except BaseException as e:
-                if not job.future.done():
-                    job.future.set_exception(e)
-            else:
-                if not job.future.done():
-                    job.future.set_result(result)
-            finally:
-                self._queue.task_done()
+    def _dequeue(self, job) -> None:
+        """Take ``job`` off the queue-depth gauge (event-loop thread)."""
+        self._waiting.discard(job)
+        obs.set_gauge("service.queue_depth", len(self._waiting))
 
-    def _run_job(self, engine, job: _Job) -> list:
-        """Run one batch through this drainer's engine (worker thread).
+    def _run_job(self, loop, job, measurer, pairs,
+                 parent_span_id: str) -> list:
+        """Run one batch through this thread's engine (pool thread),
+        built on the thread's first job.
 
         The ambient span stack is thread-local, so the session's round
         span is attached explicitly to parent the engine's batch span.
         """
-        with obs.attach(job.parent_span_id):
-            measurements = engine.run(job.measurer, job.pairs)
+        loop.call_soon_threadsafe(self._dequeue, job)
+        engine = getattr(self._local, "engine", None)
+        if engine is None:
+            from repro.engine import SweepEngine
+
+            # the shared store is a CacheStore *instance*, so no engine
+            # ever closes it (engines only own caches they opened)
+            engine = SweepEngine(jobs=self.drainer_jobs, cache=self.store)
+            self._local.engine = engine
+            self._engines.append(engine)
+        with obs.attach(parent_span_id):
+            measurements = engine.run(measurer, pairs)
+        stats = engine.last_stats
+        obs.add("service.fleet_measured", stats.measured)
+        obs.add("service.fleet_store_hits", stats.hits)
         if engine.last_failures:
             quarantined = sorted(
                 i for f in engine.last_failures for i in f.indices
@@ -172,11 +148,4 @@ class WorkerFleet:
                 f"exhaustion (batch indices {quarantined[:5]}); "
                 "the session cannot receive a partial batch"
             )
-        stats = engine.last_stats
-        if stats is not None:
-            with self._stats_lock:
-                self.total_measured += stats.measured
-                self.total_hits += stats.hits
-            obs.add("service.fleet_measured", stats.measured)
-            obs.add("service.fleet_store_hits", stats.hits)
         return measurements

@@ -97,7 +97,6 @@ class Server:
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> None:
-        await self.fleet.start()
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port
         )

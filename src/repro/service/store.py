@@ -9,19 +9,20 @@ server-owned WAL database shared by every tuning session:
   :func:`repro.util.hashing.stable_hash`, so any session measuring the
   same ``(kernel, GPU, config, size, model)`` point hits the same row
   regardless of which tenant or strategy produced it;
-- **schema versioning**: a ``meta`` table records the store schema; an
-  incompatible store found on disk is emptied and rebuilt rather than
-  misread (measurements are a cache -- rebuilding costs time, never
-  correctness).  A file in another row format
-  (:data:`~repro.engine.cache.ROW_FORMAT`) loses its ``usage`` table
-  along with the rows, whichever store class opens it first;
+- **one format stamp**: the base class's ``PRAGMA user_version``
+  (:data:`~repro.engine.cache.ROW_FORMAT`) is the store's schema
+  version.  A file in another row format is rebuilt empty, its
+  ``usage`` table with the rows, whichever store class opens it first;
+  a plain :class:`~repro.engine.cache.CacheStore` file in this format
+  is served as it stands (measurements are a cache -- rebuilding costs
+  time, never correctness);
 - **LRU usage tracking**: every get/put stamps the touched keys with a
   monotonic tick in a ``usage`` table (a put commits its rows and their
   stamps as one transaction), and :meth:`evict` deletes the
   least-recently-used overflow beyond ``max_entries``, so a long-running
   server's database stays bounded;
 - **thread safety** comes from the base class's per-thread connections
-  (every drainer thread gets its own WAL connection with its own
+  (every fleet thread gets its own WAL connection with its own
   ``busy_timeout``); the tick counter is the only shared state and is
   lock-guarded here.
 """
@@ -32,18 +33,13 @@ import sqlite3
 import threading
 from pathlib import Path
 
-from repro.engine.cache import CacheStore
+from repro.engine.cache import ROW_FORMAT, CacheStore
 
-__all__ = ["STORE_SCHEMA_VERSION", "MeasurementStore"]
-
-STORE_SCHEMA_VERSION = 1
-"""Bump when the service-side tables (meta/usage) change shape."""
-
-_META_SCHEMA_KEY = "store_schema"
+__all__ = ["MeasurementStore"]
 
 
 class MeasurementStore(CacheStore):
-    """A :class:`CacheStore` with schema versioning and LRU eviction.
+    """A :class:`CacheStore` with LRU usage tracking and eviction.
 
     ``max_entries`` bounds the measurement table; ``None`` means
     unbounded (eviction passes become no-ops).
@@ -57,7 +53,6 @@ class MeasurementStore(CacheStore):
         self._tick_lock = threading.Lock()
         self._tick = 0
         super().__init__(path)
-        self._adopt_or_rebuild()
         row = self._conn.execute("SELECT MAX(tick) FROM usage").fetchone()
         self._tick = int(row[0] or 0)
 
@@ -65,11 +60,6 @@ class MeasurementStore(CacheStore):
 
     def _schema(self, conn: sqlite3.Connection) -> None:
         super()._schema(conn)
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS meta ("
-            " key TEXT PRIMARY KEY,"
-            " value TEXT NOT NULL)"
-        )
         conn.execute(
             "CREATE TABLE IF NOT EXISTS usage ("
             " key TEXT PRIMARY KEY,"
@@ -79,28 +69,11 @@ class MeasurementStore(CacheStore):
             "CREATE INDEX IF NOT EXISTS usage_by_tick ON usage (tick)"
         )
 
-    def _adopt_or_rebuild(self) -> None:
-        """Accept a store written by this schema; empty anything else."""
-        conn = self._conn
-        row = conn.execute(
-            "SELECT value FROM meta WHERE key = ?", (_META_SCHEMA_KEY,)
-        ).fetchone()
-        found = int(row[0]) if row and str(row[0]).isdigit() else None
-        if found != STORE_SCHEMA_VERSION:
-            if found is not None or len(self):
-                # a populated store from another schema: rebuild empty
-                conn.execute("DELETE FROM measurements")
-                conn.execute("DELETE FROM quarantine")
-                conn.execute("DELETE FROM usage")
-            conn.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-                (_META_SCHEMA_KEY, str(STORE_SCHEMA_VERSION)),
-            )
-            conn.commit()
-
     @property
     def schema_version(self) -> int:
-        return STORE_SCHEMA_VERSION
+        """The file's row format; bumping :data:`ROW_FORMAT` is the one
+        way to retire a layout."""
+        return ROW_FORMAT
 
     # -- LRU bookkeeping -----------------------------------------------------
 

@@ -443,6 +443,10 @@ class TestRunnerCLI:
         assert out.index("##### table1") < out.index("##### table2")
         assert out.index("##### table2") < out.index("##### fig3")
 
+    def test_static_experiment_opens_no_cache(self, tmp_path, capsys):
+        assert runner_main(["table1", "--cache-dir", str(tmp_path)]) == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_jobs_rejected(self, capsys):
         with pytest.raises(SystemExit):
             runner_main(["--jobs", "-1", "table1"])

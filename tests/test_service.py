@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -393,3 +395,193 @@ def test_handler_errors_are_counted(tmp_path, traced):
     assert traced.metrics.value("service.errors", where="handler") == 1
     errors = [i for i in traced.tracer.instants if i.name == "service.error"]
     assert [i.args["where"] for i in errors] == ["handler"]
+
+
+# ---------------------------------------------------------------------------
+# the fleet: a thread pool of engines
+
+
+def wait_until(predicate, timeout: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+@pytest.fixture()
+def gated(tmp_path, monkeypatch):
+    """A one-drainer server whose measurements wait at a gate: every
+    ``Measurer.measure_many`` call records its kernel in
+    ``gate.kernels``, then holds until ``gate.opened`` is set."""
+    from repro.autotune.measure import Measurer
+
+    real = Measurer.measure_many
+    gate = SimpleNamespace(kernels=[], opened=threading.Event())
+
+    def measure_many(self, items):
+        gate.kernels.append(self.benchmark.name)
+        gate.opened.wait(timeout=60)
+        return real(self, items)
+
+    monkeypatch.setattr(Measurer, "measure_many", measure_many)
+    ts = ThreadedServer(cache_dir=tmp_path, drainers=1).start()
+    try:
+        yield ts, gate
+    finally:
+        gate.opened.set()
+        ts.stop()
+
+
+def test_stop_waits_for_the_running_batch(gated, monkeypatch):
+    """Stopping the server lets a running batch finish: its checkpoint
+    lands in the store before the store closes."""
+    from repro.engine.cache import CacheStore
+
+    ts, gate = gated
+    events: list = []
+    real_put, real_close = CacheStore.put_many, CacheStore.close
+
+    def put_many(self, items):
+        try:
+            real_put(self, items)
+        except Exception as e:
+            events.append(type(e).__name__)
+            raise
+        events.append("put")
+
+    def close(self):
+        events.append("close")
+        real_close(self)
+
+    monkeypatch.setattr(CacheStore, "put_many", put_many)
+    monkeypatch.setattr(CacheStore, "close", close)
+    connect(ts.url).submit(REQUESTS[0])
+    wait_until(lambda: gate.kernels)
+    stopper = threading.Thread(target=ts.stop)
+    stopper.start()
+    time.sleep(0.5)
+    gate.opened.set()
+    stopper.join(timeout=60)
+    assert not stopper.is_alive()
+    wait_until(lambda: len(events) >= 2, timeout=10)
+    assert events == ["put", "close"]
+
+
+def test_cancelled_session_queued_batch_is_never_measured(gated):
+    ts, gate = gated
+    fleet = ts.server.fleet
+    submitted = []
+    real = fleet.measure
+
+    async def measure(measurer, pairs, parent_span_id=""):
+        submitted.append(measurer.benchmark.name)
+        return await real(measurer, pairs, parent_span_id)
+
+    fleet.measure = measure
+    client = connect(ts.url)
+    first = client.submit(REQUESTS[0])  # atax: holds the one drainer
+    wait_until(lambda: gate.kernels == ["atax"])
+    queued = client.submit(REQUESTS[1])  # bicg: waits behind it
+    wait_until(lambda: submitted == ["atax", "bicg"])
+    client.cancel(queued.session_id)
+    wait_until(
+        lambda: client.status(queued.session_id).state == "cancelled"
+    )
+    gate.opened.set()
+    # one drainer runs jobs in order: once a later session is done, the
+    # cancelled one's batch would have run
+    last = client.submit(REQUESTS[2])
+    for status in (first, last):
+        client.wait(status.session_id, timeout=120)
+    assert "bicg" not in gate.kernels
+    assert gate.kernels[0] == "atax" and "matvec2d" in gate.kernels
+
+
+def test_queue_depth_counts_jobs_not_yet_started(traced, gated):
+    ts, gate = gated
+
+    def depth():
+        return traced.metrics.value("service.queue_depth")
+
+    client = connect(ts.url)
+    running = client.submit(REQUESTS[0])
+    wait_until(lambda: gate.kernels and depth() == 0)
+    cancelled = client.submit(REQUESTS[1])
+    queued = client.submit(REQUESTS[2])
+    wait_until(lambda: depth() == 2)
+    client.cancel(cancelled.session_id)
+    wait_until(lambda: depth() == 1)
+    gate.opened.set()
+    for status in (running, queued):
+        client.wait(status.session_id, timeout=120)
+    assert depth() == 0
+
+
+def test_measurement_runs_on_the_fleet_threads(monkeypatch):
+    """Batches run on the fleet's own threads, never on the event
+    loop's default executor, where strategy ``reset``/``ask`` run."""
+    from repro.autotune.measure import Measurer
+
+    real = Measurer.measure_many
+    threads = set()
+
+    def measure_many(self, items):
+        threads.add(threading.current_thread().name)
+        return real(self, items)
+
+    monkeypatch.setattr(Measurer, "measure_many", measure_many)
+    with ThreadedServer(drainers=2) as ts:
+        client = connect(ts.url)
+        ids = [client.submit(r).session_id for r in REQUESTS]
+        for sid in ids:
+            client.wait(sid, timeout=120)
+    assert 0 < len(threads) <= 2
+    assert all(name.startswith("fleet-drainer") for name in threads)
+
+
+def test_fleet_totals_hold_under_contention():
+    """More drainers than cores and a tiny switch interval: results come
+    back in request order, the fleet's totals count every point once,
+    and the queue-depth gauge drains to zero."""
+    import asyncio
+    import sys
+
+    from repro import obs
+    from repro.arch import get_gpu
+    from repro.autotune.measure import Measurer
+    from repro.kernels import get_benchmark
+    from repro.service.fleet import WorkerFleet
+
+    configs = list(ParameterSpace([
+        Parameter("TC", (32, 64, 128, 256)),
+        Parameter("BC", (48, 96)),
+    ]))
+    jobs = [
+        [(configs[(i + j) % len(configs)], 16) for j in range(3)]
+        for i in range(24)
+    ]
+
+    async def run(fleet):
+        measurer = Measurer(get_benchmark("atax"), get_gpu("kepler"))
+        try:
+            return await asyncio.wait_for(asyncio.gather(
+                *(fleet.measure(measurer, pairs) for pairs in jobs)
+            ), timeout=120)
+        finally:
+            await fleet.stop()
+
+    fleet = WorkerFleet(drainers=6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    obs.enable(trace=False)
+    try:
+        results = asyncio.run(run(fleet))
+        depth = obs.metrics.value("service.queue_depth")
+    finally:
+        obs.disable()
+        sys.setswitchinterval(interval)
+    for pairs, measurements in zip(jobs, results):
+        assert [m.config for m in measurements] == [c for c, _ in pairs]
+    assert fleet.total_measured == sum(map(len, jobs))
+    assert fleet.total_hits == 0
+    assert depth == 0

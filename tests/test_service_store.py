@@ -1,6 +1,6 @@
 """The shared measurement store and the hardened CacheStore beneath it:
 per-connection WAL pragmas, cross-thread access, idempotent flush,
-schema-version adoption, LRU eviction, typed rows and their format
+row-format adoption, LRU eviction, typed rows and their format
 upgrade, and commit durability.
 """
 
@@ -24,7 +24,7 @@ from repro.autotune.space import Parameter, ParameterSpace
 from repro.engine import SweepEngine
 from repro.engine.cache import ROW_FORMAT, CacheStore
 from repro.kernels import get_benchmark
-from repro.service.store import STORE_SCHEMA_VERSION, MeasurementStore
+from repro.service.store import MeasurementStore
 
 
 def _m(i: int) -> VariantMeasurement:
@@ -101,29 +101,33 @@ def test_schema_version_adoption_and_rebuild(tmp_path):
     store.put("k", _m(0))
     store.close()
 
-    # same schema: reopened store keeps its contents
+    # same row format: a reopened store keeps its contents
     again = MeasurementStore(tmp_path)
-    assert len(again) == 1
-    assert again.schema_version == STORE_SCHEMA_VERSION
+    assert again.get("k") == _m(0)
+    assert again.schema_version == ROW_FORMAT
     again.close()
 
-    # a store stamped with a foreign schema is emptied, not misread
+    # a file stamped with a foreign format is rebuilt empty, its LRU
+    # stamps with the rows
     conn = sqlite3.connect(str(tmp_path / "measurements.sqlite"))
-    conn.execute("UPDATE meta SET value = '999' WHERE key = 'store_schema'")
+    assert conn.execute("SELECT COUNT(*) FROM usage").fetchone() == (1,)
+    conn.execute("PRAGMA user_version = 999")
     conn.commit()
     conn.close()
     rebuilt = MeasurementStore(tmp_path)
     assert len(rebuilt) == 0
-    rebuilt.put("k2", _m(1))
+    assert rebuilt._conn.execute(
+        "SELECT COUNT(*) FROM usage"
+    ).fetchone() == (0,)
     rebuilt.close()
 
-    # a plain CacheStore database (no meta rows) is adopted by emptying
+    # a plain CacheStore file has the same rows and keys: served as is
     plain_dir = tmp_path / "plain"
     plain = CacheStore(plain_dir)
     plain.put("old", _m(0))
     plain.close()
     promoted = MeasurementStore(plain_dir)
-    assert len(promoted) == 0
+    assert promoted.get("old") == _m(0)
     promoted.close()
 
 
