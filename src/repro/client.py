@@ -217,7 +217,7 @@ class ReproClient:
         return StoreStats.from_json(self._request("GET", "/v1/store"))
 
     def flush_store(self) -> StoreStats:
-        """Ask the server to checkpoint and LRU-trim the shared store."""
+        """Ask the server to checkpoint the shared store's WAL."""
         return StoreStats.from_json(
             self._request("POST", "/v1/store/flush")
         )

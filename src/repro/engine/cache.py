@@ -401,9 +401,9 @@ class CacheStore:
 
     def flush(self) -> None:
         """Commit this thread's work and fold the WAL back into the main
-        database file (checkpoint), so a reader opening the file fresh --
-        or the server's eviction pass sizing it -- sees everything.
-        Idempotent, and a silent no-op once the store is closed."""
+        database file (checkpoint), so a reader opening the file fresh
+        sees everything.  Idempotent, and a silent no-op once the store
+        is closed."""
         if self._closed:
             return
         try:

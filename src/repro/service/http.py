@@ -10,6 +10,9 @@ responses.  Strictness rules:
   at the transport instead of emitting invalid JSON;
 - malformed requests answer a structured
   :class:`~repro.api.protocol.ErrorEnvelope`, never a bare string;
+- a request whose head and body have not arrived within
+  :data:`REQUEST_TIMEOUT_S` answers 408 and its connection is closed,
+  so a stalled client cannot hold a connection forever;
 - a request advertising an incompatible protocol version in the
   ``X-Repro-Protocol`` header is refused with 426 before its handler
   runs;
@@ -23,6 +26,7 @@ from __future__ import annotations
 import asyncio
 import json
 import re
+import sys
 
 from repro import obs
 from repro.api.protocol import ErrorEnvelope, ProtocolError, check_version
@@ -31,10 +35,14 @@ __all__ = ["HttpError", "Request", "Router", "serve_connection"]
 
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 64 * 1024 * 1024
+REQUEST_TIMEOUT_S = 30.0
+"""How long one request's head and body may take to arrive (an idle
+keep-alive connection included) before the server answers 408."""
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict", 426: "Upgrade Required",
+    405: "Method Not Allowed", 408: "Request Timeout", 409: "Conflict",
+    426: "Upgrade Required",
     500: "Internal Server Error",
 }
 
@@ -130,7 +138,22 @@ def _encode_response(status: int, doc, keep_alive: bool) -> bytes:
 
 
 async def _read_request(reader: asyncio.StreamReader) -> Request | None:
-    """Parse one request off the stream; ``None`` on clean EOF."""
+    """Parse one request off the stream; ``None`` on clean EOF, 408 if
+    it takes longer than :data:`REQUEST_TIMEOUT_S`."""
+    try:
+        if sys.version_info < (3, 11):  # no asyncio.timeout yet
+            return await asyncio.wait_for(_parse_request(reader),
+                                          REQUEST_TIMEOUT_S)
+        async with asyncio.timeout(REQUEST_TIMEOUT_S):
+            return await _parse_request(reader)
+    except asyncio.TimeoutError:
+        raise HttpError(
+            408, "request-timeout",
+            f"request not received within {REQUEST_TIMEOUT_S:g} s",
+        ) from None
+
+
+async def _parse_request(reader: asyncio.StreamReader) -> Request | None:
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as e:

@@ -21,7 +21,7 @@ Endpoints (all JSON, prefix ``/v1``)::
     POST /v1/sessions/{sid}/tell        external mode: answer a batch
     POST /v1/sessions/{sid}/cancel      cancel a session
     GET  /v1/store                      StoreStats
-    POST /v1/store/flush                checkpoint + evict, then StoreStats
+    POST /v1/store/flush                checkpoint the WAL, then StoreStats
 
 A client may advertise its protocol version in the ``X-Repro-Protocol``
 header; :func:`~repro.service.http.serve_connection` refuses an
@@ -65,7 +65,8 @@ class Server:
         storeless (every session measures fresh -- tests mostly want a
         ``tmp_path`` here).
     max_entries:
-        LRU cap for the store (``None`` = unbounded).
+        LRU cap for the store, held after every put (``None`` =
+        unbounded).
     drainers:
         Concurrent measurement jobs (fleet width).
     jobs:
@@ -87,10 +88,7 @@ class Server:
         )
         self.fleet = WorkerFleet(self.store, drainers=drainers,
                                  drainer_jobs=jobs)
-        self.sessions = SessionManager(
-            self.fleet, max_sessions=max_sessions,
-            on_session_finished=self._eviction_pass,
-        )
+        self.sessions = SessionManager(self.fleet, max_sessions=max_sessions)
         self.router = self._build_router()
         self._server: asyncio.base_events.Server | None = None
 
@@ -119,13 +117,6 @@ class Server:
 
     async def _on_connection(self, reader, writer) -> None:
         await serve_connection(reader, writer, self.router)
-
-    def _eviction_pass(self, _session=None) -> None:
-        """Checkpoint the WAL and trim the store to its LRU cap (after
-        every finished session, and on ``/v1/store/flush``)."""
-        if self.store is not None:
-            self.store.evict()
-            self.store.flush()
 
     # -- routing --------------------------------------------------------------
 
@@ -213,7 +204,8 @@ class Server:
         return self._stats().to_json()
 
     async def _store_flush(self, request):
-        self._eviction_pass()
+        if self.store is not None:
+            self.store.flush()
         return self._stats().to_json()
 
     def _stats(self) -> StoreStats:

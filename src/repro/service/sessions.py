@@ -1,27 +1,30 @@
 """The session manager: many concurrent ask/tell strategies, one fleet.
 
 A *session* is one strategy instance (:class:`~repro.autotune.search.base.Search`)
-plus its request context.  Two modes:
+plus its request context.  Both modes run one round step --
+:meth:`Session.next_batch` (reset on the first call, then ask; an empty
+batch finishes the session with its result) and :meth:`Session.answer`
+(tell, closing the round) -- the loop
+:meth:`Search.search() <repro.autotune.search.base.Search.search>` runs
+in-process.  What differs is who measures:
 
-- **managed** -- the server drives the exact loop
-  :meth:`Search.search() <repro.autotune.search.base.Search.search>`
-  runs in-process (reset -> ask -> measure -> tell -> ... -> result),
-  with the measurement step routed through the
+- **managed** -- the server answers each batch from the
   :class:`~repro.service.fleet.WorkerFleet`.  Because the loop, the
   strategy code, the engine, and the deterministic timing model are all
   shared with the library path, a managed session's
   :class:`~repro.api.protocol.SessionResult` is byte-identical to
   :func:`repro.api.tune` of the same request.
-- **external** -- the server only hosts the strategy: the client pulls
+- **external** -- the client pulls
   :class:`~repro.api.protocol.AskBatch` es, measures on its own
   hardware, and pushes :class:`~repro.api.protocol.TellResult` s.
 
 Observability: each session records a deterministic ``session`` span
 (ID derived from the session id via
-:func:`repro.obs.trace.child_id`) with one ``round`` span per ask/tell
-round; the fleet's engine spans parent under the round span.  Spans are
-recorded through :func:`repro.obs.record_span` when each unit finishes,
-so a trace exported at shutdown validates even with sessions mid-flight.
+:func:`repro.obs.trace.child_id`) with one ``round`` span per round,
+from the ask to the tell; the fleet's engine spans parent under the
+round span.  Spans are recorded through :func:`repro.obs.record_span`
+when each unit finishes, so a trace exported at shutdown validates even
+with sessions mid-flight.
 """
 
 from __future__ import annotations
@@ -71,7 +74,10 @@ class Session:
         """External-mode ask/tell must serialize: the strategy is not
         reentrant."""
         self._pending: list | None = None
-        self._pending_round: int | None = None
+        """The batch asked and not yet answered."""
+        self._asked: tuple | None = None
+        """When the latest batch was asked (``time.time()``,
+        ``time.monotonic()``); ``None`` until the strategy is reset."""
         self.span_id = child_id(ROOT, "session", session_id)
         """Deterministic root of this session's trace subtree."""
 
@@ -114,8 +120,53 @@ class Session:
             return
         self.state = state
         self.error = error
+        self._pending = None  # a finished session takes no tell
         self._record_session_span()
         obs.add("service.sessions_finished", state=state)
+
+    def fail(self, error: Exception) -> None:
+        self.finish("failed", ErrorEnvelope(
+            code="session-failed",
+            message=f"{type(error).__name__}: {error}",
+        ))
+
+    # -- the round step -------------------------------------------------------
+
+    async def next_batch(self) -> list:
+        """The strategy's next batch to measure, asked on a worker thread
+        (the first call resets the strategy there too: ``reset`` compiles
+        under static search).  An empty batch ends the run: the session
+        finishes ``done`` with its result."""
+        strategy = self.strategy
+        if self._asked is None:
+            self.state = "running"
+            await asyncio.to_thread(
+                strategy.reset, self.space, self.request.budget
+            )
+        self._asked = (time.time(), time.monotonic())
+        configs = await asyncio.to_thread(strategy.ask)
+        if self.finished:  # cancelled while the strategy was asked
+            return []
+        if configs:
+            self._pending = configs
+            return configs
+        self.result = SessionResult.from_search(
+            self.session_id, strategy.result(),
+            measurements=self.measurements,
+        )
+        self.finish("done")
+        return configs
+
+    def answer(self, values, measurements=()) -> None:
+        """Tell the strategy the pending batch's values (and keep the
+        fleet's ``measurements`` of it), closing the round."""
+        configs = self._pending
+        self.strategy.tell(configs, list(values))
+        self._pending = None
+        self.measurements.extend(measurements)
+        start_s, t0 = self._asked
+        self._record_round_span(self.rounds, start_s, t0, len(configs))
+        self.rounds += 1
 
     # -- progress snapshots ---------------------------------------------------
 
@@ -150,26 +201,12 @@ class SessionManager:
     older finished sessions are dropped as new ones arrive.
     """
 
-    def __init__(self, fleet, max_sessions: int = 1024,
-                 on_session_finished=None):
+    def __init__(self, fleet, max_sessions: int = 1024):
         self.fleet = fleet
         self.max_sessions = max_sessions
-        self.on_session_finished = on_session_finished
-        """Optional callback run after each session reaches a terminal
-        state (the server hooks its store-eviction pass here)."""
         self._sessions: dict[str, Session] = {}
         self._counter = itertools.count(1)
         self._drivers: set[asyncio.Task] = set()
-
-    def _session_finished(self, session: Session) -> None:
-        if self.on_session_finished is not None:
-            try:
-                self.on_session_finished(session)
-            except Exception as e:  # maintenance must never fail a session
-                obs.add("service.errors", where="session-finished")
-                obs.instant("service.error", parent_id=session.span_id,
-                            args={"where": "session-finished",
-                                  "error": f"{type(e).__name__}: {e}"})
 
     # -- registry -------------------------------------------------------------
 
@@ -229,11 +266,12 @@ class SessionManager:
         return session
 
     def cancel(self, session_id: str) -> Session:
+        """Cancel a session (its driver too, if managed) and answer with
+        its state: ``cancelled`` unless it had already finished."""
         session = self.get(session_id)
-        if session.driver is not None and not session.driver.done():
+        if session.driver is not None:
             session.driver.cancel()
-        else:
-            session.finish("cancelled")
+        session.finish("cancelled")
         return session
 
     async def shutdown(self) -> None:
@@ -249,49 +287,26 @@ class SessionManager:
     # -- managed mode ---------------------------------------------------------
 
     async def _drive(self, session: Session) -> None:
-        """The server-side replica of ``Search.search()``'s driver loop,
-        with the measurement step routed through the fleet on one
-        :class:`~repro.autotune.measure.Measurer`, held while the session
-        runs.  Heavy strategy work (``reset`` compiles under static
-        search) runs on a worker thread."""
+        """Answer each of the session's batches from the fleet, on one
+        :class:`~repro.autotune.measure.Measurer` held while the session
+        runs."""
         from repro.autotune.measure import Measurer
 
-        strategy = session.strategy
         measurer = Measurer(session.benchmark, session.gpu)
         size = session.request.size
-        session.state = "running"
         try:
-            await asyncio.to_thread(
-                strategy.reset, session.space, session.request.budget
-            )
-            while configs := await asyncio.to_thread(strategy.ask):
-                round_no = session.rounds
-                start_s, t0 = time.time(), time.monotonic()
+            while configs := await session.next_batch():
                 measurements = await self.fleet.measure(
                     measurer, [(config, size) for config in configs],
-                    parent_span_id=session.round_span_id(round_no),
+                    parent_span_id=session.round_span_id(session.rounds),
                 )
-                session.measurements.extend(measurements)
-                strategy.tell(configs, [m.seconds for m in measurements])
-                session._record_round_span(round_no, start_s, t0,
-                                           len(configs))
-                session.rounds += 1
-            sr = strategy.result()
-            session.result = SessionResult.from_search(
-                session.session_id, sr,
-                measurements=session.measurements,
-            )
-            session.finish("done")
+                session.answer([m.seconds for m in measurements],
+                               measurements)
         except asyncio.CancelledError:
             session.finish("cancelled")
             raise
         except Exception as e:
-            session.finish("failed", ErrorEnvelope(
-                code="session-failed",
-                message=f"{type(e).__name__}: {e}",
-            ))
-        finally:
-            self._session_finished(session)
+            session.fail(e)
 
     # -- external mode --------------------------------------------------------
 
@@ -308,39 +323,26 @@ class SessionManager:
         session = self.get(session_id)
         self._require_external(session)
         async with session._lock:
-            if session.finished:
-                return AskBatch(
-                    session_id=session_id, round=session.rounds,
-                    configs=(), remaining=0, done=True,
-                )
-            if session._pending is not None:
-                raise HttpError(
-                    409, "tell-pending",
-                    "the previous batch has not been answered "
-                    "(one tell per ask)",
-                )
-            strategy = session.strategy
-            if session._pending_round is None:
-                # first ask: reset runs here (compiles, under static
-                # search, so it goes to a worker thread)
-                await asyncio.to_thread(
-                    strategy.reset, session.space, session.request.budget
-                )
-                session._pending_round = -1
-                session.state = "running"
-            configs = await asyncio.to_thread(strategy.ask)
-            if not configs:
-                self._finalize_external(session)
-                return AskBatch(
-                    session_id=session_id, round=session.rounds,
-                    configs=(), remaining=strategy.remaining, done=True,
-                )
-            session._pending = configs
-            session.state = "waiting"
+            configs, remaining = [], 0
+            if not session.finished:
+                if session._pending is not None:
+                    raise HttpError(
+                        409, "tell-pending",
+                        "the previous batch has not been answered "
+                        "(one tell per ask)",
+                    )
+                try:
+                    configs = await session.next_batch()
+                except Exception as e:
+                    session.fail(e)
+                else:
+                    remaining = session.strategy.remaining
+            if configs:
+                session.state = "waiting"
             return AskBatch(
                 session_id=session_id, round=session.rounds,
                 configs=tuple(dict(c) for c in configs),
-                remaining=strategy.remaining, done=False,
+                remaining=remaining, done=not configs,
             )
 
     async def tell(self, session_id: str, told: TellResult) -> SessionStatus:
@@ -364,25 +366,5 @@ class SessionManager:
                     f"{len(session._pending)} configurations were asked "
                     f"but {len(told.values)} values were told",
                 )
-            strategy = session.strategy
-            start_s, t0 = time.time(), time.monotonic()
-            strategy.tell(session._pending, list(told.values))
-            session._record_round_span(session.rounds, start_s, t0,
-                                       len(session._pending))
-            session.rounds += 1
-            session._pending = None
-            # the next ask learns whether the run is over
-            session.state = "waiting"
+            session.answer(told.values)
             return session.status()
-
-    def _finalize_external(self, session: Session) -> None:
-        try:
-            session.result = SessionResult.from_search(
-                session.session_id, session.strategy.result(),
-            )
-            session.finish("done")
-        except ValueError as e:
-            session.finish("failed", ErrorEnvelope(
-                code="session-failed", message=str(e),
-            ))
-        self._session_finished(session)

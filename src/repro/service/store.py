@@ -18,13 +18,15 @@ server-owned WAL database shared by every tuning session:
   time, never correctness);
 - **LRU usage tracking**: every get/put stamps the touched keys with a
   monotonic tick in a ``usage`` table (a put commits its rows and their
-  stamps as one transaction), and :meth:`evict` deletes the
-  least-recently-used overflow beyond ``max_entries``, so a long-running
-  server's database stays bounded;
+  stamps as one transaction), and every put then trims the store to
+  ``max_entries`` (:meth:`evict`), deleting the least-recently-used
+  overflow, so a long-running server's database never outgrows its cap;
 - **thread safety** comes from the base class's per-thread connections
   (every fleet thread gets its own WAL connection with its own
-  ``busy_timeout``); the tick counter is the only shared state and is
-  lock-guarded here.
+  ``busy_timeout``); a trim counts and deletes under SQLite's write
+  lock, and the tick and eviction counters are the only shared state,
+  guarded by the store's lock.  Checkpoints are SQLite's own and
+  explicit :meth:`~repro.engine.cache.CacheStore.flush` calls.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ __all__ = ["MeasurementStore"]
 class MeasurementStore(CacheStore):
     """A :class:`CacheStore` with LRU usage tracking and eviction.
 
-    ``max_entries`` bounds the measurement table; ``None`` means
-    unbounded (eviction passes become no-ops).
+    ``max_entries`` bounds the measurement table after every put;
+    ``None`` means unbounded (eviction is a no-op).
     """
 
     def __init__(self, path: str | Path | None = None,
@@ -50,7 +52,7 @@ class MeasurementStore(CacheStore):
         self.max_entries = max_entries
         self.evicted = 0
         """Measurements deleted by LRU eviction over this store's life."""
-        self._tick_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._tick = 0
         super().__init__(path)
         row = self._conn.execute("SELECT MAX(tick) FROM usage").fetchone()
@@ -80,7 +82,7 @@ class MeasurementStore(CacheStore):
     def _touch(self, keys) -> None:
         """Stamp ``keys`` with the next ticks; the caller commits."""
         keys = list(keys)
-        with self._tick_lock:
+        with self._lock:
             start = self._tick
             self._tick += len(keys)
         self._conn.executemany(
@@ -96,10 +98,12 @@ class MeasurementStore(CacheStore):
         return found
 
     def put_many(self, items) -> None:
-        # the service store's own entry point, which
-        # benchmarks/e2e/layers.py traces; the base class commits the rows
-        # together with their usage stamps (see _touch)
+        """Persist ``(key, measurement)`` pairs with their usage stamps
+        (one transaction), then trim the store to ``max_entries``: the
+        rows just put carry the newest stamps, so they are the last to
+        go."""
         super().put_many(items)
+        self.evict()
 
     def clear(self) -> None:
         super().clear()
@@ -111,30 +115,28 @@ class MeasurementStore(CacheStore):
     def evict(self, max_entries: int | None = None) -> int:
         """Delete the least-recently-used measurements beyond the cap;
         return how many were evicted.  Safe to run while sessions are
-        active (a session losing a row simply re-measures it)."""
+        active (a session losing a row simply re-measures it).
+
+        Counting, picking and deleting are one ``BEGIN IMMEDIATE``
+        transaction, so concurrent puts from two fleet threads never
+        evict the same overflow twice."""
         cap = self.max_entries if max_entries is None else max_entries
         if cap is None:
             return 0
         conn = self._conn
-        excess = len(self) - cap
-        if excess <= 0:
-            return 0
-        victims = [row[0] for row in conn.execute(
-            # never-touched rows (no usage stamp) are the coldest of all
-            "SELECT m.key FROM measurements m"
-            " LEFT JOIN usage u ON u.key = m.key"
-            " ORDER BY u.tick IS NOT NULL, u.tick"
-            " LIMIT ?",
-            (excess,),
-        ).fetchall()]
-        conn.executemany(
-            "DELETE FROM measurements WHERE key = ?",
-            [(k,) for k in victims],
-        )
-        conn.executemany(
-            "DELETE FROM usage WHERE key = ?", [(k,) for k in victims]
-        )
-        conn.commit()
-        self.evicted += len(victims)
-        self.flush()
+        with conn:  # commits, or rolls back on an error
+            conn.execute("BEGIN IMMEDIATE")
+            victims = [(row[0],) for row in conn.execute(
+                # never-touched rows (no usage stamp) are the coldest of all
+                "SELECT m.key FROM measurements m"
+                " LEFT JOIN usage u ON u.key = m.key"
+                " ORDER BY u.tick IS NOT NULL, u.tick"
+                " LIMIT ?",
+                (max(len(self) - cap, 0),),
+            )]
+            conn.executemany("DELETE FROM measurements WHERE key = ?",
+                             victims)
+            conn.executemany("DELETE FROM usage WHERE key = ?", victims)
+        with self._lock:
+            self.evicted += len(victims)
         return len(victims)

@@ -299,6 +299,30 @@ def test_version_mismatch_refused(server):
     assert e.value.code == "protocol-mismatch"
 
 
+@pytest.mark.parametrize("sent", [
+    b"GET /v1/hello HTTP/1.1\r\nHost: local",  # half a request head
+    b"POST /v1/sessions HTTP/1.1\r\nContent-Length: 10\r\n\r\n{\"a",
+], ids=["head", "body"])
+def test_stalled_client_gets_408(server, monkeypatch, sent):
+    """A client that stops mid-head or mid-body is answered 408 and its
+    connection closed, instead of holding it forever."""
+    import socket
+
+    from repro.service import http
+
+    monkeypatch.setattr(http, "REQUEST_TIMEOUT_S", 0.2)
+    address = (server.server.host, server.server.port)
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(sent)
+        received = b""
+        while chunk := sock.recv(65536):  # until the server closes
+            received += chunk
+    head, body = received.split(b"\r\n\r\n", 1)
+    assert head.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+    assert b"Connection: close" in head
+    assert json.loads(body)["code"] == "request-timeout"
+
+
 def test_cancel(server):
     client = connect(server.url)
     status = client.submit(TuneRequest(
@@ -310,6 +334,24 @@ def test_cancel(server):
     with pytest.raises(ServiceError) as e:
         client.wait(status.session_id, timeout=5)
     assert e.value.status == 409
+
+
+def test_cancelled_session_refuses_a_tell(traced, server):
+    """A batch asked before the cancel cannot be told after it: the
+    session stays cancelled, with no round recorded."""
+    client = connect(server.url)
+    sid = client.submit(TuneRequest(
+        kernel="atax", gpu="kepler", size=16, search="exhaustive",
+        mode="external", space=SMALL_SPACE,
+    )).session_id
+    batch = client.ask(sid)
+    client.cancel(sid)
+    with pytest.raises(ServiceError) as e:
+        client.tell(batch, [1.0] * len(batch.configs))
+    assert (e.value.status, e.value.code) == (409, "no-pending-ask")
+    status = client.status(sid)
+    assert (status.state, status.rounds) == ("cancelled", 0)
+    assert not [s for s in traced.tracer.spans if s.name == "round"]
 
 
 def test_in_process_tune_facade(tmp_path):
@@ -355,6 +397,21 @@ def test_session_cap_counts_only_unfinished(tmp_path):
         assert e.value.code == "too-many-sessions"
 
 
+def test_capped_store_stays_within_its_cap(tmp_path):
+    """The store trims itself on every put, so a capped server holds its
+    cap after every session with no pass between sessions; a flush only
+    checkpoints."""
+    with ThreadedServer(cache_dir=tmp_path, max_entries=3) as ts:
+        client = connect(ts.url)
+        for request in REQUESTS[:2]:  # 8 distinct points
+            client.wait(client.submit(request).session_id, timeout=120)
+            assert client.store_stats().entries <= 3
+        stats = client.flush_store()
+    assert stats.entries <= 3
+    assert stats.max_entries == 3
+    assert stats.evicted == 5
+
+
 @pytest.fixture()
 def traced():
     from repro import obs
@@ -364,21 +421,6 @@ def traced():
         yield obs
     finally:
         obs.disable()
-
-
-def test_failed_session_maintenance_is_counted(tmp_path, traced):
-    def broken(_session):
-        raise OSError("disk full")
-
-    with ThreadedServer(cache_dir=tmp_path) as ts:
-        ts.server.sessions.on_session_finished = broken
-        client = connect(ts.url)
-        status = client.submit(REQUESTS[0])
-        client.wait(status.session_id, timeout=120)  # the session survives
-    assert traced.metrics.value("service.errors",
-                                where="session-finished") == 1
-    errors = [i for i in traced.tracer.instants if i.name == "service.error"]
-    assert [i.args["where"] for i in errors] == ["session-finished"]
 
 
 def test_handler_errors_are_counted(tmp_path, traced):
@@ -395,6 +437,39 @@ def test_handler_errors_are_counted(tmp_path, traced):
     assert traced.metrics.value("service.errors", where="handler") == 1
     errors = [i for i in traced.tracer.instants if i.name == "service.error"]
     assert [i.args["where"] for i in errors] == ["handler"]
+
+
+def test_external_rounds_run_from_ask_to_tell(tmp_path, traced):
+    """A traced external session records one ``round`` span per tell,
+    under its session span, from the ask that handed out the batch to
+    the tell that answered it (the client's measuring included)."""
+    from repro.obs.trace import ROOT, child_id
+
+    measuring_s = 0.1
+    with ThreadedServer(cache_dir=tmp_path) as ts:
+        client = connect(ts.url)
+        sid = client.submit(TuneRequest(
+            kernel="atax", gpu="kepler", size=16, search="random",
+            budget=4, mode="external", space=SMALL_SPACE,
+            search_args={"seed": 7, "block": 2},
+        )).session_id
+        asks = []
+        while True:
+            before = time.time()
+            batch = client.ask(sid)
+            if batch.done:
+                break
+            asks.append((before, time.time()))
+            time.sleep(measuring_s)
+            client.tell(batch, [1.0] * len(batch.configs))
+    rounds = sorted((s for s in traced.tracer.spans if s.name == "round"),
+                    key=lambda s: s.key)
+    assert [s.key for s in rounds] == list(range(len(asks)))
+    assert len(asks) == 2
+    for span, (before, after) in zip(rounds, asks):
+        assert span.parent_id == child_id(ROOT, "session", sid)
+        assert before <= span.start_s <= after
+        assert span.dur_s >= measuring_s
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +570,36 @@ def test_cancelled_session_queued_batch_is_never_measured(gated):
         client.wait(status.session_id, timeout=120)
     assert "bicg" not in gate.kernels
     assert gate.kernels[0] == "atax" and "matvec2d" in gate.kernels
+
+
+def test_cancel_answers_cancelled_at_once(gated):
+    """Cancelling a managed session whose batch is queued answers
+    ``cancelled``, a status read right after agrees, and the queued
+    batch is still never measured."""
+    ts, gate = gated
+    fleet = ts.server.fleet
+    submitted = []
+    real = fleet.measure
+
+    async def measure(measurer, pairs, parent_span_id=""):
+        submitted.append(measurer.benchmark.name)
+        return await real(measurer, pairs, parent_span_id)
+
+    fleet.measure = measure
+    client = connect(ts.url)
+    first = client.submit(REQUESTS[0])  # atax: holds the one drainer
+    wait_until(lambda: gate.kernels == ["atax"])
+    queued = client.submit(REQUESTS[1])  # bicg: waits behind it
+    wait_until(lambda: submitted == ["atax", "bicg"])
+    assert client.cancel(queued.session_id).state == "cancelled"
+    assert client.status(queued.session_id).state == "cancelled"
+    gate.opened.set()
+    # one drainer runs jobs in order: once a later session is done, the
+    # cancelled one's batch would have run
+    last = client.submit(REQUESTS[2])
+    for status in (first, last):
+        client.wait(status.session_id, timeout=120)
+    assert "bicg" not in gate.kernels
 
 
 def test_queue_depth_counts_jobs_not_yet_started(traced, gated):

@@ -1,7 +1,7 @@
 """The shared measurement store and the hardened CacheStore beneath it:
 per-connection WAL pragmas, cross-thread access, idempotent flush,
-row-format adoption, LRU eviction, typed rows and their format
-upgrade, and commit durability.
+row-format adoption, LRU eviction on every put, typed rows and their
+format upgrade, and commit durability.
 """
 
 from __future__ import annotations
@@ -139,16 +139,52 @@ def test_lru_eviction(tmp_path):
     # touch k0 and k1 so k2/k3 are the LRU victims when we overflow
     store.get_many(["k0", "k1"])
     store.put_many((f"k{i}", _m(i)) for i in range(4, 6))
-    assert len(store) == 6
-    evicted = store.evict()
-    assert evicted == 2
-    assert store.evicted == 2
+    # the put that overflows the cap trims the store itself
     assert len(store) == 4
+    assert store.evicted == 2
     remaining = store.get_many([f"k{i}" for i in range(6)])
     assert sorted(remaining) == ["k0", "k1", "k4", "k5"]
 
     # an explicit cap overrides the configured one
     assert store.evict(max_entries=1) == 3
+    store.close()
+
+
+@pytest.mark.parametrize("writers,batch", [(2, 5), (4, 1)])
+def test_concurrent_puts_evict_the_overflow_once(tmp_path, writers, batch):
+    """Threads putting 50 rows each into one capped store: every put
+    trims, and no overflow row is evicted (or counted) twice.  Four
+    writers outnumber the cores of a 2-vCPU host: the case that catches
+    a trim counting outside its write transaction."""
+    store = MeasurementStore(tmp_path, max_entries=10)
+    errors: list = []
+
+    def writer(base: int) -> None:
+        try:
+            for lo in range(0, 50, batch):
+                store.put_many(
+                    (f"k{base + i}", _m(i)) for i in range(lo, lo + batch)
+                )
+        except Exception as e:
+            errors.append(e)
+
+    threads = [
+        threading.Thread(target=writer, args=(100 * t,))
+        for t in range(writers)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert len(store) == 10
+    assert store.evicted == 50 * writers - 10
     store.close()
 
 
