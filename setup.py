@@ -27,7 +27,7 @@ setup(
     license="MIT",
     packages=find_packages("src"),
     package_dir={"": "src"},
-    python_requires=">=3.10",
+    python_requires=">=3.11",
     install_requires=["numpy"],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
@@ -42,9 +42,9 @@ setup(
         "Intended Audience :: Science/Research",
         "License :: OSI Approved :: MIT License",
         "Programming Language :: Python :: 3",
-        "Programming Language :: Python :: 3.10",
         "Programming Language :: Python :: 3.11",
         "Programming Language :: Python :: 3.12",
+        "Programming Language :: Python :: 3.13",
         "Topic :: Scientific/Engineering",
         "Topic :: Software Development :: Compilers",
     ],

@@ -10,9 +10,8 @@ responses.  Strictness rules:
   at the transport instead of emitting invalid JSON;
 - malformed requests answer a structured
   :class:`~repro.api.protocol.ErrorEnvelope`, never a bare string;
-- a request whose head and body have not arrived within
-  :data:`REQUEST_TIMEOUT_S` answers 408 and its connection is closed,
-  so a stalled client cannot hold a connection forever;
+- a request whose head and body take longer than
+  :data:`REQUEST_TIMEOUT_S` to arrive answers 408 and closes its connection;
 - a request advertising an incompatible protocol version in the
   ``X-Repro-Protocol`` header is refused with 426 before its handler
   runs;
@@ -26,7 +25,6 @@ from __future__ import annotations
 import asyncio
 import json
 import re
-import sys
 
 from repro import obs
 from repro.api.protocol import ErrorEnvelope, ProtocolError, check_version
@@ -42,8 +40,7 @@ keep-alive connection included) before the server answers 408."""
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout", 409: "Conflict",
-    426: "Upgrade Required",
-    500: "Internal Server Error",
+    426: "Upgrade Required", 500: "Internal Server Error",
 }
 
 PROTOCOL_HEADER = "x-repro-protocol"
@@ -138,19 +135,13 @@ def _encode_response(status: int, doc, keep_alive: bool) -> bytes:
 
 
 async def _read_request(reader: asyncio.StreamReader) -> Request | None:
-    """Parse one request off the stream; ``None`` on clean EOF, 408 if
-    it takes longer than :data:`REQUEST_TIMEOUT_S`."""
+    """Parse one request off the stream in time; ``None`` on clean EOF."""
     try:
-        if sys.version_info < (3, 11):  # no asyncio.timeout yet
-            return await asyncio.wait_for(_parse_request(reader),
-                                          REQUEST_TIMEOUT_S)
         async with asyncio.timeout(REQUEST_TIMEOUT_S):
             return await _parse_request(reader)
-    except asyncio.TimeoutError:
-        raise HttpError(
-            408, "request-timeout",
-            f"request not received within {REQUEST_TIMEOUT_S:g} s",
-        ) from None
+    except TimeoutError:
+        raise HttpError(408, "request-timeout", "request not received "
+                        f"within {REQUEST_TIMEOUT_S:g} s") from None
 
 
 async def _parse_request(reader: asyncio.StreamReader) -> Request | None:

@@ -65,8 +65,8 @@ class Server:
         storeless (every session measures fresh -- tests mostly want a
         ``tmp_path`` here).
     max_entries:
-        LRU cap for the store, held after every put (``None`` =
-        unbounded).
+        LRU cap for the store, held from its open on and after every
+        put (``None`` = unbounded).
     drainers:
         Concurrent measurement jobs (fleet width).
     jobs:

@@ -16,17 +16,14 @@ server-owned WAL database shared by every tuning session:
   a plain :class:`~repro.engine.cache.CacheStore` file in this format
   is served as it stands (measurements are a cache -- rebuilding costs
   time, never correctness);
-- **LRU usage tracking**: every get/put stamps the touched keys with a
-  monotonic tick in a ``usage`` table (a put commits its rows and their
-  stamps as one transaction), and every put then trims the store to
-  ``max_entries`` (:meth:`evict`), deleting the least-recently-used
-  overflow, so a long-running server's database never outgrows its cap;
+- **LRU usage tracking**: every get/put stamps the touched rows with a
+  monotonic tick in a ``usage`` table, and the open and every put trim
+  the store to ``max_entries``, least recently used first, so its
+  database never outgrows its cap;
 - **thread safety** comes from the base class's per-thread connections
   (every fleet thread gets its own WAL connection with its own
-  ``busy_timeout``); a trim counts and deletes under SQLite's write
-  lock, and the tick and eviction counters are the only shared state,
-  guarded by the store's lock.  Checkpoints are SQLite's own and
-  explicit :meth:`~repro.engine.cache.CacheStore.flush` calls.
+  ``busy_timeout``); a put writes, stamps and trims in one transaction,
+  and the tick and eviction counters are lock-guarded here.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ __all__ = ["MeasurementStore"]
 class MeasurementStore(CacheStore):
     """A :class:`CacheStore` with LRU usage tracking and eviction.
 
-    ``max_entries`` bounds the measurement table after every put;
+    ``max_entries`` bounds the measurement table from the open on;
     ``None`` means unbounded (eviction is a no-op).
     """
 
@@ -53,10 +50,15 @@ class MeasurementStore(CacheStore):
         self.evicted = 0
         """Measurements deleted by LRU eviction over this store's life."""
         self._lock = threading.Lock()
-        self._tick = 0
         super().__init__(path)
-        row = self._conn.execute("SELECT MAX(tick) FROM usage").fetchone()
-        self._tick = int(row[0] or 0)
+        conn = self._conn
+        # rows a plain store wrote have no stamp: coldest of all
+        conn.execute("INSERT INTO usage SELECT key, -1 FROM measurements"
+                     " WHERE key NOT IN (SELECT key FROM usage)")
+        conn.commit()
+        (self._tick,) = conn.execute(
+            "SELECT COALESCE(MAX(tick), -1) + 1 FROM usage").fetchone()
+        self.evict()
 
     # -- schema --------------------------------------------------------------
 
@@ -79,31 +81,38 @@ class MeasurementStore(CacheStore):
 
     # -- LRU bookkeeping -----------------------------------------------------
 
-    def _touch(self, keys) -> None:
-        """Stamp ``keys`` with the next ticks; the caller commits."""
+    def _stamp(self, keys) -> None:
+        """Stamp those of ``keys`` still stored with the next ticks; the
+        caller commits.  A get stamps after its read, in a write of its
+        own: a trim in between must not leave a stamp without its row."""
         keys = list(keys)
         with self._lock:
             start = self._tick
             self._tick += len(keys)
         self._conn.executemany(
-            "INSERT OR REPLACE INTO usage (key, tick) VALUES (?, ?)",
+            "INSERT OR REPLACE INTO usage (key, tick) SELECT ?1, ?2"
+            " WHERE EXISTS (SELECT 1 FROM measurements WHERE key = ?1)",
             [(k, start + i) for i, k in enumerate(keys)],
         )
+
+    def _touch(self, keys) -> None:
+        """A put's hook, after its rows: stamp them (newest) and trim."""
+        self._stamp(keys)
+        self._trim(self.max_entries)
 
     def get_many(self, keys) -> dict:
         found = super().get_many(keys)
         if found:
-            self._touch(found)
+            self._stamp(found)
             self._conn.commit()
         return found
 
     def put_many(self, items) -> None:
-        """Persist ``(key, measurement)`` pairs with their usage stamps
-        (one transaction), then trim the store to ``max_entries``: the
-        rows just put carry the newest stamps, so they are the last to
-        go."""
-        super().put_many(items)
-        self.evict()
+        """Write, stamp and trim (:meth:`_touch`) in one ``BEGIN IMMEDIATE``
+        transaction: two fleet threads never evict the same overflow."""
+        with self._conn as conn:  # the base class commits; errors roll back
+            conn.execute("BEGIN IMMEDIATE")
+            super().put_many(items)
 
     def clear(self) -> None:
         super().clear()
@@ -113,30 +122,30 @@ class MeasurementStore(CacheStore):
     # -- eviction ------------------------------------------------------------
 
     def evict(self, max_entries: int | None = None) -> int:
-        """Delete the least-recently-used measurements beyond the cap;
-        return how many were evicted.  Safe to run while sessions are
-        active (a session losing a row simply re-measures it).
-
-        Counting, picking and deleting are one ``BEGIN IMMEDIATE``
-        transaction, so concurrent puts from two fleet threads never
-        evict the same overflow twice."""
+        """Delete the least-recently-used measurements beyond the cap
+        (``max_entries`` overrides the store's); return how many.  Safe
+        while sessions run: a session losing a row re-measures it."""
         cap = self.max_entries if max_entries is None else max_entries
+        with self._conn as conn:  # commits, or rolls back on an error
+            conn.execute("BEGIN IMMEDIATE")
+            return self._trim(cap)
+
+    def _trim(self, cap: int | None) -> int:
+        """Keep the ``cap`` newest stamps and delete the rest with their
+        rows, inside the caller's write transaction; count and return
+        how many rows went.  Every stored row has a stamp (rows another
+        process writes get theirs at the next open), so the count and
+        the pick run on the small tick index, not on the table."""
         if cap is None:
             return 0
         conn = self._conn
-        with conn:  # commits, or rolls back on an error
-            conn.execute("BEGIN IMMEDIATE")
-            victims = [(row[0],) for row in conn.execute(
-                # never-touched rows (no usage stamp) are the coldest of all
-                "SELECT m.key FROM measurements m"
-                " LEFT JOIN usage u ON u.key = m.key"
-                " ORDER BY u.tick IS NOT NULL, u.tick"
-                " LIMIT ?",
-                (max(len(self) - cap, 0),),
-            )]
-            conn.executemany("DELETE FROM measurements WHERE key = ?",
-                             victims)
-            conn.executemany("DELETE FROM usage WHERE key = ?", victims)
+        (stamps,) = conn.execute("SELECT COUNT(*) FROM usage").fetchone()
+        victims = conn.execute(
+            "SELECT key FROM usage ORDER BY tick LIMIT ?",
+            (max(stamps - cap, 0),)).fetchall()
+        conn.executemany("DELETE FROM usage WHERE key = ?", victims)
+        evicted = conn.executemany(
+            "DELETE FROM measurements WHERE key = ?", victims).rowcount
         with self._lock:
-            self.evicted += len(victims)
-        return len(victims)
+            self.evicted += evicted
+        return evicted

@@ -150,6 +150,46 @@ def test_lru_eviction(tmp_path):
     store.close()
 
 
+def test_open_trims_to_the_cap(tmp_path):
+    """A store reopened with a smaller cap is within it before any put;
+    a row a plain store wrote has no stamp, so it is the coldest."""
+    store = MeasurementStore(tmp_path)
+    store.put_many((f"k{i}", _m(i)) for i in range(5))
+    store.get_many(["k0"])
+    store.close()
+    plain = CacheStore(tmp_path)
+    plain.put("plain", _m(5))
+    plain.close()
+
+    capped = MeasurementStore(tmp_path, max_entries=4)
+    assert len(capped) == 4
+    assert capped.evicted == 2
+    assert sorted(capped.get_many([f"k{i}" for i in range(5)] + ["plain"])
+                  ) == ["k0", "k2", "k3", "k4"]
+    capped.close()
+
+
+def test_a_get_never_stamps_a_row_trimmed_under_it(tmp_path, monkeypatch):
+    """A get stamps its rows after reading them: if a put's trim deletes
+    one in between, no stamp may outlive the row."""
+    store = MeasurementStore(tmp_path, max_entries=2)
+    store.put_many([("a", _m(0)), ("b", _m(1))])
+    read = CacheStore.get_many
+
+    def read_then_trim(self, keys):
+        found = read(self, keys)
+        store.put_many([("c", _m(2))])  # trims "a", the oldest
+        return found
+
+    monkeypatch.setattr(CacheStore, "get_many", read_then_trim)
+    assert list(store.get_many(["a"])) == ["a"]
+    monkeypatch.undo()
+    assert store._conn.execute(
+        "SELECT key FROM usage ORDER BY key"
+    ).fetchall() == [("b",), ("c",)]
+    store.close()
+
+
 @pytest.mark.parametrize("writers,batch", [(2, 5), (4, 1)])
 def test_concurrent_puts_evict_the_overflow_once(tmp_path, writers, batch):
     """Threads putting 50 rows each into one capped store: every put
@@ -337,11 +377,21 @@ def test_json_payload_file_is_rebuilt_not_misread(tmp_path, cls,
     again.close()
 
     # the old row's usage stamp went with it, whichever class opened the
-    # file first
+    # file first (read raw: a MeasurementStore reconciles stamps at open)
+    raw = sqlite3.connect(str(tmp_path / "measurements.sqlite"))
+    tables = {name for (name,) in raw.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table'")}
+    stamps = (raw.execute("SELECT key FROM usage").fetchall()
+              if "usage" in tables else [])
+    raw.close()
+    assert stamps == ([("new",)] if cls is MeasurementStore else [])
+
+    # a MeasurementStore opening the file stamps the rows a plain store
+    # wrote
     service = MeasurementStore(tmp_path)
-    assert service._conn.execute("SELECT key FROM usage").fetchall() == (
-        [("new",)] if cls is MeasurementStore else []
-    )
+    assert service._conn.execute("SELECT key FROM usage").fetchall() == [
+        ("new",)
+    ]
     service.close()
 
 
