@@ -16,6 +16,7 @@ from collections import OrderedDict
 import pytest
 
 from repro.autotune import measure
+from repro.autotune.search import static_search
 from repro.experiments.common import clear_sweep_cache
 from repro.sim import counting
 
@@ -23,14 +24,16 @@ from repro.sim import counting
 @pytest.fixture(autouse=True)
 def _fresh_sweep_cache(monkeypatch):
     """Benchmarks must measure real work, not a warm sweep cache or the
-    modules and count forms an earlier bench built.  Returns the function
-    that empties them, for a bench that times several cold passes."""
+    modules, count forms and analyzer reports an earlier bench built.
+    Returns the function that empties them, for a bench that times
+    several cold passes."""
 
     def empty():
         clear_sweep_cache()
         monkeypatch.setattr(measure, "_views", OrderedDict())
         monkeypatch.setattr(measure, "_trees", weakref.WeakValueDictionary())
         monkeypatch.setattr(counting, "_count_cache", {})
+        static_search._report.cache_clear()
 
     empty()
     return empty

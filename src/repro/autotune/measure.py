@@ -18,7 +18,10 @@ session and replay -- compiles a module only the first time the process
 needs it, and counts each of its region trees only the first time
 (:data:`repro.sim.counting._count_cache`).  Code that reads instructions
 (the static analyzer, lint, disassembly, the suite's Eq. 6 profile)
-compiles full modules itself.
+compiles full modules, not views.  Static search keeps the analyzer's
+report per registered (kernel, GPU, size), so its analyzer compiles each
+of those once per process
+(:mod:`repro.autotune.search.static_search`).
 """
 
 from __future__ import annotations

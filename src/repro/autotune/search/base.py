@@ -108,8 +108,8 @@ class Search:
         self._gen = self._proposals(space, self._budget)
         self._started = False
         self._reply: list | None = None
-        self._wants: list | None = None
-        self._fresh: list | None = None
+        self._want_keys: list | None = None
+        self._fresh_keys: list | None = None
         self._truncated = False
         self._done = False
         self._history: list = []
@@ -151,39 +151,36 @@ class Search:
         if remaining is not None and remaining <= 0:
             self._finish()
             return []
-        if self._fresh is not None:
+        if self._fresh_keys is not None:
             raise RuntimeError("ask() while a batch is awaiting tell()")
         rounds = 0
         while True:
-            if self._wants is None:
-                try:
-                    if self._started:
-                        wants = self._gen.send(self._reply)
-                    else:
-                        wants = next(self._gen)
-                        self._started = True
-                except StopIteration:
-                    self._finish()
-                    return []
-                self._reply = None
-                self._wants = [dict(c) for c in wants]
+            try:
+                if self._started:
+                    wants = self._gen.send(self._reply)
+                else:
+                    wants = next(self._gen)
+                    self._started = True
+            except StopIteration:
+                self._finish()
+                return []
+            self._reply = None
+            # each proposal is keyed once; only what is returned is copied
+            self._want_keys = [config_key(c) for c in wants]
             if self.reuse_evaluations:
                 fresh, seen = [], set()
-                for c in self._wants:
-                    key = config_key(c)
+                for key, c in zip(self._want_keys, wants):
                     if key in self._cache or key in seen:
                         continue
                     seen.add(key)
-                    fresh.append(c)
+                    fresh.append((key, c))
             else:
-                fresh = list(self._wants)
+                fresh = list(zip(self._want_keys, wants))
             if not fresh:
                 # everything already measured: answer from the cache and
                 # let the strategy propose again, free of budget
-                self._reply = [
-                    self._cache[config_key(c)] for c in self._wants
-                ]
-                self._wants = None
+                self._reply = [self._cache[key] for key in self._want_keys]
+                self._want_keys = None
                 rounds += 1
                 if rounds >= self._MAX_CACHED_ROUNDS:
                     self._finish()
@@ -195,32 +192,31 @@ class Search:
                     return []
                 fresh = fresh[:k]
                 self._truncated = True
-            self._fresh = fresh
-            return [dict(c) for c in fresh]
+            self._fresh_keys = [key for key, _ in fresh]
+            return [dict(c) for _, c in fresh]
 
     def tell(self, configs: list, values: list) -> None:
         """Report objective values for the batch ``ask`` returned."""
-        if self._fresh is None:
+        if self._fresh_keys is None:
             raise RuntimeError("tell() without a pending ask()")
         if len(configs) != len(values):
             raise ValueError("tell() needs one value per configuration")
-        if [config_key(c) for c in configs] != [
-            config_key(c) for c in self._fresh
-        ]:
+        keys = [config_key(c) for c in configs]
+        if keys != self._fresh_keys:
             raise ValueError("tell() configs do not match the asked batch")
-        for config, value in zip(configs, values):
-            self._record(config, float(value))
-        self._fresh = None
+        for key, config, value in zip(keys, configs, values):
+            self._record(key, config, float(value))
+        self._fresh_keys = None
         if self._truncated:
             # budget ran out mid-batch: terminate the strategy cleanly
             # (the prefix is recorded; the generator is never resumed)
             self._finish()
             return
         if self.reuse_evaluations:
-            self._reply = [self._cache[config_key(c)] for c in self._wants]
+            self._reply = [self._cache[key] for key in self._want_keys]
         else:
             self._reply = [float(v) for v in values]
-        self._wants = None
+        self._want_keys = None
 
     def result(self, full_size: int | None = None) -> SearchResult:
         """The run's outcome (valid any time after the first ``tell``)."""
@@ -271,9 +267,9 @@ class Search:
 
     # -- internals -----------------------------------------------------------
 
-    def _record(self, config: dict, value: float) -> None:
+    def _record(self, key: tuple, config: dict, value: float) -> None:
         self._history.append((dict(config), value))
-        self._cache[config_key(config)] = value
+        self._cache[key] = value
         if self._first_config is None:
             self._first_config = dict(config)
         if value < self._best_value:
@@ -282,8 +278,8 @@ class Search:
 
     def _finish(self) -> None:
         self._done = True
-        self._wants = None
-        self._fresh = None
+        self._want_keys = None
+        self._fresh_keys = None
         gen = getattr(self, "_gen", None)
         if gen is not None:
             gen.close()

@@ -17,16 +17,53 @@ Concretely:
 
 The reduction in (3)-(4) is what Fig. 6 reports: ~87.5% fewer variants
 from ``T*`` alone, ~93.8% with the rule.
+
+Steps (1)-(2) depend only on the kernel, the GPU and the problem size,
+so the process keeps one report per registered (kernel, GPU, size) in a
+bounded memo: a long-lived tuner or server compiles and analyzes each
+only once.  Every static search of that key reads the same report, so
+``last_report`` is shared and read-only.  A benchmark that is not the
+registered one of its name is analyzed on every reset (its name does not
+identify its specs; see :func:`~repro.autotune.measure.travels_by_name`).
 """
 
 from __future__ import annotations
 
+import functools
+
+from repro import obs
 from repro.arch.specs import GPUSpec
+from repro.autotune.measure import travels_by_name
 from repro.autotune.search.base import Search, SearchResult
 from repro.autotune.search.exhaustive import ExhaustiveSearch
 from repro.autotune.space import ParameterSpace
-from repro.core.analyzer import StaticAnalyzer
+from repro.core.analyzer import AnalysisReport, StaticAnalyzer
 from repro.kernels.base import Benchmark
+
+_REPORT_LIMIT = 256
+"""Analyzer reports the process keeps: one per registered (kernel, GPU,
+size).  The registry's 15 kernels on the 4 GPUs at 3 sizes each are 180
+keys."""
+
+
+def _analyze(benchmark: Benchmark, gpu: GPUSpec, size: int) -> AnalysisReport:
+    """Compile ``benchmark`` for ``gpu`` and analyze it at ``size``;
+    adds ``analyze.reports``."""
+    obs.add("analyze.reports")
+    return StaticAnalyzer(gpu).analyze(
+        list(benchmark.specs), benchmark.param_env(size),
+        name=benchmark.name,
+    )
+
+
+@functools.lru_cache(maxsize=_REPORT_LIMIT)
+def _report(name: str, gpu: GPUSpec, size: int) -> AnalysisReport:
+    """The process's report on the registered benchmark ``name``.  Two
+    threads that miss together both analyze, and one equal report is
+    kept."""
+    from repro.kernels import get_benchmark
+
+    return _analyze(get_benchmark(name), gpu, size)
 
 
 class StaticSearch(Search):
@@ -48,16 +85,17 @@ class StaticSearch(Search):
         self.size = size
         self.use_rule = use_rule
         self.inner = inner if inner is not None else ExhaustiveSearch()
-        self.last_report = None
+        self.last_report: AnalysisReport | None = None
+        """The report the last reset pruned with.  Shared with every
+        static search of the same registered (kernel, GPU, size): read
+        it, never change it."""
 
     def pruned_space(self, space: ParameterSpace) -> ParameterSpace:
         """Apply the static model to restrict the ``TC`` axis."""
-        analyzer = StaticAnalyzer(self.gpu)
-        report = analyzer.analyze(
-            list(self.benchmark.specs),
-            self.benchmark.param_env(self.size),
-            name=self.benchmark.name,
-        )
+        if travels_by_name(self.benchmark):
+            report = _report(self.benchmark.name, self.gpu, self.size)
+        else:
+            report = _analyze(self.benchmark, self.gpu, self.size)
         self.last_report = report
         allowed = (
             report.rule_threads if self.use_rule else report.suggestion.threads

@@ -91,6 +91,7 @@ class Server:
         self.sessions = SessionManager(self.fleet, max_sessions=max_sessions)
         self.router = self._build_router()
         self._server: asyncio.base_events.Server | None = None
+        self._connections: set[asyncio.Task] = set()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -102,7 +103,13 @@ class Server:
 
     async def stop(self) -> None:
         if self._server is not None:
+            # the listener first, then every open connection: a client
+            # idle mid-request would otherwise outlive the loop (3.11) or
+            # hold wait_closed() until its request deadline (3.12+)
             self._server.close()
+            for task in self._connections:
+                task.cancel()
+            await asyncio.gather(*self._connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         await self.sessions.shutdown()
@@ -115,8 +122,14 @@ class Server:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    async def _on_connection(self, reader, writer) -> None:
-        await serve_connection(reader, writer, self.router)
+    def _on_connection(self, reader, writer) -> None:
+        # a plain callback, so a connection's task is in the set from its
+        # creation and stop() cannot miss one that has not started yet
+        task = asyncio.get_running_loop().create_task(
+            serve_connection(reader, writer, self.router)
+        )
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
 
     # -- routing --------------------------------------------------------------
 

@@ -10,7 +10,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch import K20
+from repro.arch import K20, M2050
 from repro.autotune import (
     Autotuner,
     ExhaustiveSearch,
@@ -19,11 +19,13 @@ from repro.autotune import (
     NelderMeadSearch,
     RandomSearch,
     SimulatedAnnealingSearch,
+    StaticSearch,
     default_tuning_spec,
     get_search,
     parse_perf_tuning,
     rank_split,
 )
+from repro.autotune.search import config_key
 from repro.autotune.space import Parameter, ParameterSpace
 from repro.autotune.spec import DEFAULT_SPEC_TEXT, SpecError
 from repro.kernels import get_benchmark
@@ -257,6 +259,150 @@ class TestSearchStrategies:
             get_search("quantum")
 
 
+class _NumpyNelderMead(NelderMeadSearch):
+    """The NumPy form of the simplex moves, kept as the reference that
+    the Python-float moves must reproduce bit for bit."""
+
+    def _proposals(self, space, budget):
+        import numpy as np
+
+        from repro.util.rng import rng_for
+
+        n_budget = budget if budget is not None else self.budget
+        rng = rng_for("search", "simplex", self.seed)
+        dims = len(space.parameters)
+
+        def snap(x):
+            return space.config_at(space.clip(np.round(x).astype(int)))
+
+        def random_simplex():
+            base = np.array(
+                [rng.integers(len(p)) for p in space.parameters], dtype=float
+            )
+            pts = [base]
+            for d in range(dims):
+                v = base.copy()
+                span = max(1.0, (len(space.parameters[d]) - 1) / 3.0)
+                v[d] += span if rng.random() < 0.5 else -span
+                pts.append(v)
+            return pts
+
+        simplex = random_simplex()
+        values = list((yield [snap(x) for x in simplex]))
+        for _move in range(50 * n_budget + 100):
+            order = np.argsort(values)
+            simplex = [simplex[i] for i in order]
+            values = [values[i] for i in order]
+            centroid = np.mean(simplex[:-1], axis=0)
+            worst = simplex[-1]
+            if np.allclose(simplex[0], worst):
+                simplex = random_simplex()
+                values = list((yield [snap(x) for x in simplex]))
+                continue
+            refl = centroid + self.alpha * (centroid - worst)
+            f_refl = (yield [snap(refl)])[0]
+            if values[0] <= f_refl < values[-2]:
+                simplex[-1], values[-1] = refl, f_refl
+            elif f_refl < values[0]:
+                exp = centroid + self.gamma * (refl - centroid)
+                f_exp = (yield [snap(exp)])[0]
+                if f_exp < f_refl:
+                    simplex[-1], values[-1] = exp, f_exp
+                else:
+                    simplex[-1], values[-1] = refl, f_refl
+            else:
+                contr = centroid + self.rho * (worst - centroid)
+                f_contr = (yield [snap(contr)])[0]
+                if f_contr < values[-1]:
+                    simplex[-1], values[-1] = contr, f_contr
+                else:
+                    best = simplex[0]
+                    simplex = [best] + [
+                        best + self.sigma * (x - best) for x in simplex[1:]
+                    ]
+                    shrunk = list((yield [snap(x) for x in simplex[1:]]))
+                    values = [values[0]] + shrunk
+
+
+def _batches(strategy, space, objective, budget, limit=1000) -> list:
+    """The batches a strategy's proposal process yields, answered by
+    ``objective``, until it ends, has proposed ``budget`` distinct
+    points (where an ask/tell driver stops it) or has yielded ``limit``
+    batches (a space smaller than the budget spins to the move bound)."""
+    gen = strategy._proposals(space, budget)
+    batches, seen = [], set()
+    batch = next(gen)
+    while True:
+        batches.append(batch)
+        seen.update(config_key(c) for c in batch)
+        if len(seen) >= budget or len(batches) == limit:
+            return batches
+        try:
+            batch = gen.send([objective(c) for c in batch])
+        except StopIteration:
+            return batches
+
+
+class TestSimplexMovesMatchNumpy:
+    """The Python-float simplex yields exactly the batches its NumPy
+    form does: same centroid folds, degeneracy tests and snaps."""
+
+    SURFACES = ("distinct", "three-way ties", "inf", "flat")
+
+    @staticmethod
+    def _case(case: int):
+        import random
+
+        rng = random.Random(case)
+        space = ParameterSpace([
+            Parameter(f"P{d}", tuple(range(rng.randint(1, 32))))
+            for d in range(rng.randint(1, 6))
+        ])
+        surface = TestSimplexMovesMatchNumpy.SURFACES[case % 4]
+        table = {}
+
+        def objective(config):
+            key = config_key(config)
+            if key not in table:
+                if surface == "distinct":
+                    table[key] = rng.random()
+                elif surface == "three-way ties":
+                    table[key] = float(rng.randrange(3))
+                elif surface == "inf":
+                    table[key] = (float("inf") if rng.random() < 0.3
+                                  else float(rng.randrange(5)))
+                else:
+                    table[key] = 1.0
+            return table[key]
+
+        return space, objective, rng.randint(3, 64), surface
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_batches_identical_to_numpy_form(self, block):
+        for case in range(block * 50, block * 50 + 50):
+            space, objective, budget, surface = self._case(case)
+            want = _batches(_NumpyNelderMead(seed=case), space, objective,
+                            budget)
+            got = _batches(NelderMeadSearch(seed=case), space, objective,
+                           budget)
+            assert got == want, (case, space.shape(), budget, surface)
+
+    def test_centroid_is_numpys_mean(self):
+        import random
+
+        import numpy as np
+
+        from repro.autotune.search.simplex import _centroid
+
+        # a simplex's centroid is over as many rows as it has axes
+        rng = random.Random(0)
+        for _ in range(2000):
+            dims = rng.randint(1, 12)
+            rows = [[rng.uniform(-40, 40) for _ in range(dims)]
+                    for _ in range(dims)]
+            assert _centroid(rows) == np.mean(rows, axis=0).tolist()
+
+
 class TestStaticSearchIntegration:
     def test_paper_reduction_numbers(self):
         """Kepler: |T*| = 4 of 32 -> 87.5%; with the rule 2 of 32 -> 93.75%."""
@@ -290,6 +436,68 @@ class TestStaticSearchIntegration:
         tuner = Autotuner(bm, K20)
         with pytest.raises(ValueError, match="size"):
             tuner.make_search("static")
+
+
+class TestAnalyzerReportMemo:
+    """Static searches of one registered (kernel, GPU, size) share one
+    analyzer report: the analyzer compiles and analyzes once per key."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch, cold_module_cache):
+        """The kernel name of every analyzer compile."""
+        from repro.core import analyzer
+
+        names = []
+        real = analyzer.compile_module
+
+        def counting(*args, **kwargs):
+            names.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analyzer, "compile_module", counting)
+        return names
+
+    @staticmethod
+    def _reset(benchmark, size, gpu=K20):
+        strategy = StaticSearch(benchmark, gpu, size)
+        strategy.reset(_engine_space())
+        return strategy
+
+    def test_one_compile_per_registered_key(self, compiled):
+        bm = get_benchmark("atax")
+        first = self._reset(bm, 64)
+        second = self._reset(bm, 64)
+        assert compiled == ["atax"]
+        assert second.last_report is first.last_report
+        self._reset(bm, 128)
+        assert compiled == ["atax", "atax"]
+        self._reset(bm, 64, gpu=M2050)
+        assert len(compiled) == 3
+
+    def test_unregistered_copy_compiles_every_time(self, compiled):
+        import dataclasses
+
+        registered = get_benchmark("atax")
+        copy = dataclasses.replace(registered)
+        a = self._reset(copy, 64)
+        b = self._reset(copy, 64)
+        assert compiled == ["atax", "atax"]
+        assert a.last_report is not b.last_report
+        assert a.last_report == self._reset(registered, 64).last_report
+
+    def test_memo_is_bounded(self, compiled, monkeypatch):
+        import functools
+
+        from repro.autotune.search import static_search
+
+        analyze = static_search._report.__wrapped__
+        memo = functools.lru_cache(maxsize=2)(analyze)
+        monkeypatch.setattr(static_search, "_report", memo)
+        bm = get_benchmark("atax")
+        for size in (32, 64, 128, 32, 256):
+            self._reset(bm, size)
+            assert memo.cache_info().currsize <= 2
+        assert len(compiled) == 5  # 32 was evicted before its second reset
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ class TestReplay:
         assert set(rec.searched_threads) == set(rec.suggested_threads)
         assert rec.intensity == pytest.approx(3.5, abs=0.3)
 
-    def test_record_analyzes_once(self, monkeypatch):
+    def test_record_analyzes_once(self, monkeypatch, cold_module_cache):
         """The record's analysis snapshot is the one the static search
         pruned with: one analyzer compile per session."""
         from repro.core import analyzer

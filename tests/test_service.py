@@ -690,3 +690,35 @@ def test_fleet_totals_hold_under_contention():
     assert fleet.total_measured == sum(map(len, jobs))
     assert fleet.total_hits == 0
     assert depth == 0
+
+
+def test_stop_closes_open_connections(tmp_path, caplog):
+    """Stopping the server ends a connection idle mid-request: the
+    client reads EOF, and no connection task outlives the loop."""
+    import gc
+    import logging
+    import socket
+
+    ts = ThreadedServer(cache_dir=tmp_path).start()
+    try:
+        address = (ts.server.host, ts.server.port)
+        sock = socket.create_connection(address, timeout=10)
+        # one whole request first, so the connection is being served
+        sock.sendall(b"GET /v1/hello HTTP/1.1\r\nHost: local\r\n\r\n")
+        received = b""
+        while b"}" not in received:
+            received += sock.recv(65536)
+        sock.sendall(b"GET /v1/hello HTTP/1.1\r\nHost: local")  # half a head
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            started = time.monotonic()
+            ts.stop()
+            stopped = time.monotonic() - started
+            sock.settimeout(2)
+            assert sock.recv(65536) == b""
+            gc.collect()
+    finally:
+        sock.close()
+        ts.stop()
+    assert stopped < 5
+    assert not [r for r in caplog.records
+                if "Task was destroyed" in r.getMessage()]
