@@ -24,9 +24,11 @@ Rows are typed.  A measurement's ``seconds``, ``occupancy``, register
 count and register instructions (and its size) are columns with no
 declared type, so SQLite keeps each value as written: an ``int`` reads
 back as an ``int`` and ``inf`` as ``inf``.  The config is its
-``json.dumps`` text, in the dict's own key order.  The layout is
-stamped in ``PRAGMA user_version`` (:data:`ROW_FORMAT`); a file in any
-other layout -- such as the single JSON ``payload`` column of earlier
+``json.dumps`` text, in the dict's own key order.  A nullable ``tick``
+column holds the service store's LRU stamp; this class never writes it,
+so a row it writes reads NULL.  The layout is stamped in
+``PRAGMA user_version`` (:data:`ROW_FORMAT`); a file in any other
+layout -- such as the single JSON ``payload`` column of earlier
 versions -- has its tables rebuilt empty at open.
 
 The store is also hardened against damage, because a measurement cache
@@ -64,9 +66,11 @@ __all__ = [
 CACHE_SCHEMA_VERSION = 1
 """Bump to invalidate all persisted measurements at once."""
 
-ROW_FORMAT = 2
-"""The row layout, stamped in ``PRAGMA user_version``.  2 is typed
-columns; the JSON payload before it (1) left the stamp at 0."""
+ROW_FORMAT = 3
+"""The row layout, stamped in ``PRAGMA user_version``.  3 is typed
+columns with the LRU ``tick`` in the row; 2 kept the ticks in a
+``usage`` table, and the JSON payload before it (1) left the stamp
+at 0."""
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 _DB_NAME = "measurements.sqlite"
@@ -267,8 +271,7 @@ class CacheStore:
 
     _ROW_TABLES = ("measurements", "quarantine", "usage")
     """The tables a change of :data:`ROW_FORMAT` rebuilds empty.  ``usage``
-    is the service store's LRU table: a plain store opening a service file
-    first must drop it too, or its stamps would outlive the rows."""
+    is format 2's table of the service store's LRU stamps."""
 
     def _rebuild(self, conn: sqlite3.Connection) -> None:
         """Stamp a new file with :data:`ROW_FORMAT`, rebuilding empty the
@@ -292,7 +295,7 @@ class CacheStore:
         :class:`~repro.service.store.MeasurementStore` extends it)."""
         conn.execute(
             "CREATE TABLE IF NOT EXISTS measurements ("
-            f" key TEXT PRIMARY KEY, {_COLUMNS})"
+            f" key TEXT PRIMARY KEY, {_COLUMNS}, tick INTEGER)"
         )
         conn.execute(
             "CREATE TABLE IF NOT EXISTS quarantine ("

@@ -18,10 +18,6 @@ from repro.experiments.common import (
 )
 from repro.util.tables import ascii_histogram
 
-USES_SHARED_SWEEP = True
-"""Drawn from the pooled exhaustive sweep: the runner keeps this
-experiment in the coordinating process so measurements are shared."""
-
 _BINS = np.arange(0, 1057, 96)
 
 

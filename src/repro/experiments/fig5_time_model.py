@@ -23,10 +23,6 @@ from repro.suite.evaluate import eq6_profile
 from repro.util.stats import normalize
 from repro.util.tables import ascii_table
 
-USES_SHARED_SWEEP = True
-"""Drawn from the pooled exhaustive sweep: the runner keeps this
-experiment in the coordinating process so measurements are shared."""
-
 
 def run(full: bool = False, archs=None, kernels=None) -> dict:
     gpus = resolve_gpus(archs)

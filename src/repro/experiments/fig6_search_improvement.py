@@ -31,10 +31,6 @@ from repro.experiments.common import (
 from repro.kernels import get_benchmark
 from repro.util.tables import ascii_bar_chart, ascii_table
 
-USES_SHARED_SWEEP = True
-"""Tunes through the shared engine: the runner keeps this experiment in
-the coordinating process so it reuses the engine pool and cache."""
-
 HEURISTICS = ("random", "annealing", "genetic", "simplex")
 """The black-box baselines, run at the static module's budget."""
 

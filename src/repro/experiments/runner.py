@@ -19,9 +19,9 @@ Service mode (autotuning as a service; see docs/ARCHITECTURE.md)::
 Sweeps are backed by a persistent on-disk cache (``--cache``, on by
 default; ``--cache-dir`` or ``$REPRO_CACHE_DIR`` picks the location), so
 re-running an experiment with the same model parameters is near-free.
-``--jobs N`` shards sweep measurement across N worker processes and runs
-independent (non-sweep) experiments concurrently; output text is
-identical to a serial run regardless.
+``--jobs N`` shards sweep measurement across N worker processes of the
+engine's supervised pool; output text is identical to a serial run
+regardless.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ import argparse
 import inspect
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro import obs
 from repro.api.local import unknown_name
-from repro.engine import default_cache_dir, resolve_jobs
+from repro.engine import default_cache_dir
 from repro.experiments import common
 from repro.experiments import (
     fig1_divergence,
@@ -70,17 +69,6 @@ _MODULES = {
     "lint": lint_kernels,
 }
 
-#: experiments drawing on the shared exhaustive sweep (and its in-process
-#: memo + sweep engine); these run in the coordinating process so they
-#: reuse each other's measurements, while the rest may run concurrently.
-#: Declared by the modules themselves (``USES_SHARED_SWEEP = True``) so a
-#: new sweep-backed experiment cannot silently end up in a worker process
-#: with its own second cache writer.
-SWEEP_POOLED = frozenset(
-    name for name, mod in _MODULES.items()
-    if getattr(mod, "USES_SHARED_SWEEP", False)
-)
-
 
 def run_experiment(name: str, full: bool = False, archs=None,
                    kernels=None, tags=None, with_status: bool = False):
@@ -110,16 +98,6 @@ def run_experiment(name: str, full: bool = False, archs=None,
         status = int(getattr(mod, "exit_code", lambda _r: 0)(result))
         return text, status
     return text
-
-
-def _run_timed(name: str, full: bool, archs, kernels, tags=None) -> tuple:
-    """``(text, elapsed, status)`` for one experiment (picklable pool
-    target)."""
-    t0 = time.time()
-    text, status = run_experiment(name, full=full, archs=archs,
-                                  kernels=kernels, tags=tags,
-                                  with_status=True)
-    return text, time.time() - t0, status
 
 
 def serve_main(argv) -> int:
@@ -284,8 +262,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=None,
                         help="directory to write one .txt per experiment")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for sweeps and independent "
-                             "experiments (0 = one per CPU)")
+                        help="worker processes for sweep measurement "
+                             "(0 = one per CPU)")
     parser.add_argument("--cache", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="persist sweep measurements on disk "
@@ -338,31 +316,16 @@ def main(argv=None) -> int:
     common.configure_sweeps(jobs=args.jobs, cache_dir=cache_dir,
                             progress=args.progress)
 
-    # Independent experiments can run concurrently in worker processes;
-    # the sweep-pooled ones stay here to share measurements.  Results are
-    # printed strictly in the requested order either way.
-    futures: dict = {}
-    executor = None
-    independents = [n for n in dict.fromkeys(chosen) if n not in SWEEP_POOLED]
-    if args.jobs != 1 and len(independents) > 1:
-        executor = ProcessPoolExecutor(
-            max_workers=min(len(independents), resolve_jobs(args.jobs))
-        )
-        futures = {
-            n: executor.submit(_run_timed, n, args.full, args.archs,
-                               args.kernels, args.tags)
-            for n in independents
-        }
     rc = 0
     interrupted = False
     try:
         for name in dict.fromkeys(chosen):
-            if name in futures:
-                text, elapsed, status = futures[name].result()
-            else:
-                text, elapsed, status = _run_timed(
-                    name, args.full, args.archs, args.kernels, args.tags
-                )
+            t0 = time.time()
+            text, status = run_experiment(
+                name, full=args.full, archs=args.archs,
+                kernels=args.kernels, tags=args.tags, with_status=True,
+            )
+            elapsed = time.time() - t0
             rc = max(rc, status)
             header = f"##### {name} ({elapsed:.1f}s) " + "#" * 30
             print(header)
@@ -372,7 +335,7 @@ def main(argv=None) -> int:
                 args.out.mkdir(parents=True, exist_ok=True)
                 (args.out / f"{name}.txt").write_text(text + "\n")
     except KeyboardInterrupt:
-        # no traceback: close the pools, keep what the incremental
+        # no traceback: close the pool, keep what the incremental
         # checkpointing already persisted, exit nonzero
         interrupted = True
         print(
@@ -381,10 +344,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     finally:
-        if executor is not None:
-            executor.shutdown(
-                wait=not interrupted, cancel_futures=interrupted
-            )
         _print_engine_summary()
         common.shutdown_sweeps()
         _write_obs_artifacts(args.trace, args.metrics)

@@ -31,10 +31,6 @@ from repro.suite import (
 )
 from repro.util.tables import ascii_table
 
-USES_SHARED_SWEEP = True
-"""Measures through the shared engine: the runner keeps this experiment
-in the coordinating process so it reuses the engine pool and cache."""
-
 
 def run(full: bool = False, archs=None, kernels=None, tags=None) -> dict:
     gpus = resolve_gpus(archs)

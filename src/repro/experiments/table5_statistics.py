@@ -16,10 +16,6 @@ from repro.experiments.common import (
 )
 from repro.util.tables import ascii_table
 
-USES_SHARED_SWEEP = True
-"""Drawn from the pooled exhaustive sweep: the runner keeps this
-experiment in the coordinating process so measurements are shared."""
-
 _FAMILY_SHORT = {"Fermi": "Fer", "Kepler": "Kep", "Maxwell": "Max",
                  "Pascal": "Pas"}
 

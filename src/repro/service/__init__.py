@@ -5,8 +5,8 @@ measurement store.
 Layers (each importable and testable on its own):
 
 - :mod:`repro.service.store` -- the server-owned measurement database
-  (:class:`~repro.engine.cache.CacheStore` promoted with LRU usage
-  tracking and eviction);
+  (:class:`~repro.engine.cache.CacheStore` promoted with an LRU tick in
+  each row and eviction to a cap);
 - :mod:`repro.service.fleet` -- a thread pool of N drainers, each
   thread with its own supervised
   :class:`~repro.engine.engine.SweepEngine` over the shared store;
@@ -15,7 +15,8 @@ Layers (each importable and testable on its own):
   exposed over ask/tell endpoints (external mode);
 - :mod:`repro.service.http` -- minimal HTTP/1.1 on
   ``asyncio.start_server`` (stdlib-only, no ``http.server``);
-- :mod:`repro.service.server` -- the composed service plus
+- :mod:`repro.service.server` -- the composed service, which caps its
+  open connections (:data:`~repro.service.server.MAX_CONNECTIONS`), plus
   :class:`~repro.service.server.ThreadedServer` for tests and
   :func:`~repro.service.server.serve` for the CLI.
 """

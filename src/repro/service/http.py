@@ -12,6 +12,8 @@ responses.  Strictness rules:
   :class:`~repro.api.protocol.ErrorEnvelope`, never a bare string;
 - a request whose head and body take longer than
   :data:`REQUEST_TIMEOUT_S` to arrive answers 408 and closes its connection;
+- a connection the server will not serve is answered by :func:`refuse`
+  (the server's connection cap answers 503);
 - a request advertising an incompatible protocol version in the
   ``X-Repro-Protocol`` header is refused with 426 before its handler
   runs;
@@ -29,7 +31,7 @@ import re
 from repro import obs
 from repro.api.protocol import ErrorEnvelope, ProtocolError, check_version
 
-__all__ = ["HttpError", "Request", "Router", "serve_connection"]
+__all__ = ["HttpError", "Request", "Router", "refuse", "serve_connection"]
 
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -41,6 +43,7 @@ _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout", 409: "Conflict",
     426: "Upgrade Required", 500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 PROTOCOL_HEADER = "x-repro-protocol"
@@ -132,6 +135,14 @@ def _encode_response(status: int, doc, keep_alive: bool) -> bytes:
         "\r\n"
     )
     return head.encode("ascii") + body
+
+
+def refuse(writer: asyncio.StreamWriter, error: HttpError) -> None:
+    """Answer ``error`` on a connection that will not be served, then
+    close it; the transport sends the answer before it closes."""
+    writer.write(_encode_response(error.status, error.envelope.to_json(),
+                                  keep_alive=False))
+    writer.close()
 
 
 async def _read_request(reader: asyncio.StreamReader) -> Request | None:

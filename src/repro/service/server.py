@@ -26,7 +26,9 @@ Endpoints (all JSON, prefix ``/v1``)::
 A client may advertise its protocol version in the ``X-Repro-Protocol``
 header; :func:`~repro.service.http.serve_connection` refuses an
 incompatible one with 426 before any handler runs.  Bodies carry their
-own ``v`` field, enforced the same way.
+own ``v`` field, enforced the same way.  A connection beyond
+:data:`MAX_CONNECTIONS` is answered 503 ``too-many-connections`` and
+closed.
 """
 
 from __future__ import annotations
@@ -48,11 +50,16 @@ from repro.api.protocol import (
     check_version,
 )
 from repro.service.fleet import WorkerFleet
-from repro.service.http import HttpError, Router, serve_connection
+from repro.service.http import HttpError, Router, refuse, serve_connection
 from repro.service.sessions import SessionManager
 from repro.service.store import MeasurementStore
 
 __all__ = ["Server", "ThreadedServer", "serve"]
+
+MAX_CONNECTIONS = 256
+"""Connections served at once; each holds a task until its client
+leaves or its request deadline passes.  One more is answered 503 and
+closed."""
 
 
 class Server:
@@ -123,6 +130,13 @@ class Server:
         return f"http://{self.host}:{self.port}"
 
     def _on_connection(self, reader, writer) -> None:
+        if len(self._connections) >= MAX_CONNECTIONS:
+            refuse(writer, HttpError(
+                503, "too-many-connections",
+                f"the server is serving {MAX_CONNECTIONS} connections; "
+                "retry later",
+            ))
+            return
         # a plain callback, so a connection's task is in the set from its
         # creation and stop() cannot miss one that has not started yet
         task = asyncio.get_running_loop().create_task(

@@ -11,15 +11,17 @@ server-owned WAL database shared by every tuning session:
   regardless of which tenant or strategy produced it;
 - **one format stamp**: the base class's ``PRAGMA user_version``
   (:data:`~repro.engine.cache.ROW_FORMAT`) is the store's schema
-  version.  A file in another row format is rebuilt empty, its
-  ``usage`` table with the rows, whichever store class opens it first;
-  a plain :class:`~repro.engine.cache.CacheStore` file in this format
-  is served as it stands (measurements are a cache -- rebuilding costs
-  time, never correctness);
-- **LRU usage tracking**: every get/put stamps the touched rows with a
-  monotonic tick in a ``usage`` table, and the open and every put trim
-  the store to ``max_entries``, least recently used first, so its
-  database never outgrows its cap;
+  version.  A file in another row format is rebuilt empty, whichever
+  store class opens it first; a plain
+  :class:`~repro.engine.cache.CacheStore` file in this format is served
+  as it stands (measurements are a cache -- rebuilding costs time,
+  never correctness);
+- **LRU tracking in the row**: every get/put stamps the touched rows'
+  ``tick`` column with a monotonic tick, and the open and every put
+  trim the store to ``max_entries``, least recently used first.  A row
+  never stamped (a plain store wrote it) reads NULL, which sorts
+  coldest; a deleted row takes its stamp with it, and rows from any
+  writer count toward the cap at the next put;
 - **thread safety** comes from the base class's per-thread connections
   (every fleet thread gets its own WAL connection with its own
   ``busy_timeout``); a put writes, stamps and trims in one transaction,
@@ -38,7 +40,7 @@ __all__ = ["MeasurementStore"]
 
 
 class MeasurementStore(CacheStore):
-    """A :class:`CacheStore` with LRU usage tracking and eviction.
+    """A :class:`CacheStore` with LRU stamps and eviction.
 
     ``max_entries`` bounds the measurement table from the open on;
     ``None`` means unbounded (eviction is a no-op).
@@ -51,13 +53,9 @@ class MeasurementStore(CacheStore):
         """Measurements deleted by LRU eviction over this store's life."""
         self._lock = threading.Lock()
         super().__init__(path)
-        conn = self._conn
-        # rows a plain store wrote have no stamp: coldest of all
-        conn.execute("INSERT INTO usage SELECT key, -1 FROM measurements"
-                     " WHERE key NOT IN (SELECT key FROM usage)")
-        conn.commit()
-        (self._tick,) = conn.execute(
-            "SELECT COALESCE(MAX(tick), -1) + 1 FROM usage").fetchone()
+        (self._tick,) = self._conn.execute(
+            "SELECT COALESCE(MAX(tick), -1) + 1 FROM measurements"
+        ).fetchone()
         self.evict()
 
     # -- schema --------------------------------------------------------------
@@ -65,12 +63,8 @@ class MeasurementStore(CacheStore):
     def _schema(self, conn: sqlite3.Connection) -> None:
         super()._schema(conn)
         conn.execute(
-            "CREATE TABLE IF NOT EXISTS usage ("
-            " key TEXT PRIMARY KEY,"
-            " tick INTEGER NOT NULL)"
-        )
-        conn.execute(
-            "CREATE INDEX IF NOT EXISTS usage_by_tick ON usage (tick)"
+            "CREATE INDEX IF NOT EXISTS measurements_by_tick"
+            " ON measurements (tick)"
         )
 
     @property
@@ -82,17 +76,16 @@ class MeasurementStore(CacheStore):
     # -- LRU bookkeeping -----------------------------------------------------
 
     def _stamp(self, keys) -> None:
-        """Stamp those of ``keys`` still stored with the next ticks; the
-        caller commits.  A get stamps after its read, in a write of its
-        own: a trim in between must not leave a stamp without its row."""
+        """Stamp the rows of ``keys`` with the next ticks; the caller
+        commits.  A row deleted since it was read is simply not
+        updated."""
         keys = list(keys)
         with self._lock:
             start = self._tick
             self._tick += len(keys)
         self._conn.executemany(
-            "INSERT OR REPLACE INTO usage (key, tick) SELECT ?1, ?2"
-            " WHERE EXISTS (SELECT 1 FROM measurements WHERE key = ?1)",
-            [(k, start + i) for i, k in enumerate(keys)],
+            "UPDATE measurements SET tick = ? WHERE key = ?",
+            [(start + i, k) for i, k in enumerate(keys)],
         )
 
     def _touch(self, keys) -> None:
@@ -114,11 +107,6 @@ class MeasurementStore(CacheStore):
             conn.execute("BEGIN IMMEDIATE")
             super().put_many(items)
 
-    def clear(self) -> None:
-        super().clear()
-        self._conn.execute("DELETE FROM usage")
-        self._conn.commit()
-
     # -- eviction ------------------------------------------------------------
 
     def evict(self, max_entries: int | None = None) -> int:
@@ -131,19 +119,18 @@ class MeasurementStore(CacheStore):
             return self._trim(cap)
 
     def _trim(self, cap: int | None) -> int:
-        """Keep the ``cap`` newest stamps and delete the rest with their
-        rows, inside the caller's write transaction; count and return
-        how many rows went.  Every stored row has a stamp (rows another
-        process writes get theirs at the next open), so the count and
-        the pick run on the small tick index, not on the table."""
+        """Keep the ``cap`` most recently stamped rows and delete the
+        rest, inside the caller's write transaction; count and return
+        how many went.  The count takes every row, whichever process
+        wrote it, and the pick runs on the tick index, where a NULL
+        (never stamped) sorts first."""
         if cap is None:
             return 0
         conn = self._conn
-        (stamps,) = conn.execute("SELECT COUNT(*) FROM usage").fetchone()
+        (rows,) = conn.execute("SELECT COUNT(*) FROM measurements").fetchone()
         victims = conn.execute(
-            "SELECT key FROM usage ORDER BY tick LIMIT ?",
-            (max(stamps - cap, 0),)).fetchall()
-        conn.executemany("DELETE FROM usage WHERE key = ?", victims)
+            "SELECT key FROM measurements ORDER BY tick LIMIT ?",
+            (max(rows - cap, 0),)).fetchall()
         evicted = conn.executemany(
             "DELETE FROM measurements WHERE key = ?", victims).rowcount
         with self._lock:

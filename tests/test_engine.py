@@ -434,7 +434,7 @@ class TestRunnerCLI:
             assert (par_out / f"{name}.txt").read_text() == expected
             assert (warm_out / f"{name}.txt").read_text() == expected
 
-    def test_independent_experiments_run_concurrently(self, capsys):
+    def test_experiments_print_in_the_requested_order(self, capsys):
         assert runner_main(
             ["--jobs", "2", "--no-cache", "table1", "table2", "fig3"]
         ) == 0

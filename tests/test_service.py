@@ -10,6 +10,7 @@ shared measurement store.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from types import SimpleNamespace
@@ -722,3 +723,172 @@ def test_stop_closes_open_connections(tmp_path, caplog):
     assert stopped < 5
     assert not [r for r in caplog.records
                 if "Task was destroyed" in r.getMessage()]
+
+
+def test_connections_beyond_the_cap_get_503(tmp_path, monkeypatch):
+    """A connection past ``MAX_CONNECTIONS`` is answered 503 and closed;
+    once an idle one leaves, a new client is served again."""
+    import socket
+
+    from repro.service import server as server_module
+
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 2)
+    with ThreadedServer(cache_dir=tmp_path) as ts:
+        held = ts.server._connections
+        address = (ts.server.host, ts.server.port)
+        idle = [socket.create_connection(address, timeout=10)
+                for _ in range(2)]
+        try:
+            wait_until(lambda: len(held) == 2, timeout=10)
+            with socket.create_connection(address, timeout=10) as sock:
+                received = b""
+                while chunk := sock.recv(65536):  # until the server closes
+                    received += chunk
+            head, body = received.split(b"\r\n\r\n", 1)
+            assert head.startswith(b"HTTP/1.1 503 Service Unavailable\r\n")
+            assert b"Connection: close" in head
+            assert json.loads(body)["code"] == "too-many-connections"
+
+            # the server drops a connection when it reads the client's
+            # EOF, so wait for that rather than for a fixed time
+            idle.pop().close()
+            wait_until(lambda: len(held) < 2, timeout=10)
+            assert ReproClient(ts.url).hello().protocol == PROTOCOL_VERSION
+        finally:
+            for sock in idle:
+                sock.close()
+
+
+# ---------------------------------------------------------------------------
+# soak: a long mixed run under injected faults
+
+
+SOAK_SPACE = SpaceSpec.from_space(ParameterSpace([
+    Parameter("TC", (32, 64, 128, 256)),
+    Parameter("BC", (48, 96)),
+]))
+
+RSS_GROWTH_MB = 16.0
+"""How much RSS may grow from 30% of the soak to its end.  By 30% every
+problem of the pool has been tuned with every strategy, so the
+process's caches (modules, count forms, analyzer reports) are full, and
+the store and the session list are held at their caps.  What may still
+grow is memory outside them: SQLite's page cache, by default at most
+2,000 KiB per connection, on each server thread that opens one (two
+fleet threads and the loop's), and the allocator's per-thread arenas.
+16 MiB lets those three page caches fill from empty (about 6 MiB) and
+leaves 10 MiB for the arenas."""
+
+
+def _rss_mb() -> float | None:
+    """This process's resident set, where ``/proc`` reports it."""
+    try:
+        with open("/proc/self/statm") as f:
+            pages = int(f.read().split()[1])
+    except FileNotFoundError:
+        return None
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+def test_soak_mixed_sessions_under_chaos(tmp_path):
+    """A hundred mixed sessions from two clients against a store capped
+    well below the points they touch and a small session cap, every
+    tenth managed session cancelled, under faults that each recover on
+    retry: the caps hold after every session, RSS stays flat once every
+    problem has been tuned, and every finished managed session is
+    byte-identical to in-process tuning."""
+    from repro.arch import get_gpu
+    from repro.autotune.measure import Measurer
+    from repro.engine import chaos
+    from repro.kernels import get_benchmark
+
+    cap, max_sessions, clients, sessions = 12, 4, 2, 100
+    problems = [(k, g) for k in ("atax", "bicg", "matvec2d")
+                for g in ("kepler", "fermi")]  # 48 points, 4x the cap
+    searches = [("random", {"seed": 1}), ("genetic", {"seed": 2}),
+                ("annealing", {"seed": 3}), ("static", {})]
+    plan = []
+    for i in range(sessions):
+        kernel, gpu = problems[i % len(problems)]
+        search, args = searches[i // len(problems) % len(searches)]
+        plan.append(TuneRequest(
+            kernel=kernel, gpu=gpu, size=16, search=search, budget=4,
+            mode="external" if i % 5 in (1, 3) else "managed",
+            space=SOAK_SPACE, search_args=args,
+        ))
+    managed = [i for i, r in enumerate(plan) if r.mode == "managed"]
+    cancelled = set(managed[9::10])
+
+    cursor = iter(range(sessions))
+    lock = threading.Lock()
+    finished: dict[int, str] = {}
+    rss: list = []
+    errors: list = []
+    ran = [0]
+
+    def drive() -> None:
+        client = ReproClient(ts.url, timeout=60)
+        measurers: dict = {}
+        try:
+            while True:
+                with lock:
+                    i = next(cursor, None)
+                if i is None:
+                    return
+                request = plan[i]
+                sid = client.submit(request).session_id
+                if request.mode == "external":
+                    key = (request.kernel, request.gpu)
+                    if key not in measurers:
+                        measurers[key] = Measurer(get_benchmark(key[0]),
+                                                  get_gpu(key[1]))
+                    client.run_external(sid, lambda c, m=measurers[key]:
+                                        m.measure(c, request.size).seconds)
+                elif i in cancelled:
+                    client.status(sid)
+                    assert client.cancel(sid).state in ("cancelled", "done")
+                else:
+                    finished[i] = wire_doc(client.wait(sid, timeout=60,
+                                                       poll_s=0.01))
+                assert client.store_stats().entries <= cap
+                # finished sessions are trimmed to the cap at each submit,
+                # and each client holds at most one more
+                assert len(client.sessions()) <= max_sessions + clients
+                with lock:
+                    ran[0] += 1
+                    if ran[0] % (sessions // 10) == 0:
+                        rss.append(_rss_mb())
+        except Exception as e:  # surfaced below; threads must not hide it
+            errors.append(e)
+
+    # every measured shard's first attempt fails, and its retry recovers
+    spec = chaos.ChaosSpec(raise_rate=1.0, attempts=1)
+    with ThreadedServer(cache_dir=tmp_path, max_entries=cap,
+                        max_sessions=max_sessions) as ts:
+        with chaos.injected(spec):
+            threads = [threading.Thread(target=drive)
+                       for _ in range(clients)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        engines = ts.server.fleet._engines
+        retries = sum(e.total_retries for e in engines)
+        assert retries == sum(e.total_recovered for e in engines) > 0
+        assert sum(e.total_failures for e in engines) == 0
+        assert ts.server.store.evicted > 0
+
+    assert ran[0] == sessions
+    assert len(finished) == len(managed) - len(cancelled)
+    local: dict = {}
+    for i, doc in finished.items():
+        key = json.dumps(plan[i].to_json(), sort_keys=True)
+        if key not in local:
+            local[key] = wire_doc(run_tune_request(plan[i]))
+        assert doc == local[key], f"session {i} differs from in-process"
+    print("soak RSS (MB) at each tenth:",
+          [None if r is None else round(r, 1) for r in rss])
+    if rss[0] is not None:
+        assert rss[-1] - rss[2] <= RSS_GROWTH_MB, rss

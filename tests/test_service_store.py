@@ -110,14 +110,16 @@ def test_schema_version_adoption_and_rebuild(tmp_path):
     # a file stamped with a foreign format is rebuilt empty, its LRU
     # stamps with the rows
     conn = sqlite3.connect(str(tmp_path / "measurements.sqlite"))
-    assert conn.execute("SELECT COUNT(*) FROM usage").fetchone() == (1,)
+    assert conn.execute(
+        "SELECT COUNT(tick) FROM measurements"
+    ).fetchone() == (1,)
     conn.execute("PRAGMA user_version = 999")
     conn.commit()
     conn.close()
     rebuilt = MeasurementStore(tmp_path)
     assert len(rebuilt) == 0
     assert rebuilt._conn.execute(
-        "SELECT COUNT(*) FROM usage"
+        "SELECT COUNT(tick) FROM measurements"
     ).fetchone() == (0,)
     rebuilt.close()
 
@@ -185,8 +187,39 @@ def test_a_get_never_stamps_a_row_trimmed_under_it(tmp_path, monkeypatch):
     assert list(store.get_many(["a"])) == ["a"]
     monkeypatch.undo()
     assert store._conn.execute(
-        "SELECT key FROM usage ORDER BY key"
-    ).fetchall() == [("b",), ("c",)]
+        "SELECT key, tick IS NOT NULL FROM measurements ORDER BY key"
+    ).fetchall() == [("b", 1), ("c", 1)]
+    store.close()
+
+
+def test_a_capped_store_stays_full_after_a_quarantine(tmp_path):
+    """A quarantined row takes its stamp with it, so the next put counts
+    only the rows left and evicts none of them."""
+    store = MeasurementStore(tmp_path, max_entries=4)
+    store.put_many((f"k{i}", _m(i)) for i in range(4))
+    store._conn.execute(
+        "UPDATE measurements SET seconds = 'bad' WHERE key = 'k3'")
+    store._conn.commit()
+    assert store.get("k3") is None and store.corrupt == 1
+    store.put("k4", _m(4))
+    assert len(store) == 4
+    assert store.evicted == 0
+    store.close()
+
+
+def test_rows_another_writer_puts_count_at_the_next_put(tmp_path):
+    """Rows a plain store writes into a capped store's file carry no
+    stamp: the next put counts them and evicts them first."""
+    store = MeasurementStore(tmp_path, max_entries=4)
+    store.put_many([("a", _m(0)), ("b", _m(1))])
+    plain = CacheStore(tmp_path)
+    plain.put_many((f"x{i}", _m(i)) for i in range(3))
+    plain.close()
+    store.put("c", _m(2))
+    assert len(store) == 4
+    assert store.evicted == 2
+    left = store.get_many(["a", "b", "c", "x0", "x1", "x2"])
+    assert len(left) == 4 and {"a", "b", "c"} <= set(left)
     store.close()
 
 
@@ -376,22 +409,24 @@ def test_json_payload_file_is_rebuilt_not_misread(tmp_path, cls,
     )
     again.close()
 
-    # the old row's usage stamp went with it, whichever class opened the
-    # file first (read raw: a MeasurementStore reconciles stamps at open)
+    # no tick of the old row survived, whichever class opened the file
+    # first: its usage table is gone, and only the new row holds a tick,
+    # stamped if a MeasurementStore wrote it
     raw = sqlite3.connect(str(tmp_path / "measurements.sqlite"))
     tables = {name for (name,) in raw.execute(
         "SELECT name FROM sqlite_master WHERE type = 'table'")}
-    stamps = (raw.execute("SELECT key FROM usage").fetchall()
-              if "usage" in tables else [])
+    ticks = raw.execute(
+        "SELECT key, tick IS NULL FROM measurements").fetchall()
     raw.close()
-    assert stamps == ([("new",)] if cls is MeasurementStore else [])
+    assert "usage" not in tables
+    assert ticks == [("new", int(cls is CacheStore))]
 
-    # a MeasurementStore opening the file stamps the rows a plain store
-    # wrote
+    # a MeasurementStore opening the file leaves a plain store's row
+    # unstamped: NULL, the coldest tick
     service = MeasurementStore(tmp_path)
-    assert service._conn.execute("SELECT key FROM usage").fetchall() == [
-        ("new",)
-    ]
+    assert service._conn.execute(
+        "SELECT tick IS NULL FROM measurements WHERE key = 'new'"
+    ).fetchone() == (int(cls is CacheStore),)
     service.close()
 
 
@@ -416,7 +451,7 @@ def test_every_connection_commits_with_synchronous_normal(tmp_path):
     store.close()
 
 
-def test_put_many_commits_rows_and_usage_once(tmp_path):
+def test_put_many_commits_rows_and_ticks_once(tmp_path):
     store = MeasurementStore(tmp_path)
     statements: list = []
     store._conn.set_trace_callback(statements.append)
@@ -425,9 +460,10 @@ def test_put_many_commits_rows_and_usage_once(tmp_path):
     assert [s for s in statements if s.upper().startswith("COMMIT")] == [
         "COMMIT"
     ]
-    assert len(store.get_many([f"k{i}" for i in range(3)])) == 3
-    (stamped,) = store._conn.execute("SELECT COUNT(*) FROM usage").fetchone()
+    (stamped,) = store._conn.execute(
+        "SELECT COUNT(tick) FROM measurements").fetchone()
     assert stamped == 3
+    assert len(store.get_many([f"k{i}" for i in range(3)])) == 3
     store.close()
 
 
