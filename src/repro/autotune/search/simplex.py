@@ -26,12 +26,12 @@ of the algorithm computes, bit for bit:
 - a snap rounds half to even (Python's ``round``, like ``np.round``) and
   clamps each index to its axis.
 
-Only the vertex order still comes from NumPy (``np.argsort``).
+Vertices are ordered by a stable sort on their values, so tied vertices
+keep their order on every host (NumPy's default argsort is not stable,
+and its order among ties follows the CPU's SIMD level).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.autotune.search.base import Search
 from repro.autotune.space import ParameterSpace
@@ -99,10 +99,7 @@ class NelderMeadSearch(Search):
         # lattice points (charging nothing), so bound the move count
         max_moves = 50 * n_budget + 100
         for _move in range(max_moves):
-            # np.argsort is not stable, and its order among tied values
-            # follows the host's SIMD level, so on ties the answer can
-            # differ between hosts (ROADMAP item 1)
-            order = np.argsort(values)
+            order = sorted(range(len(values)), key=values.__getitem__)
             simplex = [simplex[i] for i in order]
             values = [values[i] for i in order]
             centroid = _centroid(simplex[:-1])

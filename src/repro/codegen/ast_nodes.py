@@ -338,24 +338,20 @@ class For(Stmt):
 class If(Stmt):
     """``if (cond) then_body else else_body``.
 
-    ``prob`` is an optional author-provided estimate of the probability that
-    the condition holds for a random thread; the timing substrate uses it,
-    the *static analyzer does not see it* (it assumes 0.5, which is one
-    source of the Table VI static-estimation error).
+    How often the condition holds is not declared: exact counting
+    evaluates it over the enclosing loop domain, and the static analyzer
+    assumes 0.5 (one source of the Table VI static-estimation error).
     """
 
     cond: Expr
     then_body: tuple
     else_body: tuple = ()
-    prob: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.then_body, tuple):
             object.__setattr__(self, "then_body", tuple(self.then_body))
         if not isinstance(self.else_body, tuple):
             object.__setattr__(self, "else_body", tuple(self.else_body))
-        if self.prob is not None and not (0.0 <= self.prob <= 1.0):
-            raise ValueError("prob must be in [0, 1]")
 
     def __str__(self):
         t = "\n".join(f"  {line}" for s in self.then_body
@@ -545,7 +541,6 @@ def substitute_stmt(s: Stmt, env: dict[str, Expr]) -> Stmt:
             cond=substitute(s.cond, env),
             then_body=tuple(substitute_stmt(b, env) for b in s.then_body),
             else_body=tuple(substitute_stmt(b, env) for b in s.else_body),
-            prob=s.prob,
         )
     return s
 

@@ -230,9 +230,9 @@ def pfor2d(vi: VarRef, vj: VarRef, ni, nj, body, flat: VarRef | None = None):
     return pfor(f, _as_expr(ni) * _as_expr(nj), [*prelude, *body])
 
 
-def when(cond, then_body, else_body=(), prob: float | None = None) -> If:
+def when(cond, then_body, else_body=()) -> If:
     return If(cond=_as_expr(cond), then_body=tuple(then_body),
-              else_body=tuple(else_body), prob=prob)
+              else_body=tuple(else_body))
 
 
 def both(l, r) -> BoolOp:

@@ -801,7 +801,7 @@ def _lower_if(ctx: _Ctx, s: If) -> None:
 
     branch = ctx.branch_id()
     then_region = Region(id=f"{branch}t", kind=RegionKind.THEN,
-                         cond=s.cond, prob_hint=s.prob)
+                         cond=s.cond)
     ctx.push_region(then_region)
     for stmt in s.then_body:
         _lower_stmt(ctx, stmt)
@@ -812,7 +812,7 @@ def _lower_if(ctx: _Ctx, s: If) -> None:
     if s.else_body:
         ctx.emit_label(else_lbl)
         else_region = Region(id=f"{branch}e", kind=RegionKind.ELSE,
-                             cond=s.cond, prob_hint=s.prob)
+                             cond=s.cond)
         ctx.push_region(else_region)
         for stmt in s.else_body:
             _lower_stmt(ctx, stmt)

@@ -66,21 +66,6 @@ class MemAccess:
     seq_stride: int = 0
     is_atomic: bool = False
 
-    def transactions_per_warp(self, warp_size: int = 32,
-                              line_bytes: int = 128) -> int:
-        """Memory transactions one warp needs for this access."""
-        if self.space is MemSpace.SHARED:
-            return 1  # banked; conflicts modelled separately
-        elem = self.dtype.nbytes
-        if self.pattern == "uniform":
-            return 1
-        if self.pattern == "coalesced":
-            return max(1, (warp_size * elem) // line_bytes)
-        # strided: each lane in its own segment once stride*elem >= line
-        span = min(self.stride * elem, line_bytes)
-        lanes_per_line = max(1, line_bytes // max(span, 1))
-        return max(1, -(-warp_size // lanes_per_line))
-
 
 @dataclass
 class Region:
@@ -99,7 +84,6 @@ class Region:
     step: int = 1
     # branch metadata (THEN / ELSE)
     cond: Expr | None = None
-    prob_hint: float | None = None
 
     def add_instruction(self, category: InstrCategory, reg_ops: int) -> None:
         self.counts[category] += 1
@@ -130,13 +114,7 @@ its declaration ordinal."""
 REG_OPS = len(_CATEGORIES)
 """Vector index of register-operand traffic."""
 
-TRANSACTIONS = REG_OPS + 1
-"""Vector index of memory transactions."""
-
-DRAM_BYTES = REG_OPS + 2
-"""Vector index of DRAM bytes."""
-
-ACCESSES = REG_OPS + 3
+ACCESSES = REG_OPS + 1
 """Vector index of the first memory access's thread executions."""
 
 
@@ -145,12 +123,14 @@ class CountForm:
 
     At ``T`` threads every count is ``base[i] + T * slope[i]``.  Both
     vectors hold one entry per :class:`InstrCategory` (indexed by
-    :data:`ORDINAL`), then register-operand traffic, memory transactions
-    and DRAM bytes, then from :data:`ACCESSES` on the thread executions
-    of each access in ``accesses``.  ``order`` holds the ordinals of the
-    categories counted, in the order every sum over categories runs; the
-    entries of other categories are 0.  Forms are weakly referenceable,
-    so what a reader derives from one can be memoized with it.
+    :data:`ORDINAL`), then register-operand traffic, then from
+    :data:`ACCESSES` on the thread executions of each access in
+    ``accesses``.  ``order`` holds the ordinals of the categories
+    counted, ascending: :class:`InstrCategory` declaration order, which
+    every sum over categories runs in, so no sum follows the string-hash
+    seed.  The entries of other categories are 0.  Forms are weakly
+    referenceable, so what a reader derives from one can be memoized
+    with it.
     """
 
     __slots__ = ("order", "base", "slope", "accesses", "__weakref__")
@@ -171,10 +151,8 @@ class DynamicCounts:
     ``by_category`` maps Table II categories to execution counts;
     ``reg_ops`` is total register-operand traffic (the paper's ``Regs``
     metric / O_reg); ``mem_traffic`` is a tuple of ``(MemAccess, thread
-    executions)`` pairs from which transaction/byte totals derive;
-    ``mem_transactions`` and ``dram_bytes`` are the pattern-weighted totals
-    assuming no cache effects (the timing model refines them with its
-    occupancy-dependent cache model).
+    executions)`` pairs, which the timing model charges DRAM traffic for
+    through its own per-access terms and cache model.
     """
 
     __slots__ = ("form", "total_threads")
@@ -196,14 +174,6 @@ class DynamicCounts:
     @property
     def reg_ops(self) -> float:
         return self._at(REG_OPS)
-
-    @property
-    def mem_transactions(self) -> float:
-        return self._at(TRANSACTIONS)
-
-    @property
-    def dram_bytes(self) -> float:
-        return self._at(DRAM_BYTES)
 
     @property
     def mem_traffic(self) -> tuple:
@@ -290,7 +260,6 @@ def evaluate_region_tree(
     env: dict[str, float],
     total_threads: int,
     branch_fraction: BranchFractionFn = _half,
-    warp_size: int = 32,
 ) -> DynamicCounts:
     """Compute dynamic counts for the tree under parameter bindings ``env``.
 
@@ -299,29 +268,28 @@ def evaluate_region_tree(
     regions (outermost first); ELSE regions automatically receive the
     complement.  Pass an exact evaluator for ground-truth counts or keep the
     default 0.5 for the paper's static estimate.
+
+    The counts come back as a zero-slope :class:`CountForm` at
+    ``total_threads``: the tree's categories in declaration order,
+    register operands, and each memory access's thread executions.  The
+    walk sums no memory traffic; the timing model charges that per
+    access.
     """
     if root.kind is not RegionKind.ROOT:
         raise ValueError("evaluate_region_tree expects the ROOT region")
     by_cat: Counter = Counter()
     reg_ops = 0.0
-    transactions = 0.0
-    dram_bytes = 0.0
     accesses: list = []
     executions: list = []
 
     def visit(region: Region, count: float, loops: list) -> None:
-        nonlocal reg_ops, transactions, dram_bytes
+        nonlocal reg_ops
         for cat, n in region.counts.items():
             by_cat[cat] += n * count
         reg_ops += region.reg_ops * count
-        warps = count / warp_size
         for acc in region.mem_accesses:
             accesses.append(acc)
             executions.append(count)
-            tx = acc.transactions_per_warp(warp_size)
-            transactions += tx * warps
-            if acc.space is MemSpace.GLOBAL:
-                dram_bytes += tx * 32.0 * warps  # 32B DRAM segments
 
         for child in region.children:
             if child.kind is RegionKind.PLOOP:
@@ -337,15 +305,12 @@ def evaluate_region_tree(
                 raise ValueError(f"unexpected child region kind {child.kind}")
 
     visit(root, float(total_threads), [])
-    # the counts at ``total_threads`` as a form with zero slope; the
-    # categories stay in first-counted order
+    # the counts at ``total_threads`` as a form with zero slope
     base = [0.0] * ACCESSES
     for cat, n in by_cat.items():
         base[ORDINAL[cat]] = n
     base[REG_OPS] = reg_ops
-    base[TRANSACTIONS] = transactions
-    base[DRAM_BYTES] = dram_bytes
     base += executions
-    form = CountForm(tuple(ORDINAL[cat] for cat in by_cat), tuple(base),
-                     (0.0,) * len(base), tuple(accesses))
+    form = CountForm(tuple(sorted(ORDINAL[cat] for cat in by_cat)),
+                     tuple(base), (0.0,) * len(base), tuple(accesses))
     return DynamicCounts(form, total_threads)

@@ -112,7 +112,6 @@ def _rewrite(body, factor: int):
                     cond=s.cond,
                     then_body=tuple(_rewrite(s.then_body, factor)),
                     else_body=tuple(_rewrite(s.else_body, factor)),
-                    prob=s.prob,
                 )
             )
         else:

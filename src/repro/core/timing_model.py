@@ -85,5 +85,5 @@ def profile_mae(predicted, observed) -> float:
     o = np.asarray(observed, dtype=float)
     if p.shape != o.shape or p.size == 0:
         raise ValueError("predicted/observed must be equal-length, non-empty")
-    order = np.argsort(o)
+    order = np.argsort(o, kind="stable")
     return mean_absolute_error(normalize(p[order]), normalize(o[order]))

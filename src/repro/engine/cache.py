@@ -63,8 +63,10 @@ __all__ = [
     "measurement_key", "point_key", "stable_hash",
 ]
 
-CACHE_SCHEMA_VERSION = 1
-"""Bump to invalidate all persisted measurements at once."""
+CACHE_SCHEMA_VERSION = 2
+"""Bump to invalidate all persisted measurements at once.  2: category
+counts are summed in declaration order, where 1 summed them in the
+writing process's string-hash order."""
 
 ROW_FORMAT = 3
 """The row layout, stamped in ``PRAGMA user_version``.  3 is typed

@@ -37,7 +37,7 @@ def run(full: bool = False, archs=None, kernels=None) -> dict:
             mae = profile_mae(predicted, observed)
             rows.append({"kernel": kernel, "arch": gpu.family, "mae": mae,
                          "variants": len(observed)})
-            order = np.argsort(observed)
+            order = np.argsort(observed, kind="stable")
             curves[(kernel, gpu.name)] = {
                 "predicted": normalize(np.asarray(predicted)[order]).tolist(),
                 "observed": normalize(np.asarray(observed)[order]).tolist(),

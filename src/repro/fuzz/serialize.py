@@ -78,8 +78,7 @@ def _enc(node):
     if isinstance(node, If):
         return {"t": t, "cond": _enc(node.cond),
                 "then": [_enc(s) for s in node.then_body],
-                "else": [_enc(s) for s in node.else_body],
-                "prob": node.prob}
+                "else": [_enc(s) for s in node.else_body]}
     if isinstance(node, Sync):
         return {"t": t}
     raise TypeError(f"cannot serialize {t}")
@@ -120,7 +119,7 @@ def _dec(d):
     if t == "If":
         return If(_dec(d["cond"]),
                   tuple(_dec(s) for s in d["then"]),
-                  tuple(_dec(s) for s in d["else"]), prob=d["prob"])
+                  tuple(_dec(s) for s in d["else"]))
     if t == "Sync":
         return Sync()
     raise TypeError(f"cannot deserialize {t!r}")

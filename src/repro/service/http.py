@@ -97,14 +97,12 @@ class Router:
 
     def __init__(self):
         self._routes: list[tuple[str, re.Pattern, object]] = []
-        self._paths: set[str] = set()
 
     def add(self, method: str, pattern: str, handler) -> None:
         regex = re.compile(
             "^" + re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", pattern) + "$"
         )
         self._routes.append((method.upper(), regex, handler))
-        self._paths.add(pattern)
 
     def resolve(self, method: str, path: str):
         """``(handler, params)`` or an :class:`HttpError` (404/405)."""

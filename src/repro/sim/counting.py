@@ -37,7 +37,6 @@ from repro import obs
 from repro.codegen.ast_nodes import evaluate_expr, evaluate_expr_numpy
 from repro.codegen.compiler import CompiledKernel
 from repro.codegen.regions import (
-    ORDINAL,
     CountForm,
     DynamicCounts,
     Region,
@@ -190,18 +189,12 @@ def _env_key(env: dict) -> tuple:
 
 
 def _affine(at0: DynamicCounts, at1: DynamicCounts) -> CountForm:
-    """The form of walks at T = 0 and T = 1: counts(T) = at0 + T * (at1 - at0).
-
-    Categories are summed in the iteration order of the union of the two
-    walks' category sets.  :class:`~repro.arch.throughput.InstrCategory`
-    members hash by name, so that order follows the string-hash seed;
-    it is kept because every measurement made so far summed in it.
-    """
-    cats = set(at0.by_category) | set(at1.by_category)
+    """The form of walks at T = 0 and T = 1: counts(T) = at0 + T * (at1 - at0),
+    over the categories either walk counted, in declaration order."""
     # a walk's form has zero slope: its base is its counts
     a, b = at0.form.base, at1.form.base
     return CountForm(
-        tuple(ORDINAL[c] for c in cats),
+        tuple(sorted({*at0.form.order, *at1.form.order})),
         a,
         tuple(y - x for x, y in zip(a, b)),
         at0.form.accesses,

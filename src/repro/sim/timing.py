@@ -18,7 +18,7 @@ paper reasons about qualitatively:
    chains, SFU chains, outstanding-load limits) bounds execution below,
    independent of spread; it flattens the low-TC end for the small-M
    kernels.
-4. **DRAM bandwidth with a cache model.**  Transactions follow each
+4. **DRAM bandwidth with a cache model.**  DRAM segments follow each
    access's coalescing pattern; strided accesses with sequential line reuse
    (the row-walk in atax/BiCG) keep their lines only while the resident
    working set fits in L1 -- more warps, more thrash.  The Orio ``PL``
@@ -35,10 +35,13 @@ repetitions, take the fifth trial).
 Each launch reads its kernels' count forms
 (:class:`~repro.codegen.regions.CountForm`) directly: category vectors
 by ordinal against per-SM IPC and chain-weight tables, and per-access
-terms worked out once per form.  Every float sum is a left-to-right
-``+=`` fold in the form's summation order, never ``sum()``: Python 3.12
-made ``sum()`` over floats compensated, which would tie the last bits
-of a measurement to the interpreter version.
+terms worked out once per form.  The per-access terms are the model's
+only account of memory traffic.  Every float sum is a left-to-right
+``+=`` fold, over categories in their declaration order, never
+``sum()``: Python 3.12 made ``sum()`` over floats compensated, which
+would tie the last bits of a measurement to the interpreter version.
+So a measurement depends neither on the interpreter nor on the
+string-hash seed.
 """
 
 from __future__ import annotations

@@ -290,7 +290,7 @@ class _NumpyNelderMead(NelderMeadSearch):
         simplex = random_simplex()
         values = list((yield [snap(x) for x in simplex]))
         for _move in range(50 * n_budget + 100):
-            order = np.argsort(values)
+            order = np.argsort(values, kind="stable")
             simplex = [simplex[i] for i in order]
             values = [values[i] for i in order]
             centroid = np.mean(simplex[:-1], axis=0)

@@ -71,10 +71,6 @@ class TestStatements:
         b = For("i", IntConst(0), IntConst(4), ())
         assert a.loop_id != b.loop_id
 
-    def test_if_prob_validated(self):
-        with pytest.raises(ValueError, match="prob"):
-            If(Cmp("lt", VarRef("i"), IntConst(1)), (), prob=1.5)
-
     def test_walk_stmts_depth_first(self):
         inner = Assign("s", FloatConst(0.0))
         loop = For("i", IntConst(0), IntConst(4), (inner,))

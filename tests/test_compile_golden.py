@@ -7,8 +7,8 @@ digests per kernel:
 - ``compile``: the disassembly, the ptxas log, registers per thread,
   static shared memory, spilled registers and the parallel extent;
 - ``regions``: the region tree in walk order (kind, category counts,
-  ``reg_ops``, memory accesses, loop var/bounds/step, ``cond``,
-  ``prob_hint``; not the region ``id``);
+  ``reg_ops``, memory accesses, loop var/bounds/step, ``cond``; not the
+  region ``id``);
 - ``cfg``: the block names and sorted edges of ``build_cfg(ck.ir)``.
 
 Any change to the compiler that alters what it emits fails here.  The
@@ -53,7 +53,7 @@ def kernel_digests(ck) -> dict:
          sorted((cat.value, n) for cat, n in r.counts.items()),
          r.reg_ops, [repr(a) for a in r.mem_accesses],
          r.loop_var, repr(r.lower), repr(r.upper), r.step,
-         repr(r.cond), r.prob_hint]
+         repr(r.cond)]
         for r in ck.root_region.walk()
     ]
     cfg = build_cfg(ck.ir)

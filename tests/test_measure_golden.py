@@ -10,14 +10,14 @@ first, middle and last ``TC`` x ``BC`` {24, 48}.
 Any change to compilation, counting, the timing model or the noise draw
 that alters a measured value fails here.  So does a change to the order
 in which the timing model sums category counts: the second size and
-grid size put enough last bits on the grid to show one.  The digests are taken in
-a subprocess under ``PYTHONHASHSEED=0``, because that order is a set's
-iteration order over :class:`~repro.arch.throughput.InstrCategory`
-members, which hash by name: the seconds of ex14fj, gemm, gemver,
-jacobi2d, matvec2d and matvec_smem follow the string-hash seed.  A second
-subprocess checks that no digest depends on the interpreter's ``sum()``,
-nor do two hand-built modules whose sums a compensated ``sum()`` would
-round differently.
+grid size put enough last bits on the grid to show one.  Categories are
+summed in their declaration order, so no measurement follows the
+string-hash seed: the digests are taken in fresh processes under
+``PYTHONHASHSEED`` 0, 1 and 2, each against the one fixture, and a store
+filled under one seed serves another seed the bytes it would measure
+cold.  A further subprocess checks that no digest depends on the
+interpreter's ``sum()``, nor do two hand-built modules whose sums a
+compensated ``sum()`` would round differently.
 The fixture is regenerated (only for an intended output change) with::
 
     PYTHONPATH=src python tests/test_measure_golden.py --write
@@ -50,11 +50,11 @@ as left-to-right float sums give them.  Python 3.12's compensated
 
 HANDBUILT = {
     "reg_ops": ["0x1.9ac338cca0dc1p-17", "0x1.0000000000000p+53"],
-    "sfu": ["0x1.7f55ee369c32fp+20", "0x1.0000000000001p+54"],
+    "sfu": ["0x1.7f55ee369c330p+20", "0x1.0000000000001p+54"],
 }
 """:func:`handbuilt_measurements` as left-to-right float sums give them.
 A compensated ``sum()`` makes ``reg_ops``'s register instructions
-``0x1.0000000000001p+53`` and ``sfu``'s seconds ``0x1.7f55ee369c32dp+20``."""
+``0x1.0000000000001p+53`` and ``sfu``'s seconds ``0x1.7f55ee369c32fp+20``."""
 
 
 def golden_configs(bm) -> list[dict]:
@@ -132,12 +132,11 @@ def handbuilt_measurements() -> dict:
     - ``reg_ops``: three kernels with 2**53, 1 and 1 register operands,
       whose total is ``Measurer.measure``'s ``reg_instructions``;
     - ``sfu``: one kernel issuing 2**53 special-function instructions,
-      one FP32 add and one 32-bit conversion.  Summed in the seed-0
-      order (FP32, SFU, conversion) its warp counts make
-      ``kernel_time``'s total 2**53, not 2**53 + 2.  The SFU share of
-      that total sets the warps the kernel needs, and 8 resident warps
-      are too few to hide it (``hiding`` below 1), so the total reaches
-      the issue time and the seconds.
+      one FP32 add and one move.  Summed in declaration order (FP32,
+      SFU, move) its warp counts make ``kernel_time``'s total 2**53, not
+      2**53 + 2.  The SFU share of that total sets the warps the kernel
+      needs, and 8 resident warps are too few to hide it (``hiding``
+      below 1), so the total reaches the issue time and the seconds.
     """
     import dataclasses
 
@@ -150,7 +149,7 @@ def handbuilt_measurements() -> dict:
         ]),
         "sfu": _handbuilt_module("sfu", [[
             (2**53, [(C.LOG_SIN_COS, 2)]),
-            (1, [(C.FP32, 3), (C.CONV32, 2)]),
+            (1, [(C.FP32, 3), (C.MOVE, 2)]),
         ]]),
     }
     out = {}
@@ -199,11 +198,14 @@ def patch_sum() -> None:
         importlib.import_module(name).sum = compensated_sum
 
 
-def run_at_seed0(body: str):
-    """Run ``body`` in a fresh process with ``PYTHONHASHSEED=0`` and this
-    module imported as ``golden``; return the JSON it prints."""
+HASH_SEEDS = ("0", "1", "2")
+
+
+def run_at_seed(body: str, seed: str = "0"):
+    """Run ``body`` in a fresh process with ``PYTHONHASHSEED=seed`` and
+    this module imported as ``golden``; return the JSON it prints."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONHASHSEED="0",
+    env = dict(os.environ, PYTHONHASHSEED=seed,
                PYTHONPATH=os.pathsep.join(
                    [src, os.environ.get("PYTHONPATH", "")]))
     probe = (f"import json, sys\n"
@@ -215,17 +217,56 @@ def run_at_seed0(body: str):
     return json.loads(out.stdout)
 
 
-def generate_at_seed0() -> dict:
-    """:func:`generate` in a fresh process with ``PYTHONHASHSEED=0``."""
-    return run_at_seed0("print(json.dumps(golden.generate()))")
+def generate_at_seed(seed: str = "0") -> dict:
+    """:func:`generate` in a fresh process with ``PYTHONHASHSEED=seed``."""
+    return run_at_seed("print(json.dumps(golden.generate()))", seed)
 
 
 def test_measurements_pinned():
     golden = json.loads(FIXTURE.read_text())
-    digests = generate_at_seed0()
-    assert digests.keys() == golden.keys()
-    for key, digest in digests.items():
-        assert digest == golden[key], key
+    for seed in HASH_SEEDS:
+        digests = generate_at_seed(seed)
+        assert digests.keys() == golden.keys()
+        for key, digest in digests.items():
+            assert digest == golden[key], (seed, key)
+
+
+def cached_sweep(store: str | None) -> dict:
+    """gemm on K20 over the golden grid, through a :class:`SweepEngine`
+    on the store in directory ``store`` (no store for None): the sweep's
+    hits and its measurements as ``float.hex`` text."""
+    from repro.engine import SweepEngine
+
+    bm = get_benchmark("gemm")
+    pairs = [(config, size) for size in sorted(bm.sizes)[:2]
+             for config in golden_configs(bm)]
+    with SweepEngine(jobs=1, cache=store) as engine:
+        results = engine.run(Measurer(bm, K20), pairs)
+    return {
+        "points": len(pairs),
+        "hits": engine.last_stats.hits,
+        "measurements": [
+            [m.size, sorted(m.config.items()), m.seconds.hex(),
+             m.occupancy.hex(), m.regs_per_thread, m.reg_instructions.hex()]
+            for m in results
+        ],
+    }
+
+
+def test_a_store_filled_under_one_hash_seed_serves_another(tmp_path):
+    """Under string-hash-ordered category sums, gemm on K20 measures
+    other bits under seeds 1 and 2.  A store filled under seed 1 serves
+    every point of a seed-2 sweep, with the bytes a cold seed-2 sweep
+    measures."""
+    store = str(tmp_path)
+    sweep = "print(json.dumps(golden.cached_sweep({!r})))"
+    filled = run_at_seed(sweep.format(store), "1")
+    served = run_at_seed(sweep.format(store), "2")
+    cold = run_at_seed(sweep.format(None), "2")
+    assert filled["hits"] == 0
+    assert served["hits"] == served["points"] == len(served["measurements"])
+    assert served["measurements"] == cold["measurements"]
+    assert filled["measurements"] == cold["measurements"]
 
 
 def test_measurements_do_not_depend_on_the_interpreters_sum():
@@ -233,7 +274,7 @@ def test_measurements_do_not_depend_on_the_interpreters_sum():
     ``sum()`` (Python 3.12 and later) changes no digest, not gemver's
     four-kernel time and not the hand-built modules' sums."""
     golden = json.loads(FIXTURE.read_text())
-    doc = run_at_seed0(
+    doc = run_at_seed(
         "golden.patch_sum()\n"
         "print(json.dumps([golden.gemver_m40_seconds(),\n"
         "                  golden.handbuilt_measurements(),\n"
@@ -248,6 +289,6 @@ def test_measurements_do_not_depend_on_the_interpreters_sum():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_measure_golden.py --write")
-    doc = generate_at_seed0()
+    doc = generate_at_seed()
     FIXTURE.write_text(json.dumps(doc, indent=0) + "\n")
     print(f"wrote {len(doc)} digests to {FIXTURE}")

@@ -23,7 +23,12 @@ from repro.sim.counting import (
     warp_branch_fraction,
 )
 from repro.sim.emulator import run_benchmark_emulated
-from repro.codegen.regions import Region, RegionKind, evaluate_region_tree
+from repro.codegen.regions import (
+    ORDINAL,
+    Region,
+    RegionKind,
+    evaluate_region_tree,
+)
 from repro.util.rng import rng_for
 
 from tests.conftest import make_benchmark_run
@@ -142,7 +147,9 @@ class TestAffineCache:
         for cat, v in direct.by_category.items():
             assert via_cache.by_category[cat] == pytest.approx(v)
         assert via_cache.reg_ops == pytest.approx(direct.reg_ops)
-        assert via_cache.dram_bytes == pytest.approx(direct.dram_bytes)
+        for (a, n), (b, m) in zip(via_cache.mem_traffic, direct.mem_traffic,
+                                  strict=True):
+            assert a == b and n == pytest.approx(m)
 
     def test_repeat_calls_consistent(self):
         bm = get_benchmark("matvec2d")
@@ -221,8 +228,8 @@ def _measured_bits(m) -> tuple:
 
 def _two_walk_counts(ck, env, threads: int, warp_level: bool) -> dict:
     """Counts at ``threads`` from two tree walks, combined the way the
-    count memo always has: categories in the iteration order of the
-    union of the walks' category sets, every count ``a + T * (b - a)``."""
+    count memo does: the categories either walk counted, in declaration
+    order, every count ``a + T * (b - a)``."""
     frac = warp_branch_fraction if warp_level else exact_branch_fraction
     at0, at1 = (evaluate_region_tree(ck.root_region, env, total_threads=t,
                                      branch_fraction=frac)
@@ -234,10 +241,8 @@ def _two_walk_counts(ck, env, threads: int, warp_level: bool) -> dict:
 
     return {
         "by_category": [(c, at(d0.get(c, 0.0), d1.get(c, 0.0)))
-                        for c in set(d0) | set(d1)],
+                        for c in sorted({*d0, *d1}, key=ORDINAL.__getitem__)],
         "reg_ops": at(at0.reg_ops, at1.reg_ops),
-        "mem_transactions": at(at0.mem_transactions, at1.mem_transactions),
-        "dram_bytes": at(at0.dram_bytes, at1.dram_bytes),
         "mem_traffic": [(acc, at(n0, n1)) for (acc, n0), (_, n1)
                         in zip(at0.mem_traffic, at1.mem_traffic)],
     }
@@ -270,8 +275,6 @@ class TestAffineForm:
                 got = {
                     "by_category": list(dc.by_category.items()),
                     "reg_ops": dc.reg_ops,
-                    "mem_transactions": dc.mem_transactions,
-                    "dram_bytes": dc.dram_bytes,
                     "mem_traffic": list(dc.mem_traffic),
                 }
                 want = _two_walk_counts(ck, env, tc * bc, warp_level)

@@ -14,6 +14,7 @@ from repro.codegen.compiler import (
 from repro.codegen.regions import MemAccess, Region, RegionKind
 from repro.kernels import get_benchmark
 from repro.ptx.isa import DType, MemSpace
+from repro.sim import timing
 from repro.sim.timing import (
     LaunchConfig,
     ModelParams,
@@ -68,29 +69,40 @@ class TestLaunchConfig:
 
 
 class TestMemAccessTransactions:
+    """What the timing model charges one warp execution of an access in
+    32-byte DRAM segments (:func:`repro.sim.timing._access_terms`)."""
+
+    @staticmethod
+    def _dram(pattern, stride, dtype=DType.F32, space=MemSpace.GLOBAL,
+              seq_stride=1):
+        acc = MemAccess(space, dtype, pattern, stride, False,
+                        seq_stride=seq_stride)
+        return timing._access_terms(acc)[:2]
+
     def test_coalesced_f32(self):
-        a = MemAccess(MemSpace.GLOBAL, DType.F32, "coalesced", 1, False)
-        assert a.transactions_per_warp() == 1
+        # one 128-byte line
+        assert self._dram("coalesced", 1) == (timing._SEGMENTS, 4.0)
 
     def test_coalesced_f64_needs_two_lines_worth(self):
-        a = MemAccess(MemSpace.GLOBAL, DType.F64, "coalesced", 1, False)
-        assert a.transactions_per_warp() == 2
+        assert self._dram("coalesced", 1, DType.F64) == (timing._SEGMENTS,
+                                                         8.0)
 
     def test_uniform(self):
-        a = MemAccess(MemSpace.GLOBAL, DType.F32, "uniform", 0, False)
-        assert a.transactions_per_warp() == 1
+        # a fraction of one warp's bytes reaches DRAM through L2
+        assert self._dram("uniform", 0) == (timing._L2, 0.0)
 
     def test_wide_stride_fully_scattered(self):
-        a = MemAccess(MemSpace.GLOBAL, DType.F32, "strided", 512, False)
-        assert a.transactions_per_warp() == 32
+        assert self._dram("strided", 512, seq_stride=0) == (
+            timing._SEGMENTS, 32.0)
 
     def test_small_stride_partial(self):
-        a = MemAccess(MemSpace.GLOBAL, DType.F32, "strided", 2, False)
-        assert 1 < a.transactions_per_warp() <= 16
+        # a row walk: between its ideal 4 segments and one per lane, as
+        # the resident working set fits in L1
+        assert self._dram("strided", 2) == (timing._REUSE, 4.0)
 
     def test_shared_single(self):
-        a = MemAccess(MemSpace.SHARED, DType.F32, "strided", 32, False)
-        assert a.transactions_per_warp() == 1
+        assert self._dram("strided", 32, space=MemSpace.SHARED) == (
+            timing._NO_DRAM, 0.0)
 
 
 class TestTimingModelUnits:
