@@ -4,7 +4,10 @@ The cold pass measures the full reduced atax/K20 sweep (256 variants x 3
 sizes) through the engine and populates the on-disk cache; the benchmark
 then times the warm pass, which serves every point from SQLite.  The
 test asserts the acceptance bar for the engine: a cached re-run is at
-least 5x faster than measuring (in practice it is 10-50x).
+least 5x faster than measuring.  Both sides are timed the same way:
+three rounds each, alternating, each cold round into a new cache from
+empty process caches, best round against best round, so a burst of
+load on a shared host slows both rather than one.
 """
 
 import time
@@ -15,25 +18,38 @@ from repro.experiments.common import reduced_space
 from repro.kernels import get_benchmark
 
 
-def test_bench_cached_sweep_speedup(benchmark, tmp_path):
+def test_bench_cached_sweep_speedup(benchmark, tmp_path, _fresh_sweep_cache):
     bm = get_benchmark("atax")
     gpu = get_gpu("kepler")
     space = reduced_space()
     sizes = bm.sizes[::2]
-    engine = SweepEngine(jobs=1, cache=CacheStore(tmp_path))
+    cold_runs, engines = [], []
 
-    t0 = time.perf_counter()
-    cold = engine.sweep(bm, gpu, space, sizes)
-    cold_t = time.perf_counter() - t0
+    def cold_round():
+        _fresh_sweep_cache()
+        engine = SweepEngine(jobs=1,
+                             cache=CacheStore(tmp_path / str(len(engines))))
+        engines.append(engine)
+        t0 = time.perf_counter()
+        cold = engine.sweep(bm, gpu, space, sizes)
+        cold_runs.append((time.perf_counter() - t0, cold))
+        return (engine,), {}
 
-    warm = benchmark.pedantic(
-        engine.sweep, args=(bm, gpu, space, sizes),
-        rounds=3, iterations=1,
-    )
+    def warm_round(engine):
+        warm = engine.sweep(bm, gpu, space, sizes)
+        assert engine.last_stats.hit_rate == 1.0
+        return warm
+
+    warm = benchmark.pedantic(warm_round, setup=cold_round, rounds=3,
+                              iterations=1)
+    for engine in engines:
+        engine.close()
+    cold = cold_runs[0][1]
+    assert all(r == cold for _, r in cold_runs)
     assert warm == cold
-    assert engine.last_stats.hit_rate == 1.0
 
-    warm_t = benchmark.stats.stats.mean
+    cold_t = min(t for t, _ in cold_runs)
+    warm_t = benchmark.stats.stats.min
     speedup = cold_t / warm_t
     assert speedup >= 5.0, (
         f"cached sweep only {speedup:.1f}x faster "

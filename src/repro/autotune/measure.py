@@ -10,6 +10,11 @@ Static metrics for the variant (occupancy, register usage, dynamic
 register-instruction counts) are recorded alongside the time, which is
 what the Table V statistics are built from.
 
+A measurer plans each (compile key, size) once: the module's
+:class:`~repro.sim.timing.TimingPlan` at that size's env, plus each
+kernel's register-operand form.  A point then does only its launch
+arithmetic, its seeded noise draw and its :class:`VariantMeasurement`.
+
 Measurement reads only a :class:`~repro.codegen.compiler.MeasuredKernel`
 view of each compiled kernel.  The process keeps the views of registered
 benchmarks in one bounded LRU keyed by (kernel, GPU, ``UIF``,
@@ -31,6 +36,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro import obs
 from repro.arch.specs import GPUSpec
@@ -41,6 +47,7 @@ from repro.codegen.compiler import (
     address_64bit,
     compile_module,
 )
+from repro.codegen.regions import REG_OPS
 from repro.kernels.base import Benchmark
 from repro.sim.counting import exact_counts
 from repro.sim.occupancy_hw import hw_occupancy
@@ -48,6 +55,8 @@ from repro.sim.timing import (
     DEFAULT_PARAMS,
     LaunchConfig,
     ModelParams,
+    TimingModel,
+    TimingPlan,
     measure_benchmark,
 )
 
@@ -196,6 +205,15 @@ def _cached_view(benchmark: Benchmark,
     return view
 
 
+class _Plan(NamedTuple):
+    """What every launch of one module at one size shares."""
+
+    timing: TimingPlan
+    reg_ops: tuple
+    """Per kernel, the register-operand traffic's ``(base, slope)`` in
+    the launched thread count."""
+
+
 def _rebuild(name: str, gpu: GPUSpec, params: ModelParams) -> Measurer:
     """Unpickle a registered benchmark's :class:`Measurer`: a fresh one,
     whose modules and count forms come from the process's caches."""
@@ -213,7 +231,8 @@ class Measurer:
     benchmark the memo holds the process's cached views, so each module
     compiles once per process; any other benchmark (its name does not
     identify its specs) is compiled once per measurer.  Count forms are
-    the process's either way (:func:`~repro.sim.counting.exact_counts`).
+    the process's either way (:func:`~repro.sim.counting.exact_counts`);
+    the plans built from them are the measurer's.
     """
 
     def __init__(
@@ -226,10 +245,11 @@ class Measurer:
         self.gpu = gpu
         self.params = params
         self._modules: dict[tuple, CompiledModule] = {}
+        self._plans: dict[tuple, _Plan] = {}
 
     def __reduce__(self):
-        # the module memo stays behind; a registered benchmark travels
-        # by name (see travels_by_name)
+        # the module and plan memos stay behind; a registered benchmark
+        # travels by name (see travels_by_name)
         if travels_by_name(self.benchmark):
             return _rebuild, (self.benchmark.name, self.gpu, self.params)
         return Measurer, (self.benchmark, self.gpu, self.params)
@@ -251,46 +271,68 @@ class Measurer:
             self._modules[key] = mod
         return mod
 
+    def _plan_for(self, config: dict, size: int) -> _Plan:
+        """What every launch of a configuration's module at ``size``
+        shares (memoized by compile key and size, like
+        :meth:`module_for`; a plan that fails to build is not kept)."""
+        key = (compile_config_key(config), size)
+        plan = self._plans.get(key)
+        if plan is None:
+            mod = self.module_for(config)
+            env = self.benchmark.param_env(size)
+            reg_ops = []
+            for ck in mod:
+                form = exact_counts(ck, env, 0, 0).form
+                reg_ops.append((form.base[REG_OPS], form.slope[REG_OPS]))
+            # two threads that miss together build equal plans; either
+            # may stay
+            plan = self._plans[key] = _Plan(
+                TimingModel(self.gpu, self.params).plan(mod, env),
+                tuple(reg_ops),
+            )
+        return plan
+
     def measure(self, config: dict, size: int) -> VariantMeasurement:
         """Measure one variant at one input size."""
-        mod = self.module_for(config)
-        env = self.benchmark.param_env(size)
-        tc = int(config["TC"])
-        bc = int(config["BC"])
-        launch = LaunchConfig(tc, bc, l1_pref_kb=int(config.get("PL", 16)))
-
-        seconds = measure_benchmark(mod, launch, env, params=self.params)
-        occ = hw_occupancy(
-            self.gpu, tc, mod.regs_per_thread, mod.static_smem_bytes
-        )
-        reg_instr = 0.0  # summed left to right, like every measured float
-        for ck in mod:
-            reg_instr += exact_counts(ck, env, tc, bc).reg_ops
-        return VariantMeasurement(
-            config=dict(config),
-            size=size,
-            seconds=seconds,
-            occupancy=occ,
-            regs_per_thread=mod.regs_per_thread,
-            reg_instructions=reg_instr,
-        )
+        return self.measure_many([(config, size)])[0]
 
     def measure_many(self, items) -> list[VariantMeasurement]:
         """Measure a batch of ``(config, size)`` pairs, in input order.
 
-        Modules are compiled at most once per distinct compile key
-        regardless of order (``module_for`` memoizes them for the
-        measurer's lifetime).
-        This is the unit of work a sweep-engine shard runs, so a failure
-        is wrapped in :class:`MeasurementError` to pin the exact point
-        that caused it.
+        Each distinct compile key compiles at most once, and each
+        distinct (compile key, size) is planned once, for the measurer's
+        lifetime and regardless of order.  So a point does only its
+        launch arithmetic, its noise draw and its
+        :class:`VariantMeasurement`.  This is the unit of work a
+        sweep-engine shard runs, so a failure is wrapped in
+        :class:`MeasurementError` to pin the exact point that caused it.
         """
+        gpu = self.gpu
         out = []
         for config, size in items:
             try:
-                out.append(self.measure(config, size))
-            except (KeyboardInterrupt, SystemExit, MeasurementError):
-                raise
+                timing, reg_ops = self._plan_for(config, size)
+                tc = int(config["TC"])
+                bc = int(config["BC"])
+                launch = LaunchConfig(
+                    tc, bc, l1_pref_kb=int(config.get("PL", 16))
+                )
+                seconds = measure_benchmark(timing, launch)
+                occ = hw_occupancy(
+                    gpu, tc, timing.regs_per_thread, timing.static_smem_bytes
+                )
+                t = tc * bc
+                reg_instr = 0.0  # summed left to right, like every measured float
+                for base, slope in reg_ops:
+                    reg_instr += base + t * slope
+                out.append(VariantMeasurement(
+                    config=dict(config),
+                    size=size,
+                    seconds=seconds,
+                    occupancy=occ,
+                    regs_per_thread=timing.regs_per_thread,
+                    reg_instructions=reg_instr,
+                ))
             except Exception as e:
                 obs.add("measure.errors", kernel=self.benchmark.name)
                 raise MeasurementError(config, size, e) from e

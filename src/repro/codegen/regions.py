@@ -128,12 +128,10 @@ class CountForm:
     ``accesses``.  ``order`` holds the ordinals of the categories
     counted, ascending: :class:`InstrCategory` declaration order, which
     every sum over categories runs in, so no sum follows the string-hash
-    seed.  The entries of other categories are 0.  Forms are weakly
-    referenceable, so what a reader derives from one can be memoized
-    with it.
+    seed.  The entries of other categories are 0.
     """
 
-    __slots__ = ("order", "base", "slope", "accesses", "__weakref__")
+    __slots__ = ("order", "base", "slope", "accesses")
 
     def __init__(self, order: tuple, base: tuple, slope: tuple,
                  accesses: tuple):

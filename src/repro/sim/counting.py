@@ -37,6 +37,7 @@ from repro import obs
 from repro.codegen.ast_nodes import evaluate_expr, evaluate_expr_numpy
 from repro.codegen.compiler import CompiledKernel
 from repro.codegen.regions import (
+    ORDINAL,
     CountForm,
     DynamicCounts,
     Region,
@@ -214,11 +215,12 @@ def validate_against_emulation(counts, emulated) -> dict:
     assertion into a standing output.
 
     Returns ``{category: |emulated - exact| / max(exact, 1)}`` over the
-    union of categories either side counted.
+    union of categories either side counted, in declaration order.
     """
     by_cat = getattr(counts, "by_category", counts)
     out = {}
-    for cat in set(by_cat) | set(emulated.thread_counts):
+    counted = {*by_cat, *emulated.thread_counts}
+    for cat in sorted(counted, key=ORDINAL.__getitem__):
         exact = float(by_cat.get(cat, 0.0))
         emu = float(emulated.thread_counts.get(cat, 0))
         out[cat] = abs(emu - exact) / max(exact, 1.0)

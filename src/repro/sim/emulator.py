@@ -840,15 +840,15 @@ def run_benchmark_emulated(
     """Emulate all kernels of a benchmark in order on shared device memory.
 
     Returns (outputs dict with every array parameter's final contents,
-    merged EmulationResult).
+    in the order the kernels first declare them, merged EmulationResult).
     """
     memory = DeviceMemory()
-    seen: set[str] = set()
+    names: list[str] = []
     for ck in module:
         for p in ck.ir.params:
-            if p.is_pointer and p.name not in seen:
+            if p.is_pointer and p.name not in names:
                 memory.alloc(p.name, np.asarray(inputs[p.name]).copy())
-                seen.add(p.name)
+                names.append(p.name)
     total = EmulationResult()
     with obs.span("emulate", key=module.name,
                   args={"kernels": len(module), "tc": tc, "bc": bc}):
@@ -856,5 +856,5 @@ def run_benchmark_emulated(
             res, _ = emulate_kernel(ck, inputs, tc, bc, memory, mode=mode,
                                     sanitizer=sanitizer)
             total.merge(res)
-    outputs = {name: memory.allocation(name).data for name in seen}
+    outputs = {name: memory.allocation(name).data for name in names}
     return outputs, total

@@ -32,11 +32,14 @@ The model is deterministic; :func:`measure_benchmark` adds seeded lognormal
 noise and applies the paper's measurement protocol (Sec. IV-A: ten
 repetitions, take the fifth trial).
 
-Each launch reads its kernels' count forms
-(:class:`~repro.codegen.regions.CountForm`) directly: category vectors
-by ordinal against per-SM IPC and chain-weight tables, and per-access
-terms worked out once per form.  The per-access terms are the model's
-only account of memory traffic.  Every float sum is a left-to-right
+The model is "plan, then launch".  A :class:`TimingPlan` holds what no
+launch of a module on one env changes: per kernel (:class:`KernelPlan`)
+its resources, parallel extent and count forms
+(:class:`~repro.codegen.regions.CountForm`), the T = 0 warp counts with
+their IPCs, the chain weights and the per-access terms; per module its
+resources and the noise scope's text.  A launch then does only the
+arithmetic ``TC``, ``BC`` and ``PL`` set.  The per-access terms are the
+model's only account of memory traffic.  Every float sum is a left-to-right
 ``+=`` fold, over categories in their declaration order, never
 ``sum()``: Python 3.12 made ``sum()`` over floats compensated, which
 would tie the last bits of a measurement to the interpreter version.
@@ -47,8 +50,8 @@ string-hash seed.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.arch.specs import GPUSpec
 from repro.arch.throughput import THROUGHPUT_BY_SM, InstrCategory, PipeClass
@@ -143,8 +146,7 @@ class ModelParams:
 DEFAULT_PARAMS = ModelParams()
 
 
-@dataclass(frozen=True)
-class KernelTiming:
+class KernelTiming(NamedTuple):
     """Timing breakdown for one kernel launch."""
 
     seconds: float
@@ -203,7 +205,7 @@ _NOT_ATOMIC, _CHIP, _ISSUE = range(3)
 
 def _access_terms(acc: MemAccess) -> tuple:
     """``(DRAM rule, segments, chain kind, atomic rule)`` of one static
-    access, which :meth:`TimingModel.kernel_time` charges per launch.
+    access, which :meth:`TimingModel.launch` charges.
 
     ``_L2`` charges a fraction of the warp's bytes, ``_SEGMENTS``
     charges ``segments`` 32-byte DRAM segments per warp execution, and
@@ -243,48 +245,134 @@ def _access_terms(acc: MemAccess) -> tuple:
     return dram, segs, chain, atomic
 
 
-_terms: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-"""Memo: count form -> :func:`_access_terms` of each of its accesses."""
+class KernelPlan(NamedTuple):
+    """What every launch of one kernel on one env shares."""
+
+    regs_per_thread: int
+    static_smem_bytes: int
+    m: int | None
+    """The parallel extent, or None: the launch's thread count."""
+    thread: CountForm
+    """Thread-level counts (work)."""
+    warp: CountForm
+    """Warp-level counts (issue slots)."""
+    issue: tuple
+    """Per category of ``warp``, in its order: ``(ordinal, warp count at
+    T = 0, IPC)``."""
+    chains: tuple
+    """Per category of ``thread`` on a dependent chain, in its order:
+    ``(ordinal, chain weight)``."""
+    accesses: tuple
+    """Per access: ``(vector index, DRAM rule, segments, chain weight,
+    atomic rule)``."""
 
 
-def _terms_of(form: CountForm) -> tuple:
-    terms = _terms.get(form)
-    if terms is None:
-        terms = _terms[form] = tuple(map(_access_terms, form.accesses))
-    return terms
+class TimingPlan(NamedTuple):
+    """What every launch of one module on one env shares: a
+    :class:`KernelPlan` per kernel, the module's resources and the
+    noise scope.  Built by :meth:`TimingModel.plan`; a launch only reads
+    it."""
+
+    model: TimingModel
+    kernels: tuple
+    regs_per_thread: int
+    static_smem_bytes: int
+    scope: tuple
+    """The noise scope's parts before the launch's."""
+    env_text: str
+    """The noise scope's last part: the env as
+    :func:`~repro.util.rng.rng_for` writes ``sorted(env.items())``."""
+
+    def seconds(self, launch: LaunchConfig) -> float:
+        """Deterministic total seconds of the module's kernels, summed
+        left to right."""
+        total = 0.0
+        for k in self.kernels:
+            total += self.model.launch(k, launch).seconds
+        return total
 
 
 class TimingModel:
-    """Timing evaluation of compiled kernels on one GPU."""
+    """Timing evaluation of compiled kernels on one GPU: a plan per
+    kernel or module and env, then each launch's arithmetic."""
 
     def __init__(self, gpu: GPUSpec, params: ModelParams = DEFAULT_PARAMS):
         self.gpu = gpu
         self.params = params
         self.ipc = _IPC_BY_SM[gpu.sm_version]
+        self.max_wpb = gpu.max_threads_per_block // gpu.warp_size
+        self.cycle_time_s = gpu.cycle_time_s
+        self.bw_bytes_per_cycle = (gpu.peak_bandwidth_gbs * 1e9
+                                   * gpu.cycle_time_s)
+
+    # -- plans ---------------------------------------------------------------
+
+    def kernel_plan(self, ck: CompiledKernel, env: dict) -> KernelPlan:
+        """What every launch of ``ck`` on ``env`` shares."""
+        p = self.params
+        if ck.parallel_extent is not None:
+            m = max(0, int(evaluate_expr(ck.parallel_extent, env)))
+        else:
+            m = None
+        # dynamic counts: thread-level (work) and warp-level (issue slots);
+        # the zero-thread warp counts (the form's base) isolate the loop
+        # body from the per-thread preamble, which runs on *every* block
+        # (idle blocks execute their preamble on otherwise-idle SMs, so it
+        # must not be charged to the busiest working SM)
+        tf = exact_counts(ck, env, 0, 0, warp_level=False).form
+        wf = exact_counts(ck, env, 0, 0, warp_level=True).form
+        wbase, wslope = wf.base, wf.slope
+        chain = (p.chain_fp, p.chain_sfu, p.chain_ctrl, p.chain_alu)
+        # indexed by _SHARED, _CONST_HIT, _RELOAD and _DRAM
+        access_chain = (4.0, p.rmw_latency * 0.5, p.rmw_latency,
+                        self.gpu.dram_latency_cycles / p.mem_mlp)
+        return KernelPlan(
+            ck.regs_per_thread,
+            ck.static_smem_bytes,
+            m,
+            tf,
+            wf,
+            issue=tuple((i, wbase[i] + 0 * wslope[i], self.ipc[i])
+                        for i in wf.order),
+            chains=tuple((i, chain[_CHAIN_KIND[i]]) for i in tf.order
+                         if _CHAIN_KIND[i] is not None),
+            accesses=tuple(
+                (i, rule, segs, access_chain[kind], atomic)
+                for i, (rule, segs, kind, atomic) in enumerate(
+                    map(_access_terms, tf.accesses), ACCESSES)
+            ),
+        )
+
+    def plan(self, module: CompiledModule, env: dict) -> TimingPlan:
+        """What every launch of ``module`` on ``env`` shares."""
+        options = module.options
+        return TimingPlan(
+            self,
+            tuple(self.kernel_plan(ck, env) for ck in module),
+            module.regs_per_thread,
+            module.static_smem_bytes,
+            ("measure", module.name, options.gpu.name,
+             options.unroll_factor, options.fast_math),
+            str(sorted(env.items())),
+        )
 
     # -- the model ---------------------------------------------------------
 
-    def kernel_time(
-        self,
-        ck: CompiledKernel,
-        launch: LaunchConfig,
-        env: dict,
-    ) -> KernelTiming:
+    def launch(self, k: KernelPlan, launch: LaunchConfig) -> KernelTiming:
+        """One launch of a planned kernel."""
         gpu = self.gpu
         p = self.params
         tc, bc = launch.tc, launch.bc
 
         resident = hw_resident_blocks(
-            gpu, tc, ck.regs_per_thread, ck.static_smem_bytes
+            gpu, tc, k.regs_per_thread, k.static_smem_bytes
         )
         if resident == 0:
             return _UNLAUNCHABLE
 
         # parallel extent M and work spread
-        if ck.parallel_extent is not None:
-            m = max(0, int(evaluate_expr(ck.parallel_extent, env)))
-        else:
-            m = launch.total_threads
+        t = tc * bc
+        m = t if k.m is None else k.m
         working_blocks = max(1, min(bc, -(-m // tc))) if m else 1
         warps_per_block = gpu.warps_per_block(tc)
         sms_used = min(gpu.multiprocessors, working_blocks)
@@ -298,53 +386,48 @@ class TimingModel:
         )
         work_frac = blocks_per_sm / working_blocks
 
-        # dynamic counts: thread-level (work) and warp-level (issue slots);
-        # the zero-thread warp counts (the form's base) isolate the loop
-        # body from the per-thread preamble, which runs on *every* block
-        # (idle blocks execute their preamble on otherwise-idle SMs, so it
-        # must not be charged to the busiest working SM)
-        tcounts = exact_counts(ck, env, tc, bc, warp_level=False)
-        wcounts = exact_counts(ck, env, tc, bc, warp_level=True)
-        t = wcounts.total_threads
-        tf, wf = tcounts.form, wcounts.form
-        tbase, tslope = tf.base, tf.slope
-        wbase, wslope = wf.base, wf.slope
-
         all_blocks_per_sm = -(-bc // min(gpu.multiprocessors, bc))
         root_frac = all_blocks_per_sm / bc
+
+        # dynamic counts at T = t threads: thread-level (work) and
+        # warp-level (issue slots)
+        tbase, tslope = k.thread.base, k.thread.slope
+        wbase, wslope = k.warp.base, k.warp.slope
 
         # ---- issue cycles on the busiest SM, with block-switch churn and
         #      occupancy-dependent latency hiding
         issue = 0.0
-        warp_ops = [wbase[i] + t * wslope[i] for i in wf.order]
         total_ops = 0.0
-        for n in warp_ops:
+        for i, n_loop, ipc in k.issue:
+            n = wbase[i] + t * wslope[i]
             total_ops += n
+            issue += (n_loop * work_frac
+                      + max(0.0, n - n_loop) * root_frac) / ipc
         total_ops = max(1.0, total_ops)
         sfu_frac = (wbase[_SFU] + t * wslope[_SFU]) / total_ops
-        ipc = self.ipc
-        for i, n in zip(wf.order, warp_ops):
-            n_loop = wbase[i] + 0 * wslope[i]  # the warp counts at T = 0
-            n_root = max(0.0, n - n_loop)
-            issue += (n_loop * work_frac + n_root * root_frac) / ipc[i]
         # "small block sizes will result in many active blocks running on
         # the SM in a time-shared manner, where unnecessary switching of
         # blocks may degrade performance" (paper Sec. III-B1): scheduler
         # churn decays as blocks get larger
-        max_wpb = gpu.max_threads_per_block // gpu.warp_size
-        churn = 1.0 + p.block_switch * (1.0 - warps_per_block / max_wpb)
+        churn = 1.0 + p.block_switch * (1.0 - warps_per_block / self.max_wpb)
         w_need = p.w_need_base + p.w_need_sfu * sfu_frac
         hiding = min(1.0, active_warps / w_need)
         issue *= churn / hiding
 
-        # ---- memory traffic under the cache model, atomics
-        terms = _terms_of(tf)
-        execs_of = [tbase[k] + t * tslope[k]
-                    for k in range(ACCESSES, len(tbase))]
+        # ---- pipelined latency floor (per-thread dependent work)
+        active_threads = max(1, min(t, max(m, 1)))
+        lat_per_thread = 0.0
+        for i, weight in k.chains:
+            lat_per_thread += ((tbase[i] + t * tslope[i])
+                               / active_threads) * weight
+
+        # ---- memory traffic under the cache model, atomics, and each
+        #      access's dependent chain
         dram_bytes = 0.0
         atomic_chip = 0.0
         fit = None
-        for (rule, segs, _, atomic), execs in zip(terms, execs_of):
+        for i, rule, segs, weight, atomic in k.accesses:
+            execs = tbase[i] + t * tslope[i]
             warp_execs = execs / 32.0
             if rule == _L2:
                 dram_bytes += warp_execs * 32.0 * p.uniform_l2_bytes_factor
@@ -363,56 +446,46 @@ class TimingModel:
                 atomic_chip += execs * p.atomic_conflict_cycles
             elif atomic == _ISSUE:
                 issue += warp_execs * work_frac * p.atomic_coalesced_cycles
-
-        # ---- pipelined latency floor (per-thread dependent work)
-        active_threads = max(1, min(launch.total_threads, max(m, 1)))
-        lat_per_thread = 0.0
-        chain = (p.chain_fp, p.chain_sfu, p.chain_ctrl, p.chain_alu)
-        for i in tf.order:
-            kind = _CHAIN_KIND[i]
-            if kind is not None:
-                per = (tbase[i] + t * tslope[i]) / active_threads
-                lat_per_thread += per * chain[kind]
-        # indexed by _SHARED, _CONST_HIT, _RELOAD and _DRAM
-        access_chain = (4.0, p.rmw_latency * 0.5, p.rmw_latency,
-                        gpu.dram_latency_cycles / p.mem_mlp)
-        for (_, _, kind, _), execs in zip(terms, execs_of):
-            lat_per_thread += (execs / active_threads) * access_chain[kind]
+            lat_per_thread += (execs / active_threads) * weight
         latency_cycles = lat_per_thread * waves
 
         # ---- DRAM bandwidth bound (chip-wide, ramping with queue depth)
-        bw_bytes_per_cycle = gpu.peak_bandwidth_gbs * 1e9 * gpu.cycle_time_s
         eff = p.bw_floor + (1.0 - p.bw_floor) * min(
             1.0, active_warps / p.bw_ramp_warps
         )
-        mem_cycles = dram_bytes / bw_bytes_per_cycle / eff + atomic_chip
+        mem_cycles = dram_bytes / self.bw_bytes_per_cycle / eff + atomic_chip
 
         # ---- combine
         cycles = max(issue, latency_cycles, mem_cycles)
         cycles += p.block_start_cycles * blocks_per_sm
-        seconds = p.launch_overhead_s + cycles * gpu.cycle_time_s
+        seconds = p.launch_overhead_s + cycles * self.cycle_time_s
         return KernelTiming(
-            seconds=seconds,
-            cycles=cycles,
-            issue_cycles=issue,
-            latency_cycles=latency_cycles,
-            mem_cycles=mem_cycles,
-            dram_bytes=dram_bytes,
-            occupancy=occupancy,
-            active_warps=float(active_warps),
-            working_blocks=working_blocks,
-            waves=waves,
+            seconds,
+            cycles,
+            issue,
+            latency_cycles,
+            mem_cycles,
+            dram_bytes,
+            occupancy,
+            float(active_warps),
+            working_blocks,
+            waves,
         )
+
+    def kernel_time(
+        self,
+        ck: CompiledKernel,
+        launch: LaunchConfig,
+        env: dict,
+    ) -> KernelTiming:
+        return self.launch(self.kernel_plan(ck, env), launch)
 
     def benchmark_time(
         self, module: CompiledModule, launch: LaunchConfig, env: dict
     ) -> float:
         """Deterministic total seconds for all kernels of a benchmark,
         summed left to right."""
-        total = 0.0
-        for ck in module:
-            total += self.kernel_time(ck, launch, env).seconds
-        return total
+        return self.plan(module, env).seconds(launch)
 
 
 def simulate_benchmark_time(
@@ -435,28 +508,21 @@ TRIAL_INDEX = 4
 trial"."""
 
 
-def measure_benchmark(
-    module: CompiledModule,
-    launch: LaunchConfig,
-    env: dict,
-    params: ModelParams = DEFAULT_PARAMS,
-) -> float:
-    """The paper's measurement protocol (Sec. IV-A).
+def measure_benchmark(plan: TimingPlan, launch: LaunchConfig) -> float:
+    """The paper's measurement protocol (Sec. IV-A), for one launch of a
+    planned module.
 
     Runs :data:`REPETITIONS` noisy trials and reports trial
     :data:`TRIAL_INDEX`.  Noise is lognormal with seeded,
     configuration-specific RNG so sweeps are reproducible.
     """
-    base = simulate_benchmark_time(module, launch, env, params)
+    base = plan.seconds(launch)
     if math.isinf(base):
         return base
-    rng = rng_for(
-        "measure", module.name, module.options.gpu.name,
-        module.options.unroll_factor, module.options.fast_math,
-        launch.l1_pref_kb, launch.tc, launch.bc,
-        sorted(env.items()),
-    )
-    overhead = params.launch_overhead_s * len(module.kernels)
+    params = plan.model.params
+    rng = rng_for(*plan.scope, launch.l1_pref_kb, launch.tc, launch.bc,
+                  plan.env_text)
+    overhead = params.launch_overhead_s * len(plan.kernels)
     sigma = params.noise_sigma + params.short_run_sigma * min(
         1.0, overhead / base
     )

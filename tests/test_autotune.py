@@ -1107,3 +1107,127 @@ class TestProcessModuleCache:
             static_mix_module(view, bm.param_env(64))
         for attr in ("ir", "spec", "source_spec", "log", "disassembly"):
             assert not hasattr(view.kernels[0], attr)
+
+
+class TestMeasurementPlans:
+    """A measurer plans each (compile key, size) once, so a point does
+    only its launch arithmetic and its noise draw."""
+
+    KEYS = ((1, ""), (3, "-use_fast_math"))
+    LAUNCHES = ((32, 24), (128, 48), (256, 144), (1024, 96), (2048, 48))
+    """``TC``/``BC`` pairs; no GPU launches 2,048 threads per block."""
+
+    def _points(self, bm, shuffle_seed) -> list:
+        import random
+
+        points = [
+            ({"TC": tc, "BC": bc, "UIF": uif, "PL": pl, "CFLAGS": cflags},
+             size)
+            for size in sorted(bm.sizes)[:2]
+            for uif, cflags in self.KEYS
+            for pl in (16, 48)
+            for tc, bc in self.LAUNCHES
+        ]
+        random.Random(shuffle_seed).shuffle(points)
+        return points
+
+    def _assert_batch_matches_single_points(self, bm, gpu):
+        points = self._points(bm, f"{bm.name}/{gpu.name}")
+        batch = Measurer(bm, gpu).measure_many(points)
+        assert any(m.launchable for m in batch)
+        assert any(not m.launchable for m in batch)
+        for (config, size), got in zip(points, batch):
+            want = Measurer(bm, gpu).measure(config, size)
+            assert repr(got) == repr(want), (bm.name, gpu.name, config, size)
+
+    def test_plans_change_no_bytes(self):
+        """One shuffled batch per registered benchmark on K20 and P100,
+        over two sizes, two compile keys and both L1 preferences, is
+        byte for byte what fresh measurers measure point by point."""
+        from repro.arch import P100
+        from repro.kernels import list_benchmarks
+
+        for bm in list_benchmarks():
+            for gpu in (K20, P100):
+                self._assert_batch_matches_single_points(bm, gpu)
+
+    def test_plans_change_no_bytes_of_an_unregistered_copy(self):
+        import dataclasses
+
+        self._assert_batch_matches_single_points(
+            dataclasses.replace(get_benchmark("atax")), K20)
+
+    def test_a_plan_that_fails_is_built_again(self):
+        """A plan that fails to build names its point and is not kept: the
+        same point measures once its env builds."""
+        import dataclasses
+
+        from repro.autotune.measure import MeasurementError
+
+        bm = get_benchmark("atax")
+        failures = [RuntimeError("env unavailable")]
+
+        def param_env(size):
+            if failures:
+                raise failures.pop()
+            return bm.param_env(size)
+
+        measurer = Measurer(dataclasses.replace(bm, param_env=param_env), K20)
+        cfg = {"TC": 64, "BC": 48, "UIF": 1, "PL": 16, "CFLAGS": ""}
+        with pytest.raises(MeasurementError, match="env unavailable") as exc:
+            measurer.measure_many([(cfg, 64)])
+        assert (exc.value.config, exc.value.size) == (cfg, 64)
+        assert (repr(measurer.measure(cfg, 64))
+                == repr(Measurer(bm, K20).measure(cfg, 64)))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of the counting and timing entry points, by name, as the
+        timing model and the measurer make them."""
+        from collections import Counter
+
+        from repro.autotune import measure
+        from repro.sim import timing
+
+        seen = Counter()
+
+        def counted(owner, name, label):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                seen[label] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(timing, "exact_counts", "exact_counts")
+        counted(measure, "exact_counts", "exact_counts")
+        counted(measure, "measure_benchmark", "measure_benchmark")
+        return seen
+
+    def test_work_is_done_per_shard(self, calls):
+        """A one-shard sweep of 32 points measures 32 times and counts at
+        most three times per kernel; the same batch again on the same
+        measurer counts nothing."""
+        from repro.engine import SweepEngine
+        from repro.engine.work import build_work_list, shard_work
+
+        bm = get_benchmark("atax")
+        space = ParameterSpace([
+            Parameter("TC", tuple(range(32, 1025, 32))),
+            Parameter("BC", (48,)),
+            Parameter("PL", (16,)),
+        ])
+        assert len(shard_work(build_work_list(space, [64]))) == 1
+        measurer = Measurer(bm, K20)
+        with SweepEngine(jobs=1) as engine:
+            first = engine.run(measurer, [(c, 64) for c in space])
+        assert len(first) == 32
+        assert calls["measure_benchmark"] == 32
+        assert 0 < calls["exact_counts"] <= 3 * len(bm.specs)
+
+        calls.clear()
+        again = measurer.measure_many([(c, 64) for c in space])
+        assert calls["exact_counts"] == 0
+        assert calls["measure_benchmark"] == 32
+        assert [repr(m) for m in again] == [repr(m) for m in first]

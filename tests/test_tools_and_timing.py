@@ -133,8 +133,8 @@ class TestTimingModelUnits:
     def test_noise_protocol_fifth_trial(self, atax_mod):
         env = {"N": 128}
         launch = LaunchConfig(128, 48)
-        a = measure_benchmark(atax_mod, launch, env)
-        b = measure_benchmark(atax_mod, launch, env)
+        a = measure_benchmark(TimingModel(K20).plan(atax_mod, env), launch)
+        b = measure_benchmark(TimingModel(K20).plan(atax_mod, env), launch)
         assert a == b  # seeded: reproducible
         det = TimingModel(K20).benchmark_time(atax_mod, launch, env)
         assert a != det  # but noisy around the deterministic value
