@@ -16,7 +16,6 @@ from collections import OrderedDict
 import pytest
 
 from repro.autotune import measure
-from repro.autotune.search import static_search
 from repro.experiments.common import clear_sweep_cache
 from repro.sim import counting
 
@@ -24,7 +23,7 @@ from repro.sim import counting
 @pytest.fixture(autouse=True)
 def _fresh_sweep_cache(monkeypatch):
     """Benchmarks must measure real work, not a warm sweep cache or the
-    modules, count forms and analyzer reports an earlier bench built.
+    modules, count forms and branch fractions an earlier bench built.
     Returns the function that empties them, for a bench that times
     several cold passes."""
 
@@ -33,7 +32,7 @@ def _fresh_sweep_cache(monkeypatch):
         monkeypatch.setattr(measure, "_views", OrderedDict())
         monkeypatch.setattr(measure, "_trees", weakref.WeakValueDictionary())
         monkeypatch.setattr(counting, "_count_cache", {})
-        static_search._report.cache_clear()
+        monkeypatch.setattr(counting, "_fraction_cache", {})
 
     empty()
     return empty

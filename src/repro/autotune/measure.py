@@ -21,12 +21,12 @@ benchmarks in one bounded LRU keyed by (kernel, GPU, ``UIF``,
 fast-math), so every measurer in a process -- each tune, sweep, managed
 session and replay -- compiles a module only the first time the process
 needs it, and counts each of its region trees only the first time
-(:data:`repro.sim.counting._count_cache`).  Code that reads instructions
-(the static analyzer, lint, disassembly, the suite's Eq. 6 profile)
-compiles full modules, not views.  Static search keeps the analyzer's
-report per registered (kernel, GPU, size), so its analyzer compiles each
-of those once per process
-(:mod:`repro.autotune.search.static_search`).
+(:data:`repro.sim.counting._count_cache`).  Static readers that read
+no instructions (``T*`` and the static mix: static search, Tables VI and
+VII, the suite's Eq. 6 profile) take views too, so they compile nothing
+a measurement does not.  Only code that reads instructions (the
+emulator, the divergence and CFG analyses, lint, disassembly) compiles
+full modules.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def compile_config_key(config: dict) -> tuple:
     exactly what :func:`compile_module` reads, so variants sharing it
     share one compiled module.  ``PL`` is a launch setting and not part
     of it.  Used for the module memo here, for shard grouping in
-    :mod:`repro.engine.work` and for the per-module memo of
+    :mod:`repro.engine.work` and for the per-(module, size) costs of
     :func:`repro.suite.evaluate.eq6_profile`."""
     return int(config.get("UIF", 1)), str(config.get("CFLAGS", ""))
 

@@ -32,6 +32,7 @@ from repro.arch.specs import GPUSpec
 from repro.autotune.measure import Measurer
 from repro.autotune.space import ParameterSpace
 from repro.autotune.tuner import Autotuner
+from repro.core.suggest import suggest_for_module
 from repro.kernels.base import Benchmark
 
 
@@ -85,8 +86,6 @@ class SessionRecorder:
         strategy = self.tuner.make_search("static", use_rule=use_rule,
                                           size=size)
         out = self.tuner.tune(size=size, search=strategy)
-        # the static search keeps the analysis it pruned the space with
-        rep = strategy.last_report
         space = self.tuner.space
         return SessionRecord(
             benchmark=self.benchmark.name,
@@ -94,9 +93,10 @@ class SessionRecorder:
             size=size,
             space_names=space.names(),
             space_values={p.name: list(p.values) for p in space.parameters},
-            suggested_threads=list(rep.suggestion.threads),
-            rule_threads=list(rep.rule_threads),
-            intensity=rep.intensity,
+            # what the static search pruned the space with
+            suggested_threads=list(strategy.suggestion.threads),
+            rule_threads=list(strategy.rule_threads),
+            intensity=strategy.intensity,
             use_rule=use_rule,
             searched_threads=sorted(
                 {m.config["TC"] for m in out.results.measurements}
@@ -214,14 +214,10 @@ def tune_with_dial(
     Returns the tuner outcome over the dialed space; at fraction 0 this is
     the paper's static search, at fraction 1 exhaustive search.
     """
-    from repro.core.analyzer import StaticAnalyzer
-
     tuner = Autotuner(benchmark, gpu, space=space)
-    rep = StaticAnalyzer(gpu).analyze(
-        list(benchmark.specs), benchmark.param_env(size),
-        name=benchmark.name,
-    )
-    threads = dial.thread_counts(tuner.space, rep.suggestion.threads)
+    # T* reads only resource usage, which the measurement view holds
+    suggestion = suggest_for_module(Measurer(benchmark, gpu).module_for({}))
+    threads = dial.thread_counts(tuner.space, suggestion.threads)
     restricted = tuner.space.restrict("TC", threads)
     sub_tuner = Autotuner(benchmark, gpu, space=restricted,
                           model_params=tuner.model_params)

@@ -8,7 +8,7 @@ coordinates for Orio to search."
 Concretely:
 
 1. compile the kernel for the target GPU (no execution);
-2. run the static analyzer: occupancy model -> ``T*`` (the thread counts
+2. read its resource usage: occupancy model -> ``T*`` (the thread counts
    achieving the best attainable occupancy given register/smem usage);
 3. optionally apply the intensity rule (Sec. III-C): intensity > 4.0 keeps
    the upper half of ``T*``, otherwise the lower half;
@@ -18,52 +18,29 @@ Concretely:
 The reduction in (3)-(4) is what Fig. 6 reports: ~87.5% fewer variants
 from ``T*`` alone, ~93.8% with the rule.
 
-Steps (1)-(2) depend only on the kernel, the GPU and the problem size,
-so the process keeps one report per registered (kernel, GPU, size) in a
-bounded memo: a long-lived tuner or server compiles and analyzes each
-only once.  Every static search of that key reads the same report, so
-``last_report`` is shared and read-only.  A benchmark that is not the
-registered one of its name is analyzed on every reset (its name does not
-identify its specs; see :func:`~repro.autotune.measure.travels_by_name`).
+Steps (2)-(3) read only the module's registers and shared memory (for
+``T*``) and its region trees and parallel extents (for the static mix
+behind the intensity), and a measurement view holds all of them.  So
+step (1) is the measurer's own compile: the search prunes from the view
+a :class:`~repro.autotune.measure.Measurer` holds at the default compile
+key (``UIF`` 1, no fast-math), the module
+:meth:`~repro.core.analyzer.StaticAnalyzer.analyze` compiles.  A
+registered benchmark's view comes from the process's module cache, so
+the search compiles nothing its measurements do not; any other
+benchmark compiles once per reset.
 """
 
 from __future__ import annotations
 
-import functools
-
-from repro import obs
 from repro.arch.specs import GPUSpec
-from repro.autotune.measure import travels_by_name
+from repro.autotune.measure import Measurer
 from repro.autotune.search.base import Search, SearchResult
 from repro.autotune.search.exhaustive import ExhaustiveSearch
 from repro.autotune.space import ParameterSpace
-from repro.core.analyzer import AnalysisReport, StaticAnalyzer
+from repro.core.instruction_mix import static_mix_module
+from repro.core.rules import rule_based_threads
+from repro.core.suggest import Suggestion, suggest_for_module
 from repro.kernels.base import Benchmark
-
-_REPORT_LIMIT = 256
-"""Analyzer reports the process keeps: one per registered (kernel, GPU,
-size).  The registry's 15 kernels on the 4 GPUs at 3 sizes each are 180
-keys."""
-
-
-def _analyze(benchmark: Benchmark, gpu: GPUSpec, size: int) -> AnalysisReport:
-    """Compile ``benchmark`` for ``gpu`` and analyze it at ``size``;
-    adds ``analyze.reports``."""
-    obs.add("analyze.reports")
-    return StaticAnalyzer(gpu).analyze(
-        list(benchmark.specs), benchmark.param_env(size),
-        name=benchmark.name,
-    )
-
-
-@functools.lru_cache(maxsize=_REPORT_LIMIT)
-def _report(name: str, gpu: GPUSpec, size: int) -> AnalysisReport:
-    """The process's report on the registered benchmark ``name``.  Two
-    threads that miss together both analyze, and one equal report is
-    kept."""
-    from repro.kernels import get_benchmark
-
-    return _analyze(get_benchmark(name), gpu, size)
 
 
 class StaticSearch(Search):
@@ -85,20 +62,23 @@ class StaticSearch(Search):
         self.size = size
         self.use_rule = use_rule
         self.inner = inner if inner is not None else ExhaustiveSearch()
-        self.last_report: AnalysisReport | None = None
-        """The report the last reset pruned with.  Shared with every
-        static search of the same registered (kernel, GPU, size): read
-        it, never change it."""
+        # what the last reset pruned with
+        self.suggestion: Suggestion | None = None
+        self.intensity: float | None = None
+        self.rule_threads: tuple | None = None
 
     def pruned_space(self, space: ParameterSpace) -> ParameterSpace:
         """Apply the static model to restrict the ``TC`` axis."""
-        if travels_by_name(self.benchmark):
-            report = _report(self.benchmark.name, self.gpu, self.size)
-        else:
-            report = _analyze(self.benchmark, self.gpu, self.size)
-        self.last_report = report
+        module = Measurer(self.benchmark, self.gpu).module_for({})
+        self.suggestion = suggest_for_module(module)
+        self.intensity = static_mix_module(
+            module, self.benchmark.param_env(self.size)
+        ).intensity
+        self.rule_threads = rule_based_threads(
+            self.suggestion.threads, self.intensity
+        )
         allowed = (
-            report.rule_threads if self.use_rule else report.suggestion.threads
+            self.rule_threads if self.use_rule else self.suggestion.threads
         )
         try:
             return space.restrict("TC", allowed)

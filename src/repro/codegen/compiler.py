@@ -106,11 +106,12 @@ class MeasuredKernel:
 
     Holds only what measurement reads (:mod:`repro.sim.timing`,
     :mod:`repro.sim.counting` and ``Measurer.measure``): the resource
-    numbers, the region tree and the parallel extent.  It has no
-    instructions, specs or log, so the analyses that need them --
-    disassembly, divergence, the static mix -- fail on a view rather
-    than read the wrong thing.  Compared by identity (``eq=False``) like
-    the kernel it projects.
+    numbers, the region tree and the parallel extent.  The static
+    search's inputs are among them: ``T*`` and the static mix read
+    nothing else.  It has no instructions, specs or log, so the analyses
+    that need them -- disassembly, divergence, the raw static mix --
+    fail on a view rather than read the wrong thing.  Compared by
+    identity (``eq=False``) like the kernel it projects.
     """
 
     name: str

@@ -97,19 +97,15 @@ def raw_static_mix(ck: CompiledKernel) -> MixReport:
     )
 
 
-def static_mix(ck: CompiledKernel, env: dict) -> MixReport:
+def static_mix(ck: CompiledKernel | MeasuredKernel, env: dict) -> MixReport:
     """The analyzer's static estimate of the dynamic mix at size ``env``.
 
     Evaluates the region tree with the *static* assumptions documented in
     the module docstring: default 50/50 branch fractions and one thread per
-    parallel-loop iteration.  It is an analysis of the full compile, so
-    a measurement view (:class:`MeasuredKernel`) is refused.
+    parallel-loop iteration.  It reads only the region tree and the
+    parallel extent, so a measurement view (:class:`MeasuredKernel`)
+    gives the full compile's mix.
     """
-    if isinstance(ck, MeasuredKernel):
-        raise TypeError(
-            f"static_mix needs the full compile of {ck.name!r}, not its "
-            "measurement view"
-        )
     if ck.parallel_extent is not None:
         threads = max(1, int(evaluate_expr(ck.parallel_extent, env)))
     else:

@@ -9,8 +9,9 @@ varying block size / register count / shared memory" panels.
 
 from __future__ import annotations
 
-from repro.core.analyzer import StaticAnalyzer
+from repro.autotune.measure import Measurer
 from repro.core.occupancy import occupancy_curve
+from repro.core.suggest import suggest_for_module
 from repro.experiments.common import resolve_gpus
 from repro.kernels import get_benchmark
 from repro.util.tables import ascii_bar_chart
@@ -18,11 +19,9 @@ from repro.util.tables import ascii_bar_chart
 
 def run(kernel: str = "atax", archs=("kepler",)) -> dict:
     bm = get_benchmark(kernel)
-    env = bm.param_env(bm.sizes[-1])
     panels = {}
     for gpu in resolve_gpus(archs):
-        rep = StaticAnalyzer(gpu).analyze(list(bm.specs), env, name=kernel)
-        s = rep.suggestion
+        s = suggest_for_module(Measurer(bm, gpu).module_for({}))
         cur = occupancy_curve(gpu, regs_u=s.regs_used, smem_u=0)
         pot = occupancy_curve(
             gpu, regs_u=s.regs_used + s.reg_increase, smem_u=s.smem_headroom

@@ -15,7 +15,7 @@ value the Sec. III-C rule thresholds at 4.0).
 from __future__ import annotations
 
 from repro.arch.throughput import PipeClass
-from repro.codegen.compiler import CompileOptions, compile_module
+from repro.autotune.measure import Measurer
 from repro.experiments.common import resolve_gpus, resolve_kernels
 from repro.kernels import get_benchmark
 from repro.suite.evaluate import BASELINE_TC, mix_error_by_class
@@ -34,9 +34,7 @@ def run(archs=("fermi", "kepler", "maxwell"), kernels=None,
         bm = get_benchmark(kernel)
         sizes = bm.sizes if full else bm.sizes[::2]
         for gpu in gpus:
-            module = compile_module(
-                kernel, list(bm.specs), CompileOptions(gpu=gpu)
-            )
+            module = Measurer(bm, gpu).module_for({})
             errs, itns = mix_error_by_class(module, bm.param_env, sizes)
             rows.append({
                 "kernel": kernel,

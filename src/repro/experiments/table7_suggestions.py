@@ -8,7 +8,9 @@ shared-memory headroom ``S*`` (bytes), and the attainable occupancy
 
 from __future__ import annotations
 
-from repro.core.analyzer import StaticAnalyzer
+from repro.autotune.measure import Measurer
+from repro.core.instruction_mix import static_mix_module
+from repro.core.suggest import suggest_for_module
 from repro.experiments.common import resolve_gpus, resolve_kernels
 from repro.kernels import get_benchmark
 from repro.util.tables import ascii_table
@@ -25,10 +27,8 @@ def run(archs=None, kernels=None) -> dict:
         bm = get_benchmark(kernel)
         env = bm.param_env(bm.sizes[-1])
         for gpu in gpus:
-            rep = StaticAnalyzer(gpu).analyze(
-                list(bm.specs), env, name=kernel
-            )
-            s = rep.suggestion
+            module = Measurer(bm, gpu).module_for({})
+            s = suggest_for_module(module)
             rows.append({
                 "kernel": kernel,
                 "arch": _FAMILY_SHORT[gpu.family],
@@ -37,7 +37,7 @@ def run(archs=None, kernels=None) -> dict:
                 "rstar": s.reg_increase,
                 "sstar": s.smem_headroom,
                 "occ": s.best_occupancy,
-                "intensity": rep.intensity,
+                "intensity": static_mix_module(module, env).intensity,
             })
     return {"rows": rows}
 

@@ -177,8 +177,8 @@ class Benchmark:
         runs the full launch sequence under the SIMT emulator at the
         benchmark's declared emulation-safe launch (or ``launch``).
         Routed through the vectorized grid-level fast path by default;
-        ``mode="scalar"`` (or ``REPRO_EMU=scalar`` in the environment)
-        selects the per-warp reference path, with identical results.
+        ``mode="scalar"`` selects the per-warp reference path, with
+        identical results.
 
         Returns ``(outputs, result)`` as
         :func:`repro.sim.emulator.run_benchmark_emulated`.

@@ -109,14 +109,13 @@ class MeasurementStore(CacheStore):
 
     # -- eviction ------------------------------------------------------------
 
-    def evict(self, max_entries: int | None = None) -> int:
-        """Delete the least-recently-used measurements beyond the cap
-        (``max_entries`` overrides the store's); return how many.  Safe
-        while sessions run: a session losing a row re-measures it."""
-        cap = self.max_entries if max_entries is None else max_entries
+    def evict(self) -> int:
+        """Delete the least-recently-used measurements beyond the store's
+        cap; return how many.  Safe while sessions run: a session losing
+        a row re-measures it."""
         with self._conn as conn:  # commits, or rolls back on an error
             conn.execute("BEGIN IMMEDIATE")
-            return self._trim(cap)
+            return self._trim(self.max_entries)
 
     def _trim(self, cap: int | None) -> int:
         """Keep the ``cap`` most recently stamped rows and delete the

@@ -28,9 +28,9 @@ instruction counter, bit for bit):
   them at the join.
 
 :func:`emulate_kernel` routes through the vectorized path by default;
-``REPRO_EMU=scalar`` (or ``mode="scalar"``) is the escape hatch.  The
-path actually taken, and how wide its dispatch was, is recorded in
-:class:`LaunchProfile` on ``EmulationResult.profile``.
+``mode="scalar"`` selects the reference path.  The path actually taken,
+and how wide its dispatch was, is recorded in :class:`LaunchProfile` on
+``EmulationResult.profile``.
 
 It is a functional simulator, not a timing simulator -- cycle estimates
 come from :mod:`repro.sim.timing`.
@@ -38,7 +38,6 @@ come from :mod:`repro.sim.timing`.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -69,16 +68,13 @@ class EmulationError(RuntimeError):
 
 
 EMU_MODES = ("vector", "scalar")
-"""Selectable execution paths (``REPRO_EMU`` / the ``mode`` argument)."""
+"""Selectable execution paths (the ``mode`` argument)."""
 
 
-def emulation_mode(override: str | None = None) -> str:
-    """Resolve the emulator execution path.
-
-    ``override`` wins when given; otherwise ``$REPRO_EMU``; otherwise the
-    vectorized fast path.
-    """
-    mode = override or os.environ.get("REPRO_EMU") or "vector"
+def emulation_mode(mode: str | None = None) -> str:
+    """The emulator execution path ``mode`` names: the vectorized fast
+    path by default."""
+    mode = mode or "vector"
     if mode not in EMU_MODES:
         raise ValueError(
             f"unknown emulator mode {mode!r}; choose one of {EMU_MODES}"
@@ -765,9 +761,9 @@ def emulate_kernel(
     benchmarks).
 
     ``mode`` selects the execution path (:data:`EMU_MODES`); by default
-    the vectorized grid-level path, with ``REPRO_EMU=scalar`` as the
-    environment escape hatch.  Both paths produce identical results; the
-    one actually used is recorded on ``result.profile``.
+    the vectorized grid-level path, with ``"scalar"`` as the per-warp
+    reference.  Both paths produce identical results; the one actually
+    used is recorded on ``result.profile``.
 
     Passing a :class:`SmemSanitizer` turns on happens-before race
     checking for shared memory; findings accumulate on

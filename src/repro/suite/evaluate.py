@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.arch.specs import GPUSpec
 from repro.arch.throughput import PipeClass
-from repro.autotune.measure import compile_config_key, compile_options
+from repro.autotune.measure import Measurer, compile_config_key
 from repro.autotune.space import ParameterSpace
 from repro.autotune.tuner import Autotuner
 from repro.codegen.compiler import CompileOptions, compile_module
@@ -125,25 +125,21 @@ def eq6_profile(benchmark: Benchmark, gpu: GPUSpec, measurements):
     """``(predicted, observed)``: the Eq. 6 cost of each launchable
     measurement's static mix, and its seconds.  A static mix cannot see
     the launch, so each cost is computed once per module and size, from
-    a full compile (the static analyzer reads more than measurement
-    keeps)."""
+    the measurement view one :class:`Measurer` holds: a registered
+    benchmark's views are the ones its sweep compiled."""
     eq6 = Eq6Model.for_gpu(gpu)
-    modules: dict = {}
+    measurer = Measurer(benchmark, gpu)
     costs: dict = {}
     predicted, observed = [], []
     for m in measurements:
         if not m.launchable:
             continue
-        key = compile_config_key(m.config)
-        if (key, m.size) not in costs:
-            if key not in modules:
-                modules[key] = compile_module(
-                    benchmark.name, list(benchmark.specs),
-                    compile_options(gpu, m.config),
-                )
-            mix = static_mix_module(modules[key], benchmark.param_env(m.size))
-            costs[key, m.size] = eq6.weighted_cost(mix)
-        predicted.append(costs[key, m.size])
+        key = compile_config_key(m.config), m.size
+        if key not in costs:
+            mix = static_mix_module(measurer.module_for(m.config),
+                                    benchmark.param_env(m.size))
+            costs[key] = eq6.weighted_cost(mix)
+        predicted.append(costs[key])
         observed.append(m.seconds)
     return predicted, observed
 

@@ -24,11 +24,13 @@ import argparse
 import sys
 
 from repro.arch import get_gpu
+from repro.autotune.measure import Measurer
 from repro.autotune.tuner import Autotuner
 from repro.codegen.compiler import CompileOptions, compile_module
 from repro.core.analyzer import StaticAnalyzer
 from repro.core.occupancy import occupancy
 from repro.core.occupancy_api import max_potential_block_size
+from repro.core.suggest import suggest_for_module
 from repro.kernels import BENCHMARKS, get_benchmark
 
 
@@ -82,10 +84,7 @@ def cmd_occupancy(args) -> int:
 def cmd_suggest(args) -> int:
     bm = get_benchmark(args.benchmark)
     gpu = get_gpu(args.arch)
-    module = compile_module(bm.name, list(bm.specs),
-                            CompileOptions(gpu=gpu))
-    from repro.core.suggest import suggest_for_module
-
+    module = Measurer(bm, gpu).module_for({})
     s = suggest_for_module(module)
     api = max_potential_block_size(gpu, module.regs_per_thread,
                                    module.static_smem_bytes)

@@ -72,23 +72,22 @@ def rng():
 
 @pytest.fixture
 def cold_module_cache(monkeypatch):
-    """Empty process-wide module, region-tree, count-form and analyzer
-    report caches for one test, so its measurers compile and count every
-    module they need, and its static searches analyze every kernel, even
-    after other tests warmed the caches.  Returns the function that
-    empties them, for a test that times several cold passes."""
+    """Empty process-wide module, region-tree, count-form and
+    branch-fraction caches for one test, so its measurers compile and
+    count every module they need, even after other tests warmed the
+    caches.  Returns the function that empties them, for a test that
+    times several cold passes."""
     import weakref
     from collections import OrderedDict
 
     from repro.autotune import measure
-    from repro.autotune.search import static_search
     from repro.sim import counting
 
     def empty():
         monkeypatch.setattr(measure, "_views", OrderedDict())
         monkeypatch.setattr(measure, "_trees", weakref.WeakValueDictionary())
         monkeypatch.setattr(counting, "_count_cache", {})
-        static_search._report.cache_clear()
+        monkeypatch.setattr(counting, "_fraction_cache", {})
 
     empty()
     return empty

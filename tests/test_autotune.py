@@ -10,7 +10,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch import K20, M2050
+from repro.arch import ALL_GPUS, K20
 from repro.autotune import (
     Autotuner,
     ExhaustiveSearch,
@@ -28,7 +28,7 @@ from repro.autotune import (
 from repro.autotune.search import config_key
 from repro.autotune.space import Parameter, ParameterSpace
 from repro.autotune.spec import DEFAULT_SPEC_TEXT, SpecError
-from repro.kernels import get_benchmark
+from repro.kernels import BENCHMARKS, get_benchmark
 from tests.conftest import reference_tune
 
 #: worker count for the parallel-equivalence tests (the CI "batched" job
@@ -438,66 +438,85 @@ class TestStaticSearchIntegration:
             tuner.make_search("static")
 
 
-class TestAnalyzerReportMemo:
-    """Static searches of one registered (kernel, GPU, size) share one
-    analyzer report: the analyzer compiles and analyzes once per key."""
+class TestStaticSearchReadsTheMeasuredModule:
+    """Static search prunes from the measurement view a measurer holds at
+    the default compile key: it compiles nothing of its own, and prunes
+    exactly as the static analyzer's full compile does."""
 
     @pytest.fixture
-    def compiled(self, monkeypatch, cold_module_cache):
-        """The kernel name of every analyzer compile."""
+    def compiles(self, monkeypatch, cold_module_cache):
+        """The kernel name of every measurement compile; a compile
+        through the static analyzer fails the test."""
+        from repro.autotune import measure
         from repro.core import analyzer
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("compiled through the static analyzer")
+
         names = []
-        real = analyzer.compile_module
+        real = measure.compile_module
 
-        def counting(*args, **kwargs):
-            names.append(args[0])
-            return real(*args, **kwargs)
+        def counting(name, specs, options):
+            names.append(name)
+            return real(name, specs, options)
 
-        monkeypatch.setattr(analyzer, "compile_module", counting)
+        monkeypatch.setattr(analyzer, "compile_module", refuse)
+        monkeypatch.setattr(measure, "compile_module", counting)
         return names
 
     @staticmethod
-    def _reset(benchmark, size, gpu=K20):
-        strategy = StaticSearch(benchmark, gpu, size)
+    def _reset(benchmark, size, gpu=K20, use_rule=False):
+        strategy = StaticSearch(benchmark, gpu, size, use_rule=use_rule)
         strategy.reset(_engine_space())
         return strategy
 
-    def test_one_compile_per_registered_key(self, compiled):
-        bm = get_benchmark("atax")
-        first = self._reset(bm, 64)
-        second = self._reset(bm, 64)
-        assert compiled == ["atax"]
-        assert second.last_report is first.last_report
-        self._reset(bm, 128)
-        assert compiled == ["atax", "atax"]
-        self._reset(bm, 64, gpu=M2050)
-        assert len(compiled) == 3
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_prunes_as_the_analyzer_does(self, name):
+        from repro.core.analyzer import StaticAnalyzer
 
-    def test_unregistered_copy_compiles_every_time(self, compiled):
+        bm = get_benchmark(name)
+        for gpu in ALL_GPUS:
+            for size in bm.sizes:
+                report = StaticAnalyzer(gpu).analyze(
+                    list(bm.specs), bm.param_env(size), name=bm.name,
+                )
+                for use_rule in (False, True):
+                    got = self._reset(bm, size, gpu, use_rule)
+                    assert got.suggestion == report.suggestion
+                    assert got.rule_threads == report.rule_threads
+                    assert repr(got.intensity) == repr(report.intensity)
+
+    def test_static_tunes_compile_only_what_they_measure(self, compiles):
+        tuner = Autotuner(get_benchmark("atax"), K20, space=_engine_space())
+        first = tuner.tune(size=64, search="static", use_rule=True)
+        assert compiles == ["atax"] * 4  # one per compile key of the space
+        tuner.tune(size=128, search="static", use_rule=True)
+        again = tuner.tune(size=64, search="static", use_rule=True)
+        assert compiles == ["atax"] * 4  # a second size compiles nothing
+        assert again.best_config == first.best_config
+        assert again.results.measurements == first.results.measurements
+
+    def test_an_unregistered_copy_prunes_from_its_own_specs(self, compiles):
+        """A copy that borrows a registered name is compiled from its own
+        specs on every reset, never served the registered kernel's view.
+        atax and ex14fj share T* on every GPU at the default compile key,
+        so their registers and rule threads tell them apart."""
         import dataclasses
 
-        registered = get_benchmark("atax")
-        copy = dataclasses.replace(registered)
-        a = self._reset(copy, 64)
-        b = self._reset(copy, 64)
-        assert compiled == ["atax", "atax"]
-        assert a.last_report is not b.last_report
-        assert a.last_report == self._reset(registered, 64).last_report
-
-    def test_memo_is_bounded(self, compiled, monkeypatch):
-        import functools
-
-        from repro.autotune.search import static_search
-
-        analyze = static_search._report.__wrapped__
-        memo = functools.lru_cache(maxsize=2)(analyze)
-        monkeypatch.setattr(static_search, "_report", memo)
-        bm = get_benchmark("atax")
-        for size in (32, 64, 128, 32, 256):
-            self._reset(bm, size)
-            assert memo.cache_info().currsize <= 2
-        assert len(compiled) == 5  # 32 was evicted before its second reset
+        atax, ex14fj = get_benchmark("atax"), get_benchmark("ex14fj")
+        impostor = dataclasses.replace(ex14fj, name="atax")
+        registered = self._reset(atax, 32, use_rule=True)
+        copy = self._reset(impostor, 32, use_rule=True)
+        own = self._reset(ex14fj, 32, use_rule=True)
+        assert copy.suggestion.regs_used == own.suggestion.regs_used
+        assert copy.suggestion.regs_used != registered.suggestion.regs_used
+        assert copy.rule_threads == own.rule_threads
+        assert copy.rule_threads != registered.rule_threads
+        assert compiles == ["atax", "atax", "ex14fj"]
+        self._reset(impostor, 32, use_rule=True)
+        again = self._reset(atax, 32, use_rule=True)
+        assert again.rule_threads == registered.rule_threads
+        assert compiles == ["atax", "atax", "ex14fj", "atax"]
 
 
 # ---------------------------------------------------------------------------
@@ -1098,13 +1117,36 @@ class TestProcessModuleCache:
         finally:
             obs.disable()
 
-    def test_static_mix_refuses_a_view(self):
-        from repro.core.instruction_mix import static_mix_module
+    def test_static_mix_of_a_view_is_the_full_compiles(
+            self, cold_module_cache):
+        """A static mix reads only region trees and parallel extents, so
+        a view's, whose tree another GPU's compile may have built, is the
+        full compile's bit for bit.  Instruction readers still fail on a
+        view."""
+        from repro.autotune.measure import compile_options
+        from repro.codegen.compiler import compile_module
+        from repro.core.instruction_mix import (
+            raw_static_mix,
+            static_mix_module,
+        )
 
-        bm = get_benchmark("atax")
-        view = Measurer(bm, K20).module_for(self.CFG)
-        with pytest.raises(TypeError, match="measurement view"):
-            static_mix_module(view, bm.param_env(64))
+        for bm in BENCHMARKS.values():
+            for gpu in ALL_GPUS:
+                measurer = Measurer(bm, gpu)
+                for uif in (1, 3):
+                    for cflags in ("", "-use_fast_math"):
+                        cfg = {"UIF": uif, "CFLAGS": cflags}
+                        view = measurer.module_for(cfg)
+                        full = compile_module(bm.name, list(bm.specs),
+                                              compile_options(gpu, cfg))
+                        for size in (bm.sizes[0], bm.sizes[-1]):
+                            env = bm.param_env(size)
+                            assert repr(static_mix_module(view, env)) == repr(
+                                static_mix_module(full, env)
+                            ), (bm.name, gpu.name, cfg, size)
+        view = Measurer(get_benchmark("atax"), K20).module_for(self.CFG)
+        with pytest.raises(AttributeError):
+            raw_static_mix(view.kernels[0])
         for attr in ("ir", "spec", "source_spec", "log", "disassembly"):
             assert not hasattr(view.kernels[0], attr)
 

@@ -66,22 +66,29 @@ class TestReplay:
         assert set(rec.searched_threads) == set(rec.suggested_threads)
         assert rec.intensity == pytest.approx(3.5, abs=0.3)
 
-    def test_record_analyzes_once(self, monkeypatch, cold_module_cache):
+    def test_record_compiles_only_the_measured_module(
+            self, monkeypatch, cold_module_cache):
         """The record's analysis snapshot is the one the static search
-        pruned with: one analyzer compile per session."""
+        pruned with, read from the module the session measures: the
+        session compiles that module once and nothing else."""
+        from repro.autotune import measure
         from repro.core import analyzer
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("compiled through the static analyzer")
+
         compiles = []
-        real = analyzer.compile_module
+        real = measure.compile_module
 
-        def counting(*args, **kwargs):
-            compiles.append(args[0])
-            return real(*args, **kwargs)
+        def counting(name, specs, options):
+            compiles.append((name, options.unroll_factor, options.fast_math))
+            return real(name, specs, options)
 
-        monkeypatch.setattr(analyzer, "compile_module", counting)
+        monkeypatch.setattr(analyzer, "compile_module", refuse)
+        monkeypatch.setattr(measure, "compile_module", counting)
         rec = SessionRecorder(get_benchmark("atax"), K20,
                               space=_tiny_space()).run(size=64, use_rule=True)
-        assert compiles == ["atax"]
+        assert compiles == [("atax", 1, False)]
         assert set(rec.searched_threads) == set(rec.rule_threads)
 
     def test_replay_validates_pruning(self):

@@ -146,9 +146,13 @@ def test_lru_eviction(tmp_path):
     assert store.evicted == 2
     remaining = store.get_many([f"k{i}" for i in range(6)])
     assert sorted(remaining) == ["k0", "k1", "k4", "k5"]
+    store.get_many(["k1"])  # the newest stamp
+    store.close()
 
-    # an explicit cap overrides the configured one
-    assert store.evict(max_entries=1) == 3
+    # a store reopened with a smaller cap trims to it
+    store = MeasurementStore(tmp_path, max_entries=1)
+    assert store.evicted == 3
+    assert list(store.get_many([f"k{i}" for i in range(6)])) == ["k1"]
     store.close()
 
 

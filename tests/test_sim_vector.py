@@ -5,8 +5,8 @@ per-warp reference path: memory state, thread-level and warp-issue
 ``Counter``s, and every divergence statistic.  The corpus test runs
 every registered benchmark on both paths; the targeted tests force the
 interesting control shapes (peel + merge at the join, barriers inside
-stacked execution, failed atomic-replay speculation, the ``REPRO_EMU``
-escape hatch).
+stacked execution, failed atomic-replay speculation, the ``mode``
+argument's routing).
 """
 
 import numpy as np
@@ -247,37 +247,34 @@ class TestAtomicReplaySpeculation:
 
 
 class TestRouting:
-    def test_env_escape_hatch(self, monkeypatch, matvec_spec):
+    def test_mode_argument_selects_the_path(self, matvec_spec):
         from repro.codegen.compiler import compile_kernel
 
         ck = compile_kernel(matvec_spec, CompileOptions(gpu=K20))
 
-        def run():
+        def run(mode=None):
             memory = DeviceMemory()
             memory.alloc("A", np.ones(16, np.float32))
             memory.alloc("x", np.ones(4, np.float32))
             memory.alloc("y", np.zeros(4, np.float32))
             params = {"N": 4, "A": None, "x": None, "y": None}
-            res, _ = emulate_kernel(ck, params, tc=32, bc=1, memory=memory)
+            res, _ = emulate_kernel(ck, params, tc=32, bc=1, memory=memory,
+                                    mode=mode)
             return res
 
-        monkeypatch.setenv("REPRO_EMU", "scalar")
-        assert run().profile.mode == "scalar"
-        monkeypatch.setenv("REPRO_EMU", "vector")
-        assert run().profile.mode == "grid"
-        monkeypatch.delenv("REPRO_EMU")
         assert run().profile.mode == "grid"  # fast path is the default
+        assert run("vector").profile.mode == "grid"
+        assert run("scalar").profile.mode == "scalar"
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown emulator mode"):
             emulation_mode("turbo")
 
-    def test_benchmark_emulate_routes_modes(self, monkeypatch):
+    def test_benchmark_emulate_routes_modes(self):
         bm = get_benchmark("atax")
         outs_v, res_v = bm.emulate()
         assert res_v.profile.mode == "grid"
-        monkeypatch.setenv("REPRO_EMU", "scalar")
-        outs_s, res_s = bm.emulate()
+        outs_s, res_s = bm.emulate(mode="scalar")
         assert res_s.profile.mode == "scalar"
         assert_equivalent(res_s, res_v, outs_s, outs_v)
 
