@@ -11,7 +11,6 @@ The rendered artifact is printed with ``-s`` (or captured in the report).
 """
 
 import weakref
-from collections import OrderedDict
 
 import pytest
 
@@ -29,7 +28,7 @@ def _fresh_sweep_cache(monkeypatch):
 
     def empty():
         clear_sweep_cache()
-        monkeypatch.setattr(measure, "_views", OrderedDict())
+        monkeypatch.setattr(measure, "_views", {})
         monkeypatch.setattr(measure, "_trees", weakref.WeakValueDictionary())
         monkeypatch.setattr(counting, "_count_cache", {})
         monkeypatch.setattr(counting, "_fraction_cache", {})

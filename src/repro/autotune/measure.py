@@ -16,25 +16,22 @@ kernel's register-operand form.  A point then does only its launch
 arithmetic, its seeded noise draw and its :class:`VariantMeasurement`.
 
 Measurement reads only a :class:`~repro.codegen.compiler.MeasuredKernel`
-view of each compiled kernel.  The process keeps the views of registered
-benchmarks in one bounded LRU keyed by (kernel, GPU, ``UIF``,
-fast-math), so every measurer in a process -- each tune, sweep, managed
-session and replay -- compiles a module only the first time the process
-needs it, and counts each of its region trees only the first time
-(:data:`repro.sim.counting._count_cache`).  Static readers that read
-no instructions (``T*`` and the static mix: static search, Tables VI and
-VII, the suite's Eq. 6 profile) take views too, so they compile nothing
-a measurement does not.  Only code that reads instructions (the
-emulator, the divergence and CFG analyses, lint, disassembly) compiles
-full modules.
+view of each compiled kernel.  The process keeps every benchmark's views
+in one memo keyed by (kernel, its specs, GPU, ``UIF``, fast-math), so
+every measurer in a process -- each tune, sweep, managed session and
+replay, of a registered benchmark or any other -- compiles a module only
+the first time the process needs it, and counts each of its region trees
+only the first time (:data:`repro.sim.counting._count_cache`).  Static
+readers that read no instructions (``T*`` and the static mix: static
+search, Tables VI and VII, the suite's Eq. 6 profile) take views too, so
+they compile nothing a measurement does not.  Only code that reads
+instructions (the emulator, the divergence and CFG analyses, lint,
+disassembly) compiles full modules.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,7 +62,7 @@ def compile_config_key(config: dict) -> tuple:
     """The compile-time slice of a configuration (``UIF``, ``CFLAGS``):
     exactly what :func:`compile_module` reads, so variants sharing it
     share one compiled module.  ``PL`` is a launch setting and not part
-    of it.  Used for the module memo here, for shard grouping in
+    of it.  Used for the plan memo here, for shard grouping in
     :mod:`repro.engine.work` and for the per-(module, size) costs of
     :func:`repro.suite.evaluate.eq6_profile`."""
     return int(config.get("UIF", 1)), str(config.get("CFLAGS", ""))
@@ -131,77 +128,55 @@ def travels_by_name(benchmark: Benchmark) -> bool:
     return BENCHMARKS.get(benchmark.name) is benchmark
 
 
-_MODULE_LIMIT = 1024
-"""Measurement views the process keeps.  The registry's full Table III
-compile space is 536 (kernel, GPU, ``UIF``, fast-math) modules."""
+_VIEW_LIMIT = 1024
+"""Entries :data:`_views` holds before it is cleared and refilled.  The
+registry's full Table III compile space is 536 (kernel, GPU, ``UIF``,
+fast-math) modules."""
 
-_views: OrderedDict = OrderedDict()
-"""LRU: ``(kernel name, CompileOptions)`` -> module of
-:class:`MeasuredKernel` views, for registered benchmarks only."""
+_views: dict = {}
+"""Memo: (kernel name, id of its specs, ``CompileOptions``) -> (specs,
+module of :class:`MeasuredKernel` views).  The name is part of the key
+because :func:`compile_module` reads it; the specs are keyed by id, so a
+copy that shares them shares the view, and held by the entry, which
+keeps the id from being reused while the entry lives.  Holds at most
+:data:`_VIEW_LIMIT` entries, and one more for each put that races
+another thread's."""
 
 _trees: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-"""``(kernel, kernel index, UIF, fast-math, 64-bit addressing)`` -> the
-region tree the cached views of that key share.  Lowering reads nothing
-else, so GPUs of one address width compile equal trees, and share their
-count forms.  A tree lives only while a cached view or a count form
-holds it."""
-
-_lock = threading.Lock()
-"""Guards :data:`_views` and :data:`_trees`: fleet drainers and
-``asyncio.to_thread`` strategy calls measure from several threads."""
+"""``(kernel spec, UIF, fast-math, 64-bit addressing)`` -> the region
+tree the views of that key share.  Lowering reads nothing else, so GPUs
+of one address width compile equal trees, and share their count forms,
+and so do equal specs of different benchmarks.  A tree lives only while
+a view or a count form holds it."""
 
 
-def _reset_lock() -> None:
-    # a child forked while another thread held the lock would never see
-    # it released
-    global _lock
-    _lock = threading.Lock()
+def _view(benchmark: Benchmark, options: CompileOptions) -> CompiledModule:
+    """The process's measurement view of ``benchmark`` compiled with
+    ``options``, compiled the first time the process needs it.
 
-
-if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
-    os.register_at_fork(after_in_child=_reset_lock)
-
-
-def _compile(benchmark: Benchmark, options: CompileOptions) -> CompiledModule:
-    module = compile_module(benchmark.name, list(benchmark.specs), options)
-    obs.add("measure.compiles", kernel=benchmark.name)
-    return module
-
-
-def _cached_view(benchmark: Benchmark,
-                 options: CompileOptions) -> CompiledModule:
-    """The process's measurement view of a registered benchmark's module,
-    compiled the first time the process needs it.
-
-    Compiles outside the lock: two threads that miss together both
-    compile, and the first to insert wins.
+    Takes no lock, like the count memo: a dict's get, set and clear are
+    atomic, so two threads that miss together both compile, and either
+    view may stay.
     """
-    key = (benchmark.name, options)
-    with _lock:
-        view = _views.get(key)
-        if view is not None:
-            _views.move_to_end(key)
-    if view is not None:
+    specs = benchmark.specs
+    key = (benchmark.name, id(specs), options)
+    entry = _views.get(key)
+    if entry is not None:
         obs.add("measure.module_hits", kernel=benchmark.name)
-        return view
-    module = _compile(benchmark, options)
+        return entry[1]
+    module = compile_module(benchmark.name, list(specs), options)
+    obs.add("measure.compiles", kernel=benchmark.name)
     width = address_64bit(options.gpu)
-    with _lock:
-        view = _views.get(key)
-        if view is None:
-            kernels = [
-                MeasuredKernel.of(ck, _trees.setdefault(
-                    (benchmark.name, index, options.unroll_factor,
-                     options.fast_math, width),
-                    ck.root_region,
-                ))
-                for index, ck in enumerate(module)
-            ]
-            view = _views[key] = CompiledModule(
-                module.name, kernels, options
-            )
-            while len(_views) > _MODULE_LIMIT:
-                _views.popitem(last=False)
+    view = CompiledModule(module.name, [
+        MeasuredKernel.of(ck, _trees.setdefault(
+            (spec, options.unroll_factor, options.fast_math, width),
+            ck.root_region,
+        ))
+        for spec, ck in zip(specs, module)
+    ], options)
+    if len(_views) >= _VIEW_LIMIT:
+        _views.clear()
+    _views[key] = (specs, view)
     return view
 
 
@@ -226,13 +201,11 @@ class Measurer:
     """Compiles and measures variants of one benchmark on one GPU.
 
     The one measurement context: the sweep engine, its worker pool and
-    the service fleet all carry a measurer rather than its fields, and
-    its module memo serves every batch measured on it.  For a registered
-    benchmark the memo holds the process's cached views, so each module
-    compiles once per process; any other benchmark (its name does not
-    identify its specs) is compiled once per measurer.  Count forms are
-    the process's either way (:func:`~repro.sim.counting.exact_counts`);
-    the plans built from them are the measurer's.
+    the service fleet all carry a measurer rather than its fields.  Its
+    modules are the process's views (:func:`_view`), so each compiles
+    once per process, registered benchmark or not, and its count forms
+    are the process's too (:func:`~repro.sim.counting.exact_counts`);
+    only the plans built from them are the measurer's.
     """
 
     def __init__(
@@ -244,37 +217,24 @@ class Measurer:
         self.benchmark = benchmark
         self.gpu = gpu
         self.params = params
-        self._modules: dict[tuple, CompiledModule] = {}
         self._plans: dict[tuple, _Plan] = {}
 
     def __reduce__(self):
-        # the module and plan memos stay behind; a registered benchmark
-        # travels by name (see travels_by_name)
+        # the plan memo stays behind; a registered benchmark travels by
+        # name (see travels_by_name)
         if travels_by_name(self.benchmark):
             return _rebuild, (self.benchmark.name, self.gpu, self.params)
         return Measurer, (self.benchmark, self.gpu, self.params)
 
     def module_for(self, config: dict) -> CompiledModule:
-        """The measurement view of the module for a configuration
-        (memoized by the compile-time slice of the configuration)."""
-        key = compile_config_key(config)
-        mod = self._modules.get(key)
-        if mod is None:
-            options = compile_options(self.gpu, config)
-            if travels_by_name(self.benchmark):
-                mod = _cached_view(self.benchmark, options)
-            else:
-                mod = CompiledModule(self.benchmark.name, [
-                    MeasuredKernel.of(ck)
-                    for ck in _compile(self.benchmark, options)
-                ], options)
-            self._modules[key] = mod
-        return mod
+        """The measurement view of the module for a configuration: the
+        process's view at its compile options."""
+        return _view(self.benchmark, compile_options(self.gpu, config))
 
     def _plan_for(self, config: dict, size: int) -> _Plan:
         """What every launch of a configuration's module at ``size``
-        shares (memoized by compile key and size, like
-        :meth:`module_for`; a plan that fails to build is not kept)."""
+        shares (memoized by compile key and size; a plan that fails to
+        build is not kept)."""
         key = (compile_config_key(config), size)
         plan = self._plans.get(key)
         if plan is None:
@@ -299,9 +259,9 @@ class Measurer:
     def measure_many(self, items) -> list[VariantMeasurement]:
         """Measure a batch of ``(config, size)`` pairs, in input order.
 
-        Each distinct compile key compiles at most once, and each
-        distinct (compile key, size) is planned once, for the measurer's
-        lifetime and regardless of order.  So a point does only its
+        Each distinct compile key compiles at most once per process,
+        and each distinct (compile key, size) is planned once, for the
+        measurer's lifetime and regardless of order.  So a point does only its
         launch arithmetic, its noise draw and its
         :class:`VariantMeasurement`.  This is the unit of work a
         sweep-engine shard runs, so a failure is wrapped in

@@ -24,10 +24,9 @@ behind the intensity), and a measurement view holds all of them.  So
 step (1) is the measurer's own compile: the search prunes from the view
 a :class:`~repro.autotune.measure.Measurer` holds at the default compile
 key (``UIF`` 1, no fast-math), the module
-:meth:`~repro.core.analyzer.StaticAnalyzer.analyze` compiles.  A
-registered benchmark's view comes from the process's module cache, so
-the search compiles nothing its measurements do not; any other
-benchmark compiles once per reset.
+:meth:`~repro.core.analyzer.StaticAnalyzer.analyze` compiles.  The view
+comes from the process's module cache, registered benchmark or not, so
+the search compiles nothing its measurements do not.
 """
 
 from __future__ import annotations

@@ -43,7 +43,9 @@ def pipeline_utilization(
     }
     for cat, n in mix.by_category.items():
         cycles[unit_of[cat]] += n * tp.cpi(cat)
-    total = sum(cycles.values())
+    total = 0.0  # a left fold: from Python 3.12, sum() is compensated
+    for c in cycles.values():
+        total += c
     if total <= 0:
         return cycles
     return {u: c / total for u, c in cycles.items()}

@@ -58,6 +58,11 @@ def resolve_gpus(archs=None) -> list[GPUSpec]:
     return [get_gpu(a) for a in archs]
 
 
+def family_short(gpu: GPUSpec) -> str:
+    """A GPU's family as the tables print it: Fer, Kep, Max or Pas."""
+    return gpu.family[:3]
+
+
 def resolve_kernels(kernels=None) -> list[str]:
     if kernels is None:
         return list(KERNEL_ORDER)

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     exhaustive_sweep,
+    family_short,
     resolve_gpus,
     resolve_kernels,
 )
 from repro.util.tables import ascii_table
-
-_FAMILY_SHORT = {"Fermi": "Fer", "Kepler": "Kep", "Maxwell": "Max",
-                 "Pascal": "Pas"}
 
 
 def run(full: bool = False, archs=None, kernels=None) -> dict:
@@ -31,7 +29,7 @@ def run(full: bool = False, archs=None, kernels=None) -> dict:
                 st = results.rank_statistics(rank)
                 rows[rank].append({
                     "kernel": kernel,
-                    "arch": _FAMILY_SHORT[gpu.family],
+                    "arch": family_short(gpu),
                     **st,
                 })
     return {"rank1": rows[1], "rank2": rows[2], "full": full}

@@ -16,13 +16,10 @@ from __future__ import annotations
 
 from repro.arch.throughput import PipeClass
 from repro.autotune.measure import Measurer
-from repro.experiments.common import resolve_gpus, resolve_kernels
+from repro.experiments.common import family_short, resolve_gpus, resolve_kernels
 from repro.kernels import get_benchmark
 from repro.suite.evaluate import BASELINE_TC, mix_error_by_class
 from repro.util.tables import ascii_table
-
-_FAMILY_SHORT = {"Fermi": "Fer", "Kepler": "Kep", "Maxwell": "Max",
-                 "Pascal": "Pas"}
 
 
 def run(archs=("fermi", "kepler", "maxwell"), kernels=None,
@@ -38,7 +35,7 @@ def run(archs=("fermi", "kepler", "maxwell"), kernels=None,
             errs, itns = mix_error_by_class(module, bm.param_env, sizes)
             rows.append({
                 "kernel": kernel,
-                "arch": _FAMILY_SHORT[gpu.family],
+                "arch": family_short(gpu),
                 "flops": errs[PipeClass.FLOPS],
                 "mem": errs[PipeClass.MEM],
                 "ctrl": errs[PipeClass.CTRL],

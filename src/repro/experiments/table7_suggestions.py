@@ -11,12 +11,9 @@ from __future__ import annotations
 from repro.autotune.measure import Measurer
 from repro.core.instruction_mix import static_mix_module
 from repro.core.suggest import suggest_for_module
-from repro.experiments.common import resolve_gpus, resolve_kernels
+from repro.experiments.common import family_short, resolve_gpus, resolve_kernels
 from repro.kernels import get_benchmark
 from repro.util.tables import ascii_table
-
-_FAMILY_SHORT = {"Fermi": "Fer", "Kepler": "Kep", "Maxwell": "Max",
-                 "Pascal": "Pas"}
 
 
 def run(archs=None, kernels=None) -> dict:
@@ -31,7 +28,7 @@ def run(archs=None, kernels=None) -> dict:
             s = suggest_for_module(module)
             rows.append({
                 "kernel": kernel,
-                "arch": _FAMILY_SHORT[gpu.family],
+                "arch": family_short(gpu),
                 "threads": list(s.threads),
                 "ru": s.regs_used,
                 "rstar": s.reg_increase,

@@ -173,7 +173,9 @@ def accuracy_row(
         benchmark.name, list(benchmark.specs), CompileOptions(gpu=gpu)
     )
     errs, intensity = mix_error_by_class(module, benchmark.param_env, sizes)
-    mix_err = sum(errs.values())
+    mix_err = 0.0  # a left fold: from Python 3.12, sum() is compensated
+    for err in errs.values():
+        mix_err += err
     row = {
         "kernel": benchmark.name,
         "arch": gpu.name,

@@ -78,13 +78,12 @@ def cold_module_cache(monkeypatch):
     caches.  Returns the function that empties them, for a test that
     times several cold passes."""
     import weakref
-    from collections import OrderedDict
 
     from repro.autotune import measure
     from repro.sim import counting
 
     def empty():
-        monkeypatch.setattr(measure, "_views", OrderedDict())
+        monkeypatch.setattr(measure, "_views", {})
         monkeypatch.setattr(measure, "_trees", weakref.WeakValueDictionary())
         monkeypatch.setattr(counting, "_count_cache", {})
         monkeypatch.setattr(counting, "_fraction_cache", {})

@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 
 from repro.arch import ALL_GPUS, K20, M40
-from repro.autotune.measure import Measurer, compile_config_key
+from repro.autotune.measure import Measurer
 from repro.codegen.ast_nodes import IntConst
 from repro.codegen.compiler import CompileOptions, CompiledModule, MeasuredKernel
 from repro.codegen.regions import Region, RegionKind
@@ -156,7 +156,7 @@ def handbuilt_measurements() -> dict:
     for name, module in modules.items():
         bm = dataclasses.replace(get_benchmark("atax"), name=name)
         measurer = Measurer(bm, K20)
-        measurer._modules[compile_config_key(config)] = module
+        measurer.module_for = lambda config: module
         m = measurer.measure(config, 64)
         out[name] = [m.seconds.hex(), m.reg_instructions.hex()]
     return out
@@ -284,6 +284,38 @@ def test_measurements_do_not_depend_on_the_interpreters_sum():
     assert seconds == GEMVER_M40
     assert handbuilt == HANDBUILT
     assert digests == golden
+
+
+def test_static_sums_do_not_depend_on_the_interpreters_sum(monkeypatch):
+    """The analyzer's pipeline shares and the suite's ``mix_err`` are
+    left-to-right folds too.  Summed by a compensated ``sum()``, the
+    shares of bicg, jacobi2d and matvec_smem on K20 at their largest
+    sizes move in the last bits, and so does compact's ``mix_err``."""
+    import repro.core.pipeline
+    import repro.suite.evaluate
+    from repro.autotune.space import Parameter, ParameterSpace
+    from repro.core.analyzer import StaticAnalyzer
+    from repro.suite.corpus import corpus_sizes
+    from repro.suite.evaluate import accuracy_row
+
+    compact = get_benchmark("compact")
+    point = ParameterSpace([Parameter("TC", (64,)), Parameter("BC", (48,))])
+
+    def outputs() -> list:
+        out = []
+        for name in ("bicg", "jacobi2d", "matvec_smem"):
+            bm = get_benchmark(name)
+            report = StaticAnalyzer(K20).analyze(
+                list(bm.specs), bm.param_env(bm.sizes[-1]), name=name)
+            out.append(repr(report.pipeline))
+        row = accuracy_row(compact, K20, point, corpus_sizes(compact, False))
+        out.append(repr(row["mix_err"]))
+        return out
+
+    folded = outputs()
+    for module in (repro.core.pipeline, repro.suite.evaluate):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert outputs() == folded
 
 
 if __name__ == "__main__":
