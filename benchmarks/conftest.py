@@ -10,8 +10,6 @@ time through pytest-benchmark.  Run with::
 The rendered artifact is printed with ``-s`` (or captured in the report).
 """
 
-import weakref
-
 import pytest
 
 from repro.autotune import measure
@@ -29,7 +27,7 @@ def _fresh_sweep_cache(monkeypatch):
     def empty():
         clear_sweep_cache()
         monkeypatch.setattr(measure, "_views", {})
-        monkeypatch.setattr(measure, "_trees", weakref.WeakValueDictionary())
+        monkeypatch.setattr(measure, "_kernels", {})
         monkeypatch.setattr(counting, "_count_cache", {})
         monkeypatch.setattr(counting, "_fraction_cache", {})
 

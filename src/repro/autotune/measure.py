@@ -17,21 +17,24 @@ arithmetic, its seeded noise draw and its :class:`VariantMeasurement`.
 
 Measurement reads only a :class:`~repro.codegen.compiler.MeasuredKernel`
 view of each compiled kernel.  The process keeps every benchmark's views
-in one memo keyed by (kernel, its specs, GPU, ``UIF``, fast-math), so
-every measurer in a process -- each tune, sweep, managed session and
-replay, of a registered benchmark or any other -- compiles a module only
-the first time the process needs it, and counts each of its region trees
-only the first time (:data:`repro.sim.counting._count_cache`).  Static
-readers that read no instructions (``T*`` and the static mix: static
-search, Tables VI and VII, the suite's Eq. 6 profile) take views too, so
-they compile nothing a measurement does not.  Only code that reads
-instructions (the emulator, the divergence and CFG analyses, lint,
-disassembly) compiles full modules.
+in one memo keyed by (kernel, its specs, GPU, ``UIF``, fast-math), and
+the GPU-free part of each kernel's view in another keyed by (kernel
+spec, ``UIF``, fast-math, address width).  So every measurer in a
+process -- each tune, sweep, managed session and replay, of a registered
+benchmark or any other -- compiles a module only the first time the
+process needs it at an address width: K20, M40 and P100 share one
+verified compile, each with its own register report.  Each region tree
+is counted only the first time too
+(:data:`repro.sim.counting._count_cache`).  Static readers that read no
+instructions (``T*`` and the static mix: static search, Tables VI and
+VII, the suite's Eq. 6 profile) take views too, so they compile nothing
+a measurement does not.  Only code that reads instructions (the
+emulator, the divergence and CFG analyses, lint, disassembly) compiles
+full modules.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,9 +46,11 @@ from repro.codegen.compiler import (
     MeasuredKernel,
     address_64bit,
     compile_module,
+    register_report,
 )
-from repro.codegen.regions import REG_OPS
+from repro.codegen.regions import REG_OPS, Region
 from repro.kernels.base import Benchmark
+from repro.ptx.verifier import check_register_budget
 from repro.sim.counting import exact_counts
 from repro.sim.occupancy_hw import hw_occupancy
 from repro.sim.timing import (
@@ -129,34 +134,54 @@ def travels_by_name(benchmark: Benchmark) -> bool:
 
 
 _VIEW_LIMIT = 1024
-"""Entries :data:`_views` holds before it is cleared and refilled.  The
-registry's full Table III compile space is 536 (kernel, GPU, ``UIF``,
-fast-math) modules."""
+"""Entries :data:`_views` and :data:`_kernels` each hold before they are
+cleared and refilled.  The registry's full Table III compile space is
+536 (kernel, GPU, ``UIF``, fast-math) modules."""
 
 _views: dict = {}
 """Memo: (kernel name, id of its specs, ``CompileOptions``) -> (specs,
 module of :class:`MeasuredKernel` views).  The name is part of the key
-because :func:`compile_module` reads it; the specs are keyed by id, so a
-copy that shares them shares the view, and held by the entry, which
-keeps the id from being reused while the entry lives.  Holds at most
+because it names the module; the specs are keyed by id, so a copy that
+shares them shares the view, and held by the entry, which keeps the id
+from being reused while the entry lives.  Holds at most
 :data:`_VIEW_LIMIT` entries, and one more for each put that races
 another thread's."""
 
-_trees: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-"""``(kernel spec, UIF, fast-math, 64-bit addressing)`` -> the region
-tree the views of that key share.  Lowering reads nothing else, so GPUs
-of one address width compile equal trees, and share their count forms,
-and so do equal specs of different benchmarks.  A tree lives only while
-a view or a count form holds it."""
+
+class _Kernel(NamedTuple):
+    """What the views of one kernel share on every GPU of an address
+    width: all but the register count, which each GPU derives from
+    ``slots`` (:func:`~repro.codegen.compiler.register_report`)."""
+
+    name: str
+    slots: int
+    static_smem_bytes: int
+    root_region: Region
+    parallel_extent: object
+
+
+_kernels: dict = {}
+"""Memo: ``(kernel spec, UIF, fast-math, 64-bit addressing)`` -> the
+:class:`_Kernel` its views share.  Lowering reads nothing else and
+register allocation reads only the lowered code, so GPUs of one address
+width compile kernels that differ only in their register report: the
+views of K20, M40 and P100 share one compile, and so do equal specs of
+different benchmarks, with one region tree and so one set of count
+forms.  A compile clears it when it holds :data:`_VIEW_LIMIT` entries or
+more, so it holds at most that many plus one module's kernels."""
 
 
 def _view(benchmark: Benchmark, options: CompileOptions) -> CompiledModule:
     """The process's measurement view of ``benchmark`` compiled with
-    ``options``, compiled the first time the process needs it.
+    ``options``.
 
-    Takes no lock, like the count memo: a dict's get, set and clear are
-    atomic, so two threads that miss together both compile, and either
-    view may stay.
+    The first GPU of an address width to need a module compiles it;
+    every other GPU of that width builds its view from that verified
+    compile's :data:`_kernels` entries and applies only its own register
+    reservation, clamp and budget check, the one verifier check that
+    reads the GPU.  Takes no lock, like the count memo: a dict's get,
+    set, ``setdefault`` and clear are atomic, so two threads that miss
+    together both build, and either view may stay.
     """
     specs = benchmark.specs
     key = (benchmark.name, id(specs), options)
@@ -164,16 +189,32 @@ def _view(benchmark: Benchmark, options: CompileOptions) -> CompiledModule:
     if entry is not None:
         obs.add("measure.module_hits", kernel=benchmark.name)
         return entry[1]
-    module = compile_module(benchmark.name, list(specs), options)
-    obs.add("measure.compiles", kernel=benchmark.name)
     width = address_64bit(options.gpu)
-    view = CompiledModule(module.name, [
-        MeasuredKernel.of(ck, _trees.setdefault(
-            (spec, options.unroll_factor, options.fast_math, width),
-            ck.root_region,
+    keys = [(spec, options.unroll_factor, options.fast_math, width)
+            for spec in specs]
+    kernels = [_kernels.get(k) for k in keys]
+    if None in kernels:
+        module = compile_module(benchmark.name, list(specs), options)
+        obs.add("measure.compiles", kernel=benchmark.name)
+        if len(_kernels) >= _VIEW_LIMIT:
+            _kernels.clear()
+        # an entry already there stays, so equal specs share one tree
+        kernels = [
+            _kernels.setdefault(k, _Kernel(
+                ck.name, ck.register_slots, ck.static_smem_bytes,
+                ck.root_region, ck.parallel_extent,
+            ))
+            for k, ck in zip(keys, module)
+        ]
+    views = []
+    for k in kernels:
+        regs, _ = register_report(k.slots, options.gpu)
+        check_register_budget(k.name, k.slots, regs)
+        views.append(MeasuredKernel(
+            k.name, regs, k.static_smem_bytes, k.root_region,
+            k.parallel_extent, options,
         ))
-        for spec, ck in zip(specs, module)
-    ], options)
+    view = CompiledModule(benchmark.name, views, options)
     if len(_views) >= _VIEW_LIMIT:
         _views.clear()
     _views[key] = (specs, view)
@@ -203,9 +244,10 @@ class Measurer:
     The one measurement context: the sweep engine, its worker pool and
     the service fleet all carry a measurer rather than its fields.  Its
     modules are the process's views (:func:`_view`), so each compiles
-    once per process, registered benchmark or not, and its count forms
-    are the process's too (:func:`~repro.sim.counting.exact_counts`);
-    only the plans built from them are the measurer's.
+    once per process and address width, registered benchmark or not,
+    and its count forms are the process's too
+    (:func:`~repro.sim.counting.exact_counts`); only the plans built
+    from them are the measurer's.
     """
 
     def __init__(
@@ -259,8 +301,9 @@ class Measurer:
     def measure_many(self, items) -> list[VariantMeasurement]:
         """Measure a batch of ``(config, size)`` pairs, in input order.
 
-        Each distinct compile key compiles at most once per process,
-        and each distinct (compile key, size) is planned once, for the
+        Each distinct compile key compiles at most once per process and
+        address width (GPUs of one width share the compile), and each
+        distinct (compile key, size) is planned once, for the
         measurer's lifetime and regardless of order.  So a point does only its
         launch arithmetic, its noise draw and its
         :class:`VariantMeasurement`.  This is the unit of work a

@@ -105,7 +105,8 @@ class Autotuner:
         annealing chains, a simplex, a block of random samples, the
         whole space) and measures it in one
         :meth:`~repro.engine.engine.SweepEngine.run` on one
-        :class:`Measurer`, whose modules compile once per process.
+        :class:`Measurer`, whose modules compile once per process and
+        address width.
         ``engine`` (or ``jobs``/``cache``) shards those batches across
         worker processes and serves them from the persistent cache;
         results are identical in content and order either way.

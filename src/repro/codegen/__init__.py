@@ -2,11 +2,11 @@
 
 Kernels are written as loop-nest specifications (the Orio input form: "we
 use the term kernels to refer to deeply nested loops"), lowered to the
-PTX-like IR of :mod:`repro.ptx`, register-allocated per target architecture,
-and packaged as :class:`repro.codegen.compiler.CompiledKernel` objects that
-carry everything the paper's static analyzer extracts from the real
-toolchain: the instruction stream, registers per thread, static shared
-memory, and a compile log.
+PTX-like IR of :mod:`repro.ptx`, register-allocated, and packaged as
+:class:`repro.codegen.compiler.CompiledKernel` objects that carry
+everything the paper's static analyzer extracts from the real toolchain:
+the instruction stream, registers per thread, static shared memory, and
+a compile log.
 
 Tuning-relevant compiler behaviour is modelled faithfully:
 
@@ -15,7 +15,8 @@ Tuning-relevant compiler behaviour is modelled faithfully:
 - ``fast_math`` (the ``-use_fast_math`` flag) selects cheap SFU sequences
   for ``exp``/``div``/``sqrt`` instead of precise software expansions;
 - the target architecture changes addressing width (32-bit on sm_20, 64-bit
-  on sm_35+), reserved registers, and therefore the reported register count.
+  on sm_35+), and its ABI reservation and per-thread limit turn the
+  allocator's register slots into the reported register count.
 """
 
 from repro.codegen.ast_nodes import (

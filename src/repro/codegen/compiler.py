@@ -15,6 +15,9 @@ static analyzer step extracts:
 
 Measurement needs only the third and the resource numbers, so it keeps a
 :class:`MeasuredKernel` view of each kernel instead of the whole compile.
+Of those, only the register count depends on the GPU beyond its address
+width (:func:`register_report`), so GPUs of one width can share one
+compile's view.
 """
 
 from __future__ import annotations
@@ -42,10 +45,25 @@ _RESERVED_REGS = {20: 2, 35: 4, 52: 6, 60: 6}
 def address_64bit(gpu: GPUSpec) -> bool:
     """Whether code for ``gpu`` uses 64-bit addresses (sm_35 onwards).
 
-    Lowering reads only the spec, fast-math and this, so kernels compiled
-    for GPUs of one address width get equal region trees.
+    Lowering reads only the spec, fast-math and this, and register
+    allocation reads only the lowered code, so kernels compiled for GPUs
+    of one address width get equal code, region trees and register slots.
+    They differ only in :func:`register_report`.
     """
     return gpu.sm_version >= 35
+
+
+def register_report(slots: int, gpu: GPUSpec) -> tuple[int, int]:
+    """What ptxas reports on ``gpu`` for a kernel whose allocation takes
+    ``slots`` 32-bit register slots: ``(registers per thread, registers
+    spilled)``.  The count is the slots plus the architecture's ABI
+    reservation, clamped to the GPU's per-thread limit (mirroring
+    ``ptxas --maxrregcount``); what the clamp cuts is spilled.  The
+    benchmark kernels never spill.
+    """
+    demanded = slots + _RESERVED_REGS[gpu.sm_version]
+    regs = min(demanded, gpu.max_regs_per_thread)
+    return regs, demanded - regs
 
 
 @dataclass(frozen=True)
@@ -82,6 +100,9 @@ class CompiledKernel:
     parallel_extent: object
     options: CompileOptions
     log: str = ""
+    register_slots: int = 0
+    """The 32-bit register slots the allocator took, before
+    :func:`register_report` adds the reservation and clamps."""
 
     @property
     def name(self) -> str:
@@ -121,19 +142,6 @@ class MeasuredKernel:
     parallel_extent: object
     options: CompileOptions
 
-    @classmethod
-    def of(cls, ck: CompiledKernel, root_region: Region | None = None):
-        """The view of ``ck``, optionally over an equal ``root_region``
-        another compile already holds."""
-        return cls(
-            name=ck.name,
-            regs_per_thread=ck.regs_per_thread,
-            static_smem_bytes=ck.static_smem_bytes,
-            root_region=ck.root_region if root_region is None else root_region,
-            parallel_extent=ck.parallel_extent,
-            options=ck.options,
-        )
-
 
 @dataclass(eq=False)
 class CompiledModule:
@@ -172,8 +180,9 @@ def compile_kernel(spec: KernelSpec, options: CompileOptions) -> CompiledKernel:
     """Compile one kernel spec for the given options.
 
     Pipeline: AST transforms (unroll) -> lowering (fast-math instruction
-    selection, addressing width by architecture) -> verification -> linear
-    scan register allocation -> resource report.
+    selection, addressing width by architecture) -> linear scan register
+    allocation -> resource report (:func:`register_report`) ->
+    verification.
     """
     gpu = options.gpu
     transformed = unroll_innermost(spec, options.unroll_factor)
@@ -182,15 +191,12 @@ def compile_kernel(spec: KernelSpec, options: CompileOptions) -> CompiledKernel:
         fast_math=options.fast_math,
         address_64bit=address_64bit(gpu),
     )
-    alloc = allocate_registers(
-        lowered.ir,
-        reserved=_RESERVED_REGS[gpu.sm_version],
-        max_regs=gpu.max_regs_per_thread,
-    )
+    alloc = allocate_registers(lowered.ir)
     ir = alloc.kernel
+    ir.regs_per_thread, spilled = register_report(alloc.slots, gpu)
     ir.target_sm = gpu.sm_version
     ir.meta["options"] = options
-    ir.meta["spilled"] = alloc.spilled
+    ir.meta["spilled"] = spilled
     verify_kernel(ir)
 
     log = (
@@ -199,7 +205,7 @@ def compile_kernel(spec: KernelSpec, options: CompileOptions) -> CompiledKernel:
         f"ptxas info    : Function properties for {spec.name}\n"
         f"ptxas info    : Used {ir.regs_per_thread} registers, "
         f"{ir.static_smem_bytes} bytes smem"
-        + (f", {alloc.spilled} registers spilled" if alloc.spilled else "")
+        + (f", {spilled} registers spilled" if spilled else "")
     )
     return CompiledKernel(
         spec=transformed,
@@ -209,6 +215,7 @@ def compile_kernel(spec: KernelSpec, options: CompileOptions) -> CompiledKernel:
         parallel_extent=lowered.parallel_extent,
         options=options,
         log=log,
+        register_slots=alloc.slots,
     )
 
 

@@ -2,8 +2,10 @@
 
 Maps the virtual registers produced by lowering onto physical register
 classes (``%r`` s32/u32, ``%f`` f32, ``%rd`` s64, ``%fd`` f64, ``%p``
-predicates) and computes the per-thread register count that the occupancy
-model consumes -- the number ``ptxas -v`` would report.
+predicates) and counts the 32-bit register slots the allocation takes.
+The compiler turns that total into the per-thread register count that
+``ptxas -v`` would report and the occupancy model consumes
+(:func:`repro.codegen.compiler.register_report`).
 
 Modelling notes:
 
@@ -12,10 +14,7 @@ Modelling notes:
   loop, as real allocators must;
 - 64-bit values occupy two 32-bit slots (register pairs);
 - predicates live in their own bank and do not count toward the slot total
-  (as on real hardware, which has a small separate predicate file);
-- each architecture reserves a few registers for the ABI/system use; the
-  reservation differs per generation, which is one reason the paper's
-  Table VII reports different ``R_u`` per architecture for the same kernel.
+  (as on real hardware, which has a small separate predicate file).
 """
 
 from __future__ import annotations
@@ -33,9 +32,10 @@ class AllocationResult:
     """Outcome of register allocation for one kernel."""
 
     kernel: KernelIR
-    regs_per_thread: int
+    slots: int
+    """32-bit register slots the allocation takes (64-bit registers are
+    pairs, predicates take none)."""
     slots_by_class: dict
-    spilled: int
     mapping: dict
 
 
@@ -123,18 +123,10 @@ class _Pool:
         self.free.append(idx)
 
 
-def allocate_registers(
-    ir: KernelIR,
-    reserved: int = 2,
-    max_regs: int = 255,
-) -> AllocationResult:
-    """Run linear scan over ``ir`` and return the renamed kernel.
-
-    ``reserved`` models per-architecture ABI registers added to the reported
-    count.  If the slot demand exceeds ``max_regs``, the excess is counted
-    as ``spilled`` (the reported register count is clamped, mirroring
-    ``ptxas --maxrregcount`` behaviour) -- the benchmark kernels never spill.
-    """
+def allocate_registers(ir: KernelIR) -> AllocationResult:
+    """Run linear scan over ``ir`` and return the renamed kernel with the
+    register slots it takes.  Allocation reads no architecture: the
+    slots depend only on the lowered code."""
     intervals = _live_intervals(ir.body)
     order = sorted(intervals.items(), key=lambda kv: (kv[1][0], kv[1][1]))
 
@@ -177,23 +169,18 @@ def allocate_registers(
         slots_by_class[prefix] = pool.high_water
         slot_total += pool.high_water * per
 
-    demanded = slot_total + reserved
-    spilled = max(0, demanded - max_regs)
-    regs_per_thread = min(demanded, max_regs)
-
     out = KernelIR(
         name=ir.name,
         params=ir.params,
         body=new_body,
-        regs_per_thread=regs_per_thread,
+        regs_per_thread=ir.regs_per_thread,
         static_smem_bytes=ir.static_smem_bytes,
         target_sm=ir.target_sm,
         meta=dict(ir.meta),
     )
     return AllocationResult(
         kernel=out,
-        regs_per_thread=regs_per_thread,
+        slots=slot_total,
         slots_by_class=slots_by_class,
-        spilled=spilled,
         mapping=mapping,
     )

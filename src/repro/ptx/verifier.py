@@ -164,15 +164,23 @@ def verify_kernel(kernel: KernelIR, strict_types: bool = True) -> None:
                         raise _error(kernel, idx, ins,
                                      f"operand type mismatch ({s})")
 
-    # physical register budget consistency: if the kernel reports a register
-    # count, the distinct non-predicate physical registers must fit in it
-    # (64-bit registers occupy two 32-bit slots)
-    if kernel.regs_per_thread:
-        phys = [dtype for name, dtype in regs.items()
-                if not name.startswith("%v")]
-        slots = sum(2 if dtype.is_64bit else 1 for dtype in phys)
-        if phys and slots > kernel.regs_per_thread:
-            raise VerificationError(
-                f"{kernel.name}: uses {slots} register slots but declares "
-                f"only {kernel.regs_per_thread}"
-            )
+    # physical register budget consistency: the distinct non-predicate
+    # physical registers must fit in the kernel's register count (64-bit
+    # registers occupy two 32-bit slots)
+    slots = sum(2 if dtype.is_64bit else 1
+                for name, dtype in regs.items() if not name.startswith("%v"))
+    check_register_budget(kernel.name, slots, kernel.regs_per_thread)
+
+
+def check_register_budget(name: str, slots: int, regs_per_thread: int) -> None:
+    """The verifier's register budget check: raise
+    :class:`VerificationError` when ``slots`` 32-bit register slots do not
+    fit in the ``regs_per_thread`` a kernel reports.  A count of 0
+    reports nothing and is not checked.  Of the verifier's checks, only
+    this one reads a number the target GPU sets, so a measurement view
+    built from another GPU's verified compile runs it alone."""
+    if regs_per_thread and slots > regs_per_thread:
+        raise VerificationError(
+            f"{name}: uses {slots} register slots but declares "
+            f"only {regs_per_thread}"
+        )

@@ -170,7 +170,7 @@ configuration: :func:`_affine` turns them into one
 :class:`~repro.codegen.regions.CountForm`, and each launch reads it at
 its own T.  A form depends on nothing but the tree, so every kernel over
 one tree reads it: each measurer in the process, and the GPUs whose
-views share a tree (``autotune.measure._trees``).  ``Region`` is an
+views share a compile (``autotune.measure._kernels``).  ``Region`` is an
 ``eq=True`` dataclass and unhashable, so the key holds the tree's id and
 the entry the tree itself, which keeps the id from being reused while
 the entry lives.  The branch-domain passes behind the walks come from

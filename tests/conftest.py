@@ -72,19 +72,17 @@ def rng():
 
 @pytest.fixture
 def cold_module_cache(monkeypatch):
-    """Empty process-wide module, region-tree, count-form and
+    """Empty process-wide module, shared-compile, count-form and
     branch-fraction caches for one test, so its measurers compile and
     count every module they need, even after other tests warmed the
     caches.  Returns the function that empties them, for a test that
     times several cold passes."""
-    import weakref
-
     from repro.autotune import measure
     from repro.sim import counting
 
     def empty():
         monkeypatch.setattr(measure, "_views", {})
-        monkeypatch.setattr(measure, "_trees", weakref.WeakValueDictionary())
+        monkeypatch.setattr(measure, "_kernels", {})
         monkeypatch.setattr(counting, "_count_cache", {})
         monkeypatch.setattr(counting, "_fraction_cache", {})
 

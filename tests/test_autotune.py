@@ -487,29 +487,31 @@ class TestStaticSearchReadsTheMeasuredModule:
                     assert repr(got.intensity) == repr(report.intensity)
 
     def test_static_tunes_compile_only_what_they_measure(self, compiles):
-        """atax, and a renamed copy of it the registry does not know,
-        compile one module per compile key, and nothing for a second
-        size."""
+        """atax compiles one module per compile key, and nothing for a
+        second size; a renamed copy of it the registry does not know
+        shares its specs, so it compiles nothing at all."""
         import dataclasses
 
         atax = get_benchmark("atax")
-        for bm in (atax, dataclasses.replace(atax, name="atax_copy")):
+        copy = dataclasses.replace(atax, name="atax_copy")
+        for bm, cold in ((atax, 4), (copy, 0)):
             compiles.clear()
             tuner = Autotuner(bm, K20, space=_engine_space())
             first = tuner.tune(size=64, search="static", use_rule=True)
-            assert compiles == [bm.name] * 4  # one per compile key
+            assert compiles == [bm.name] * cold  # one per compile key
             tuner.tune(size=128, search="static", use_rule=True)
             again = tuner.tune(size=64, search="static", use_rule=True)
-            assert compiles == [bm.name] * 4  # a second size compiles nothing
+            assert compiles == [bm.name] * cold  # none for a second size
             assert again.best_config == first.best_config
             assert again.results.measurements == first.results.measurements
 
     def test_an_unregistered_copy_prunes_from_its_own_specs(self, compiles):
         """A copy that borrows a registered name is compiled from its own
         specs, never served the registered kernel's view, and a second
-        reset compiles nothing.  atax and ex14fj share T* on every GPU at
-        the default compile key, so their registers and rule threads tell
-        them apart."""
+        reset compiles nothing.  Its specs are ex14fj's, so ex14fj's own
+        view shares its compile.  atax and ex14fj share T* on every GPU
+        at the default compile key, so their registers and rule threads
+        tell them apart."""
         import dataclasses
 
         atax, ex14fj = get_benchmark("atax"), get_benchmark("ex14fj")
@@ -521,11 +523,11 @@ class TestStaticSearchReadsTheMeasuredModule:
         assert copy.suggestion.regs_used != registered.suggestion.regs_used
         assert copy.rule_threads == own.rule_threads
         assert copy.rule_threads != registered.rule_threads
-        assert compiles == ["atax", "atax", "ex14fj"]
+        assert compiles == ["atax", "atax"]
         self._reset(impostor, 32, use_rule=True)
         again = self._reset(atax, 32, use_rule=True)
         assert again.rule_threads == registered.rule_threads
-        assert compiles == ["atax", "atax", "ex14fj"]
+        assert compiles == ["atax", "atax"]
 
 
 # ---------------------------------------------------------------------------
@@ -893,27 +895,28 @@ class TestMeasurerPickling:
         assert clone.measure(cfg, 64) == expected
 
 
+@pytest.fixture
+def compiled(monkeypatch):
+    """The options of every real compile the measurers make."""
+    from repro.autotune import measure
+
+    calls = []
+    real = measure.compile_module
+
+    def counting(name, specs, options):
+        calls.append(options)
+        return real(name, specs, options)
+
+    monkeypatch.setattr(measure, "compile_module", counting)
+    return calls
+
+
 @pytest.mark.usefixtures("cold_module_cache")
 class TestProcessModuleCache:
     """Every measurer in a process serves every benchmark's modules from
     one bounded memo of measurement views."""
 
     CFG = {"TC": 64, "BC": 48, "UIF": 2, "PL": 16, "CFLAGS": ""}
-
-    @pytest.fixture
-    def compiled(self, monkeypatch):
-        """The options of every real compile the measurers make."""
-        from repro.autotune import measure
-
-        calls = []
-        real = measure.compile_module
-
-        def counting(name, specs, options):
-            calls.append(options)
-            return real(name, specs, options)
-
-        monkeypatch.setattr(measure, "compile_module", counting)
-        return calls
 
     def test_second_identical_tune_compiles_nothing(self, compiled):
         import json
@@ -946,7 +949,8 @@ class TestProcessModuleCache:
 
     def test_copied_specs_share_the_registered_trees(self, compiled):
         """Equal specs that are other objects get their own view, over
-        the registered view's region trees, and measure the same bits."""
+        the registered view's compile and region trees, and measure the
+        same bits; K20 and P100 share one compile."""
         import copy
         import dataclasses
 
@@ -963,7 +967,7 @@ class TestProcessModuleCache:
                 assert mine.root_region is theirs.root_region
             assert (repr(copied.measure(self.CFG, 64))
                     == repr(registered.measure(self.CFG, 64)))
-        assert len(compiled) == 4
+        assert len(compiled) == 1
 
     def test_view_keys_hold_the_specs_they_name(self):
         """A key names its specs by id, and its entry holds those specs,
@@ -1166,6 +1170,167 @@ class TestProcessModuleCache:
             raw_static_mix(view.kernels[0])
         for attr in ("ir", "spec", "source_spec", "log", "disassembly"):
             assert not hasattr(view.kernels[0], attr)
+
+
+class TestSharedCompilePerAddressWidth:
+    """GPUs of one address width share one verified compile per (kernel
+    spec, ``UIF``, fast-math): the first to need it compiles, and every
+    other builds its view from that compile with its own register
+    reservation, clamp and budget check."""
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_views_equal_each_gpus_own_compile(self, name,
+                                               cold_module_cache):
+        """From empty memos in the order P100, M40, K20, M2050, each
+        view reports what a fresh compile for its GPU reports, and a
+        point measured on it is the point measured after emptying the
+        memos and compiling that GPU first."""
+        from repro.arch import M40, M2050, P100
+        from repro.autotune.measure import compile_options
+        from repro.codegen.compiler import compile_module
+        from repro.suite.corpus import corpus_space
+
+        bm = get_benchmark(name)
+        space = corpus_space(bm).by_name
+        size = bm.sizes[0]
+        gpus = (P100, M40, K20, M2050)
+        for uif in sorted({1, 2, 3, 4, 5, 6, *space["UIF"].values}):
+            for cflags in ("", "-use_fast_math"):
+                cfg = {"TC": space["TC"].values[0],
+                       "BC": space["BC"].values[0], "UIF": uif, "PL": 16,
+                       "CFLAGS": cflags}
+                cold_module_cache()
+                shared = []
+                for gpu in gpus:
+                    measurer = Measurer(bm, gpu)
+                    view = measurer.module_for(cfg)
+                    fresh = compile_module(bm.name, list(bm.specs),
+                                           compile_options(gpu, cfg))
+                    assert ([(k.name, k.regs_per_thread,
+                              k.static_smem_bytes) for k in view]
+                            == [(k.name, k.regs_per_thread,
+                                 k.static_smem_bytes) for k in fresh]
+                            ), (gpu.name, cfg)
+                    shared.append(repr(measurer.measure(cfg, size)))
+                for gpu, point in zip(gpus, shared):
+                    cold_module_cache()
+                    alone = Measurer(bm, gpu).measure(cfg, size)
+                    assert repr(alone) == point, (gpu.name, cfg)
+
+    def test_budget_check_matches_the_compilers(self, compiled,
+                                                cold_module_cache):
+        """A GPU that shares K20's compile but allows fewer registers
+        than atax's kernels need raises the compiler's error, and one
+        that allows a few more clamps as the compiler does."""
+        import dataclasses
+
+        from repro.arch import P100
+        from repro.autotune.measure import compile_options
+        from repro.codegen.compiler import compile_module
+        from repro.ptx.verifier import VerificationError
+
+        def outcome(build):
+            try:
+                return [k.regs_per_thread for k in build()]
+            except VerificationError as e:
+                return str(e)
+
+        atax = get_benchmark("atax")
+        cfg = {"UIF": 1, "CFLAGS": ""}
+        Measurer(atax, K20).module_for(cfg)
+        slots = [k.register_slots for k in compile_module(
+            atax.name, list(atax.specs), compile_options(K20, cfg))]
+        assert slots == [20, 19]
+        outcomes = []
+        for n in range(max(slots) - 8, max(slots) + 9):
+            tight = dataclasses.replace(P100, name="P100-tight",
+                                        max_regs_per_thread=n)
+            want = outcome(lambda: compile_module(
+                atax.name, list(atax.specs), compile_options(tight, cfg)))
+            got = outcome(lambda: Measurer(atax, tight).module_for(cfg))
+            assert got == want, n
+            outcomes.append(want)
+        assert len(compiled) == 1  # every tight view shared K20's compile
+        assert ("atax_k1: uses 20 register slots but declares only 12"
+                in outcomes)
+        assert [22, 22] in outcomes  # both clamped, neither over budget
+        assert [26, 25] in outcomes  # neither clamped
+
+    def test_racing_gpus_get_their_own_registers(self, monkeypatch,
+                                                 cold_module_cache):
+        """Eight threads build views of one module on the three 64-bit
+        GPUs in different orders, with both memos clearing as often as a
+        limit of 2 makes them, switching as often as the interpreter
+        allows: nothing raises, and every view reports what its own
+        GPU's compile reports."""
+        import sys
+        import threading
+
+        from repro.arch import M40, P100
+        from repro.autotune import measure
+        from repro.autotune.measure import compile_options
+        from repro.codegen.compiler import compile_module
+
+        monkeypatch.setattr(measure, "_VIEW_LIMIT", 2)
+        bm = get_benchmark("atax")
+        gpus = (K20, M40, P100)
+        cfgs = [{"UIF": uif, "CFLAGS": ""} for uif in (1, 2)]
+        want = {
+            (gpu.name, cfg["UIF"]): [
+                k.regs_per_thread for k in compile_module(
+                    bm.name, list(bm.specs), compile_options(gpu, cfg))]
+            for gpu in gpus for cfg in cfgs
+        }
+        start = threading.Barrier(8)
+        errors, got = [], []
+
+        def worker(i):
+            try:
+                start.wait()
+                for r in range(5):
+                    for j in range(len(gpus)):
+                        gpu = gpus[(i + j + r) % len(gpus)]
+                        for cfg in cfgs:
+                            view = Measurer(bm, gpu).module_for(cfg)
+                            got.append(((gpu.name, cfg["UIF"]),
+                                        [k.regs_per_thread for k in view]))
+            except Exception as e:  # reported below
+                errors.append(e)
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(got) == 8 * 5 * len(gpus) * len(cfgs)
+        for key, regs in got:
+            assert regs == want[key], key
+
+    def test_one_compile_per_address_width(self, compiled,
+                                           cold_module_cache):
+        """After a tune on kepler, the same tune on maxwell and pascal
+        compiles nothing, and answers as it does from empty memos; fermi
+        compiles its own modules."""
+        from repro.api import tune
+
+        args = dict(search="random", budget=24, seed=1)
+        results, counts = {}, []
+        for arch in ("kepler", "maxwell", "pascal", "fermi"):
+            results[arch] = tune("atax", arch, 64, **args).to_json()
+            counts.append(len(compiled))
+        assert counts[0] > 1
+        assert counts == [counts[0]] * 3 + [2 * counts[0]]
+        for arch in ("maxwell", "pascal"):
+            cold_module_cache()
+            assert tune("atax", arch, 64, **args).to_json() == results[arch]
 
 
 class TestMeasurementPlans:

@@ -5,7 +5,12 @@ import pytest
 
 from repro.arch import K20, M2050
 from repro.codegen import dsl
-from repro.codegen.compiler import CompileOptions, compile_kernel, compile_module
+from repro.codegen.compiler import (
+    CompileOptions,
+    compile_kernel,
+    compile_module,
+    register_report,
+)
 from repro.codegen.regalloc import allocate_registers, _live_intervals
 from repro.codegen.transforms.unroll import unroll_innermost, unroll_loop
 from repro.kernels import get_benchmark
@@ -155,9 +160,12 @@ $L_loop:
                                     srcs=(acc, rg)))
         body.append(Instruction(Opcode.EXIT))
         ir = KernelIR("fat", (), body)
-        res = allocate_registers(ir, reserved=2, max_regs=63)
-        assert res.spilled > 0
-        assert res.regs_per_thread == 63
+        res = allocate_registers(ir)
+        assert res.slots == 81  # 80 values and the accumulator
+        # Fermi reserves 2 registers and allows 63 per thread
+        regs, spilled = register_report(res.slots, M2050)
+        assert spilled == 81 + 2 - 63
+        assert regs == 63
 
 
 from repro.ptx.instruction import Imm  # noqa: E402
