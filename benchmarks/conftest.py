@@ -12,24 +12,19 @@ The rendered artifact is printed with ``-s`` (or captured in the report).
 
 import pytest
 
-from repro.autotune import measure
 from repro.experiments.common import clear_sweep_cache
-from repro.sim import counting
+from repro.util.memo import clear_all
 
 
 @pytest.fixture(autouse=True)
-def _fresh_sweep_cache(monkeypatch):
+def _fresh_sweep_cache():
     """Benchmarks must measure real work, not a warm sweep cache or the
-    modules, count forms and branch fractions an earlier bench built.
-    Returns the function that empties them, for a bench that times
-    several cold passes."""
+    process memos an earlier bench filled.  Returns the function that
+    empties them, for a bench that times several cold passes."""
 
     def empty():
         clear_sweep_cache()
-        monkeypatch.setattr(measure, "_views", {})
-        monkeypatch.setattr(measure, "_kernels", {})
-        monkeypatch.setattr(counting, "_count_cache", {})
-        monkeypatch.setattr(counting, "_fraction_cache", {})
+        clear_all()
 
     empty()
     return empty

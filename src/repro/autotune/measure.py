@@ -61,6 +61,7 @@ from repro.sim.timing import (
     TimingPlan,
     measure_benchmark,
 )
+from repro.util.memo import Memo, register
 
 
 def compile_config_key(config: dict) -> tuple:
@@ -133,19 +134,14 @@ def travels_by_name(benchmark: Benchmark) -> bool:
     return BENCHMARKS.get(benchmark.name) is benchmark
 
 
-_VIEW_LIMIT = 1024
-"""Entries :data:`_views` and :data:`_kernels` each hold before they are
-cleared and refilled.  The registry's full Table III compile space is
-536 (kernel, GPU, ``UIF``, fast-math) modules."""
-
-_views: dict = {}
+_views = register(Memo(1024))
 """Memo: (kernel name, id of its specs, ``CompileOptions``) -> (specs,
 module of :class:`MeasuredKernel` views).  The name is part of the key
 because it names the module; the specs are keyed by id, so a copy that
 shares them shares the view, and held by the entry, which keeps the id
-from being reused while the entry lives.  Holds at most
-:data:`_VIEW_LIMIT` entries, and one more for each put that races
-another thread's."""
+from being reused while the entry lives.  The registered benchmarks'
+full Table III compile space is 536 (kernel, GPU, ``UIF``, fast-math)
+modules."""
 
 
 class _Kernel(NamedTuple):
@@ -160,15 +156,14 @@ class _Kernel(NamedTuple):
     parallel_extent: object
 
 
-_kernels: dict = {}
+_kernels = register(Memo(1024))
 """Memo: ``(kernel spec, UIF, fast-math, 64-bit addressing)`` -> the
 :class:`_Kernel` its views share.  Lowering reads nothing else and
 register allocation reads only the lowered code, so GPUs of one address
 width compile kernels that differ only in their register report: the
 views of K20, M40 and P100 share one compile, and so do equal specs of
 different benchmarks, with one region tree and so one set of count
-forms.  A compile clears it when it holds :data:`_VIEW_LIMIT` entries or
-more, so it holds at most that many plus one module's kernels."""
+forms."""
 
 
 def _view(benchmark: Benchmark, options: CompileOptions) -> CompiledModule:
@@ -179,9 +174,7 @@ def _view(benchmark: Benchmark, options: CompileOptions) -> CompiledModule:
     every other GPU of that width builds its view from that verified
     compile's :data:`_kernels` entries and applies only its own register
     reservation, clamp and budget check, the one verifier check that
-    reads the GPU.  Takes no lock, like the count memo: a dict's get,
-    set, ``setdefault`` and clear are atomic, so two threads that miss
-    together both build, and either view may stay.
+    reads the GPU.
     """
     specs = benchmark.specs
     key = (benchmark.name, id(specs), options)
@@ -196,11 +189,9 @@ def _view(benchmark: Benchmark, options: CompileOptions) -> CompiledModule:
     if None in kernels:
         module = compile_module(benchmark.name, list(specs), options)
         obs.add("measure.compiles", kernel=benchmark.name)
-        if len(_kernels) >= _VIEW_LIMIT:
-            _kernels.clear()
         # an entry already there stays, so equal specs share one tree
         kernels = [
-            _kernels.setdefault(k, _Kernel(
+            _kernels.put(k, _Kernel(
                 ck.name, ck.register_slots, ck.static_smem_bytes,
                 ck.root_region, ck.parallel_extent,
             ))
@@ -215,10 +206,7 @@ def _view(benchmark: Benchmark, options: CompileOptions) -> CompiledModule:
             k.parallel_extent, options,
         ))
     view = CompiledModule(benchmark.name, views, options)
-    if len(_views) >= _VIEW_LIMIT:
-        _views.clear()
-    _views[key] = (specs, view)
-    return view
+    return _views.put(key, (specs, view))[1]
 
 
 class _Plan(NamedTuple):

@@ -43,10 +43,7 @@ from repro.engine.progress import NULL_PROGRESS
 from repro.engine.work import build_pairs, build_work_list, shard_work
 from repro.kernels.base import Benchmark
 from repro.sim.timing import DEFAULT_PARAMS, ModelParams
-
-_CONTEXT_LIMIT = 256
-"""Context digests an engine keeps before starting over (the corpus has
-15 kernels on 4 GPUs)."""
+from repro.util.memo import Memo
 
 
 @dataclass(frozen=True)
@@ -109,10 +106,12 @@ class SweepEngine:
         self.total_retries = 0
         self.total_failures = 0
         self.total_recovered = 0
-        self._contexts: dict = {}
+        self._contexts = Memo(256)
         """``(kernel name, GPU, id(specs), id(params))`` -> ``(specs,
-        params, digest)``.  An entry holds the two objects its key names
-        by identity, so neither id can be reused while it lives."""
+        params, digest)``; the corpus has 15 kernels on 4 GPUs.  An entry
+        holds the two objects its key names by identity, so neither id
+        can be reused while it lives.  Not registered: each tune builds its
+        own engine, and the memo registry must not grow with requests."""
         self._executor = PoolExecutor(self.jobs, policy=policy)
 
     def close(self) -> None:
@@ -166,11 +165,9 @@ class SweepEngine:
         key = (benchmark.name, measurer.gpu, id(benchmark.specs), id(params))
         entry = self._contexts.get(key)
         if entry is None:
-            if len(self._contexts) >= _CONTEXT_LIMIT:
-                self._contexts.clear()
             digest = context_key(benchmark.name, measurer.gpu, params,
                                  specs=benchmark.specs)
-            entry = self._contexts[key] = (benchmark.specs, params, digest)
+            entry = self._contexts.put(key, (benchmark.specs, params, digest))
         return entry[2]
 
     def _execute(self, measurer, items, label) -> list:

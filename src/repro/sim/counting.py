@@ -44,18 +44,10 @@ from repro.codegen.regions import (
     RegionKind,
     evaluate_region_tree,
 )
+from repro.util.memo import Memo, register
 
 #: evaluate branch domains in chunks of this many points to bound memory
 _CHUNK = 1 << 20
-
-#: entries a memo holds before it is cleared and refilled
-_MEMO_LIMIT = 4096
-
-
-def _memo_put(memo: dict, key, value) -> None:
-    if len(memo) >= _MEMO_LIMIT:
-        memo.clear()
-    memo[key] = value
 
 
 def _domain_axes(loop_stack: list, env: dict) -> list[np.ndarray]:
@@ -90,7 +82,7 @@ def exact_branch_fraction(region: Region, env: dict, loop_stack: list) -> float:
             # is memoized (and counted) like any other fraction
             f = 0.5
             obs.add("counting.fallbacks", kind="branch")
-        _memo_put(_fraction_cache, key, f)
+        _fraction_cache.put(key, f)
     if region.kind is RegionKind.ELSE:
         return 1.0 - f
     return f
@@ -148,7 +140,7 @@ def warp_branch_fraction(region: Region, env: dict, loop_stack: list) -> float:
     return min(1.0, 32.0 * f)
 
 
-_fraction_cache: dict = {}
+_fraction_cache = register(Memo(4096))
 """Memo: (condition, enclosing loop domain, env) -> THEN probability.
 
 Keyed by structure, not by module: :class:`~repro.codegen.ast_nodes.Expr`
@@ -156,11 +148,10 @@ nodes are frozen dataclasses, so a guard compiled again (another GPU,
 ``UIF`` or ``CFLAGS``) hits the same entry.  One O(domain) NumPy
 pass (e.g. ex14FJ's boundary predicate over all N^3 points) therefore
 serves both arms, both count levels, T=0 and T=1, and every recompile.
-Input arrays bound in ``env`` are part of the key by content.  Holds at
-most :data:`_MEMO_LIMIT` entries.
+Input arrays bound in ``env`` are part of the key by content.
 """
 
-_count_cache: dict = {}
+_count_cache = register(Memo(4096))
 """Memo: (id of a region tree, env, warp_level) -> (tree, CountForm).
 
 Counts are affine in the launched thread count T (only the ROOT region
@@ -174,7 +165,7 @@ views share a compile (``autotune.measure._kernels``).  ``Region`` is an
 ``eq=True`` dataclass and unhashable, so the key holds the tree's id and
 the entry the tree itself, which keeps the id from being reused while
 the entry lives.  The branch-domain passes behind the walks come from
-:data:`_fraction_cache`.  Holds at most :data:`_MEMO_LIMIT` entries.
+:data:`_fraction_cache`.
 """
 
 
@@ -248,7 +239,6 @@ def exact_counts(
     key = (id(root), _env_key(env), warp_level)
     entry = _count_cache.get(key)
     if entry is None:
-        # two threads that miss together build equal forms; either may stay
         frac = warp_branch_fraction if warp_level else exact_branch_fraction
         at0 = evaluate_region_tree(
             root, env, total_threads=0, branch_fraction=frac
@@ -256,7 +246,6 @@ def exact_counts(
         at1 = evaluate_region_tree(
             root, env, total_threads=1, branch_fraction=frac
         )
-        entry = (root, _affine(at0, at1))
-        _memo_put(_count_cache, key, entry)
+        entry = _count_cache.put(key, (root, _affine(at0, at1)))
         obs.add("counting.forms")
     return DynamicCounts(entry[1], tc * bc)

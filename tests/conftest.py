@@ -8,6 +8,7 @@ from repro.arch import ALL_GPUS, K20, M2050
 from repro.codegen import dsl
 from repro.codegen.compiler import CompileOptions, compile_module
 from repro.kernels import get_benchmark
+from repro.util.memo import clear_all
 from repro.util.rng import rng_for
 
 
@@ -71,23 +72,13 @@ def rng():
 
 
 @pytest.fixture
-def cold_module_cache(monkeypatch):
-    """Empty process-wide module, shared-compile, count-form and
-    branch-fraction caches for one test, so its measurers compile and
-    count every module they need, even after other tests warmed the
-    caches.  Returns the function that empties them, for a test that
-    times several cold passes."""
-    from repro.autotune import measure
-    from repro.sim import counting
-
-    def empty():
-        monkeypatch.setattr(measure, "_views", {})
-        monkeypatch.setattr(measure, "_kernels", {})
-        monkeypatch.setattr(counting, "_count_cache", {})
-        monkeypatch.setattr(counting, "_fraction_cache", {})
-
-    empty()
-    return empty
+def cold_module_cache():
+    """Empty the registered process memos for one test, so its
+    measurers compile and count every module they need, even after other
+    tests warmed the memos.  Returns the switch, for a test that times
+    several cold passes."""
+    clear_all()
+    return clear_all
 
 
 def make_benchmark_run(name: str, n: int | None = None):

@@ -990,7 +990,8 @@ class TestProcessModuleCache:
     def test_bounded_and_eviction_keeps_measurements(self, monkeypatch):
         from repro.autotune import measure
 
-        monkeypatch.setattr(measure, "_VIEW_LIMIT", 3)
+        for memo in (measure._views, measure._kernels):
+            monkeypatch.setattr(memo, "limit", 3)
         bm = get_benchmark("atax")
         before = Measurer(bm, K20).measure(self.CFG, 64)
         for uif in (1, 2, 3, 4, 5):
@@ -1085,7 +1086,8 @@ class TestProcessModuleCache:
 
         from repro.autotune import measure
 
-        monkeypatch.setattr(measure, "_VIEW_LIMIT", limit)
+        for memo in (measure._views, measure._kernels):
+            monkeypatch.setattr(memo, "limit", limit)
         bm = get_benchmark("atax")
         configs = [dict(self.CFG, UIF=uif) for uif in (1, 2, 3)]
         start = threading.Barrier(8)
@@ -1135,6 +1137,48 @@ class TestProcessModuleCache:
             assert len(keys) > 1
             for name in ("measure.compiles", "measure.module_hits"):
                 assert obs.metrics.value(name, kernel="atax") == len(keys)
+        finally:
+            obs.disable()
+
+    def test_the_switch_makes_the_next_tune_cold(self, cold_module_cache):
+        """Right after the switch every registered memo is empty, and a
+        tune then compiles and counts what it did after the first switch,
+        with the same answer; without the switch, the same tune compiles
+        and counts nothing."""
+        from repro import obs
+        from repro.api import tune
+        from repro.autotune import measure
+        from repro.sim import counting
+        from repro.util.memo import REGISTRY
+
+        memos = (measure._views, measure._kernels, counting._count_cache,
+                 counting._fraction_cache)
+        assert {id(m) for m in memos} <= {id(m) for m in REGISTRY}
+
+        def counters():
+            return (obs.metrics.value("measure.compiles", kernel="atax"),
+                    obs.metrics.value("counting.forms"))
+
+        def tune_once():
+            before = counters()
+            out = tune("atax", "kepler", 64, search="random", budget=32,
+                       seed=1)
+            after = counters()
+            return (json.dumps(out.to_json()),
+                    [b - a for a, b in zip(before, after)])
+
+        def switch():
+            cold_module_cache()
+            assert not any(REGISTRY)
+
+        obs.enable(trace=False)
+        try:
+            switch()
+            first = tune_once()
+            assert min(first[1]) > 0
+            assert tune_once() == (first[0], [0, 0])
+            switch()
+            assert tune_once() == first
         finally:
             obs.disable()
 
@@ -1271,7 +1315,8 @@ class TestSharedCompilePerAddressWidth:
         from repro.autotune.measure import compile_options
         from repro.codegen.compiler import compile_module
 
-        monkeypatch.setattr(measure, "_VIEW_LIMIT", 2)
+        for memo in (measure._views, measure._kernels):
+            monkeypatch.setattr(memo, "limit", 2)
         bm = get_benchmark("atax")
         gpus = (K20, M40, P100)
         cfgs = [{"UIF": uif, "CFLAGS": ""} for uif in (1, 2)]

@@ -238,6 +238,45 @@ class TestSweepEngine:
                      params=ModelParams(chain_fp=11.0))
         assert calls == ["atax", "atax"]
 
+    def test_context_memo_at_its_limit_still_serves_the_cache(
+            self, tmp_path, monkeypatch):
+        """An engine whose context memo holds two digests sweeps three
+        contexts twice: the second pass computes every digest again and
+        still serves each point from the store, byte for byte."""
+        from repro.engine import engine as engine_module
+
+        calls = []
+        real = engine_module.context_key
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "context_key", counting)
+        contexts = [(ATAX, K20), (ATAX, get_gpu("fermi")),
+                    (get_benchmark("bicg"), K20)]
+        engine = SweepEngine(jobs=1, cache=CacheStore(tmp_path))
+        engine._contexts.limit = 2
+
+        def sweep_all():
+            return [json.dumps(vars(m)) for bm, gpu in contexts
+                    for m in engine.sweep(bm, gpu, tiny_space(), self.SIZES)]
+
+        first = sweep_all()
+        assert engine.total_hits == 0
+        assert sweep_all() == first
+        assert engine.total_hits == engine.total_measured == len(first)
+        assert len(calls) == 2 * len(contexts)
+        assert len(engine._contexts) <= 2
+
+    def test_engines_register_no_memo(self):
+        from repro.util.memo import REGISTRY
+
+        before = len(REGISTRY)
+        for _ in range(100):
+            SweepEngine(jobs=1).close()
+        assert len(REGISTRY) == before
+
     def test_parallel_cached_still_identical(self, tmp_path):
         serial = self.serial()
         engine = SweepEngine(jobs=2, cache=CacheStore(tmp_path))

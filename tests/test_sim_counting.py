@@ -160,12 +160,13 @@ class TestAffineCache:
         b = exact_counts(mod.kernels[0], env, 32, 2)
         assert a.by_category == b.by_category
 
-    def test_memo_stays_bounded_and_refills_bit_for_bit(self, fresh_memos,
+    def test_memo_stays_bounded_and_refills_bit_for_bit(self, cold_module_cache,
                                                         monkeypatch):
         """A full memo is cleared and refilled: it never holds more than
         its limit, and a point counted again after a clear measures the
         same bits (on a new measurer, which has no plan of the point)."""
-        monkeypatch.setattr(counting, "_MEMO_LIMIT", 4)
+        monkeypatch.setattr(counting._count_cache, "limit", 4)
+        monkeypatch.setattr(counting._fraction_cache, "limit", 4)
         bm = get_benchmark("atax")
         cfg = {"TC": 64, "BC": 48, "UIF": 1, "PL": 16, "CFLAGS": ""}
         measurer = Measurer(bm, K20)
@@ -173,12 +174,12 @@ class TestAffineCache:
         for size in (32, 64, 128, 256, 512):
             measurer.measure(cfg, size)
             assert len(counting._count_cache) <= 4
-        counting._count_cache.clear()
+        cold_module_cache()
         assert _measured_bits(Measurer(bm, K20).measure(cfg, 64)) == first
         assert counting._count_cache
 
     def test_threads_missing_together_measure_serial_bits(self,
-                                                          fresh_memos):
+                                                          cold_module_cache):
         """Eight threads, each on its own measurer over the same points
         and switching as often as the interpreter allows, miss the memo
         together and still measure exactly what a serial run does."""
@@ -195,7 +196,7 @@ class TestAffineCache:
                     for c, n in points]
 
         serial = run()
-        _clear_memos()
+        cold_module_cache()
         start = threading.Barrier(8)
         results, errors = [], []
 
@@ -283,18 +284,6 @@ class TestAffineForm:
                     gpu.name, n, ck.name, warp_level, tc, bc)
 
 
-@pytest.fixture
-def fresh_memos(monkeypatch):
-    """Empty count and branch-fraction memos for one test."""
-    monkeypatch.setattr(counting, "_fraction_cache", {})
-    monkeypatch.setattr(counting, "_count_cache", {})
-
-
-def _clear_memos():
-    counting._fraction_cache.clear()
-    counting._count_cache.clear()
-
-
 def _branch_fractions(ck, env) -> list:
     """Every branch arm's fraction, in region-tree order."""
     out = []
@@ -319,7 +308,7 @@ def _input_env(bm, n, seed) -> dict:
 
 
 class TestFractionMemo:
-    def test_one_domain_pass_per_size(self, fresh_memos, monkeypatch):
+    def test_one_domain_pass_per_size(self, cold_module_cache, monkeypatch):
         """ex14fj's N^3 boundary guard is evaluated once per size, however
         often the kernel is recompiled and counted."""
         passes = []
@@ -348,7 +337,7 @@ class TestFractionMemo:
             assert len(passes) == expected, f"N={n}"
 
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
-    def test_memo_keeps_counts(self, name, fresh_memos):
+    def test_memo_keeps_counts(self, name, cold_module_cache):
         """Counts served from a memo another compile filled equal counts
         computed with both memos empty."""
         bm = get_benchmark(name)
@@ -361,7 +350,7 @@ class TestFractionMemo:
                     exact_counts(ck, env, 64, 3, warp_level=warp_level)
                 memo = [exact_counts(ck, env, 64, 3, warp_level=warp_level)
                         for ck in mod]
-                _clear_memos()
+                cold_module_cache()
                 fresh = [exact_counts(ck, env, 64, 3, warp_level=warp_level)
                          for ck in mod]
                 for a, b in zip(memo, fresh):
@@ -370,7 +359,7 @@ class TestFractionMemo:
                     assert a.mem_traffic == b.mem_traffic
 
     @pytest.mark.parametrize("name", ["histogram", "compact"])
-    def test_bound_arrays_stay_in_the_key(self, name, fresh_memos):
+    def test_bound_arrays_stay_in_the_key(self, name, cold_module_cache):
         """Two input seeds bound in ``env`` each get their own fractions,
         equal to a fresh evaluation of that seed alone."""
         bm = get_benchmark(name)
@@ -385,22 +374,22 @@ class TestFractionMemo:
         memo = [measure(env) for env in envs]
         fresh = []
         for env in envs:
-            _clear_memos()
+            cold_module_cache()
             fresh.append(measure(env))
         assert memo == fresh
         if name == "compact":  # its guard loads the flags
             assert memo[0] != memo[1]
 
-    def test_memo_stays_bounded(self, fresh_memos):
+    def test_memo_stays_bounded(self, cold_module_cache):
         then = Region(id="t", kind=RegionKind.THEN,
                       cond=VarRef("i").lt(VarRef("K")))
-        limit = counting._MEMO_LIMIT
+        limit = counting._fraction_cache.limit
         for k in range(limit + 10):
             f = exact_branch_fraction(then, {"K": k}, [_loop(4)])
             assert f == min(k, 4) / 4
             assert len(counting._fraction_cache) <= limit
 
-    def test_loop_domain_in_the_key(self, fresh_memos):
+    def test_loop_domain_in_the_key(self, cold_module_cache):
         then = Region(id="t", kind=RegionKind.THEN,
                       cond=VarRef("i").lt(IntConst(2)))
         assert exact_branch_fraction(then, {}, [_loop(4)]) == 0.5
@@ -422,7 +411,7 @@ def metrics():
 
 
 class TestFallbackCounters:
-    def test_data_dependent_trips_counted(self, fresh_memos, metrics):
+    def test_data_dependent_trips_counted(self, cold_module_cache, metrics):
         """spmv_csr's row loop bounds load from ``rowptr``; with scalars
         only, the trip count falls back to the default."""
         bm = get_benchmark("spmv_csr")
@@ -439,7 +428,7 @@ class TestFallbackCounters:
         exact_counts(mod.kernels[0], _input_env(bm, n, 1), 64, 2)
         assert metrics.value("counting.fallbacks", kind="trips") == before
 
-    def test_data_dependent_branch_counted_once_per_key(self, fresh_memos,
+    def test_data_dependent_branch_counted_once_per_key(self, cold_module_cache,
                                                         metrics):
         """compact's guard loads ``flags``: with scalars only it falls
         back to 0.5, counted once however often it is recounted."""

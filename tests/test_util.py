@@ -1,8 +1,9 @@
-"""Tests for utilities: tables, stats, RNG policy."""
+"""Tests for utilities: tables, stats, RNG policy, bounded memos."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.util.memo import Memo
 from repro.util.rng import rng_for
 from repro.util.stats import (
     describe,
@@ -88,3 +89,22 @@ class TestRng:
     def test_seed_override(self):
         assert (rng_for("a", seed=1).random()
                 != rng_for("a", seed=2).random())
+
+
+class TestMemo:
+    def test_full_memo_is_emptied_by_the_next_put_and_refills(self):
+        memo = Memo(2)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        assert memo == {"a": 1, "b": 2}
+        assert memo.put("c", 3) == 3
+        assert memo == {"c": 3}
+        memo.put("d", 4)
+        assert memo == {"c": 3, "d": 4}
+
+    def test_put_keeps_the_entry_already_there(self):
+        memo = Memo(2)
+        first, second = [1], [1]
+        assert memo.put("k", first) is first
+        assert memo.put("k", second) is first
+        assert memo["k"] is first and len(memo) == 1
