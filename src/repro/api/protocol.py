@@ -386,8 +386,9 @@ class MeasurementRecord(Message):
     regs_per_thread: int
     reg_instructions: float
     key: str | None = None
-    """The content-address of this measurement in the shared store
-    (:func:`repro.engine.cache.measurement_key`), when known."""
+    """The content digest of this measurement's point
+    (:func:`repro.engine.cache.measurement_key`: the SHA-256 of the text
+    the store's row address holds), when known."""
 
     @classmethod
     def from_measurement(cls, m, key: str | None = None):

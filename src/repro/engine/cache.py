@@ -1,12 +1,15 @@
 """Persistent measurement cache backing the sweep engine.
 
-Every measured variant is stored under a *stable content key*: a SHA-256
-digest of everything that determines the measurement -- the kernel (name
-and spec structure), the full GPU spec, the tuning configuration, the
-input size, the timing model's :class:`~repro.sim.timing.ModelParams`,
-and the measurement protocol (:data:`~repro.sim.timing.REPETITIONS` /
-:data:`~repro.sim.timing.TRIAL_INDEX`).  Changing any of these yields a
-different key, so a cache never serves stale results after a model
+Every measured variant is stored at a *content address*: everything that
+determines the measurement -- the kernel (name and spec structure), the
+full GPU spec, the tuning configuration, the input size, the timing
+model's :class:`~repro.sim.timing.ModelParams`, and the measurement
+protocol (:data:`~repro.sim.timing.REPETITIONS` /
+:data:`~repro.sim.timing.TRIAL_INDEX`).  A row's address is the triple
+``(context digest, size, canonical config text)`` (:func:`point_key`):
+the SHA-256 of everything but the point (:func:`context_key`), the size,
+and the config's sorted-key JSON text.  Changing any input yields a
+different address, so a cache never serves stale results after a model
 recalibration; bumping :data:`CACHE_SCHEMA_VERSION` invalidates every
 entry at once when the measurement semantics themselves change.
 
@@ -20,32 +23,37 @@ connection commits with ``synchronous = NORMAL``: in WAL mode a commit
 survives an application crash, and a power cut can lose only the last
 commits, which are simply re-measured.
 
-Rows are typed.  A measurement's ``seconds``, ``occupancy``, register
-count and register instructions (and its size) are columns with no
-declared type, so SQLite keeps each value as written: an ``int`` reads
-back as an ``int`` and ``inf`` as ``inf``.  The config is its
-``json.dumps`` text, in the dict's own key order.  A nullable ``tick``
-column holds the service store's LRU stamp; this class never writes it,
-so a row it writes reads NULL.  The layout is stamped in
-``PRAGMA user_version`` (:data:`ROW_FORMAT`); a file in any other
-layout -- such as the single JSON ``payload`` column of earlier
-versions -- has its tables rebuilt empty at open.
+Rows live in one ``WITHOUT ROWID`` table keyed by their address, so the
+rows of one sweep or search batch -- one context and size -- sit on
+adjacent pages, and a batch reads each (context, size) group with one
+indexed ``IN`` query.  A row holds only what was measured: ``seconds``,
+``occupancy``, the register count and the register instructions, in
+columns with no declared type, so SQLite keeps each value as written (an
+``int`` reads back as an ``int`` and ``inf`` as ``inf``).  The config is
+not stored apart from its address: a hit is the caller's own config and
+size plus the row's four numbers, so serving a point parses nothing.  A
+nullable ``tick`` column holds the service store's LRU stamp; this class
+never writes it, so a row it writes reads NULL.  The layout is stamped
+in ``PRAGMA user_version`` (:data:`ROW_FORMAT`); a file in any other
+layout -- such as the digest-keyed rows or the single JSON ``payload``
+column of earlier versions -- has its tables rebuilt empty at open.
 
 The store is also hardened against damage, because a measurement cache
 must never be able to abort the sweep it exists to accelerate:
 
-- a row that fails to decode (any value of an unexpected type, NULL
-  included) is counted (``corrupt``), moved to a ``quarantine`` side
-  table for post-mortem, and reported as a miss -- the point is simply
-  re-measured;
+- a row whose numbers fail to decode (any value of an unexpected type,
+  NULL included) is counted (``corrupt``), moved to a ``quarantine``
+  side table for post-mortem, and reported as a miss -- the point is
+  simply re-measured;
 - a database file that is corrupt at open (``sqlite3.DatabaseError``)
   is renamed aside (``*.corrupt-N``) and a fresh store is built in its
-  place (``recovered_path`` records the sidelined file).
+  place (``recovered_path`` records the sidelined file);
+- an error :meth:`CacheStore.flush` swallows is counted
+  (``flush_errors``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sqlite3
@@ -68,11 +76,12 @@ CACHE_SCHEMA_VERSION = 2
 counts are summed in declaration order, where 1 summed them in the
 writing process's string-hash order."""
 
-ROW_FORMAT = 3
-"""The row layout, stamped in ``PRAGMA user_version``.  3 is typed
-columns with the LRU ``tick`` in the row; 2 kept the ticks in a
-``usage`` table, and the JSON payload before it (1) left the stamp
-at 0."""
+ROW_FORMAT = 4
+"""The row layout, stamped in ``PRAGMA user_version``.  4 addresses a
+row by (context digest, size, canonical config text) in a ``WITHOUT
+ROWID`` table; 3 keyed typed columns, the config's JSON text among them,
+by the SHA-256 of the point; 2 kept the LRU ticks in a ``usage`` table,
+and the JSON payload before it (1) left the stamp at 0."""
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 _DB_NAME = "measurements.sqlite"
@@ -120,18 +129,13 @@ _canonical = json.JSONEncoder(sort_keys=True, default=repr).encode
 (``json.dumps`` with options builds a new one per call)."""
 
 
-def point_key(context: str, config: dict, size: int) -> str:
-    """The cache key of one ``(config, size)`` point under a context.
-
-    The digest of ``stable_hash({"ctx": context, "config": config,
-    "size": int(size)})``, writing that canonical text directly with one
-    reusable ``sort_keys`` encoder: the same bytes without building a
-    wrapper dict or a ``JSONEncoder`` per point.
-    """
-    text = '{"config": %s, "ctx": %s, "size": %d}' % (
-        _canonical(config), _canonical(context), int(size),
-    )
-    return hashlib.sha256(text.encode()).hexdigest()
+def point_key(context: str, config: dict, size: int) -> tuple:
+    """The store address of one ``(config, size)`` point under a context:
+    ``(context, size, text)``, where ``text`` is the config as
+    :func:`stable_hash` dumps it -- sorted keys, and ``repr`` for a value
+    JSON cannot encode -- so configs that differ only in key order share
+    an address."""
+    return (context, int(size), _canonical(config))
 
 
 def measurement_key(
@@ -142,49 +146,59 @@ def measurement_key(
     params: ModelParams,
     specs=None,
 ) -> str:
-    """The cache key of one ``(kernel, GPU, config, size, model)`` point."""
-    return point_key(
-        context_key(benchmark_name, gpu, params, specs=specs), config, size
-    )
+    """The content digest of one ``(kernel, GPU, config, size, model)``
+    point: :func:`stable_hash` of its context digest, config and size,
+    the text of its :func:`point_key` address.  It names a measurement
+    outside the store (``MeasurementRecord.key``)."""
+    return stable_hash({
+        "ctx": context_key(benchmark_name, gpu, params, specs=specs),
+        "config": config,
+        "size": int(size),
+    })
 
 
-_COLUMNS = "config, size, seconds, occupancy, regs, reg_instructions"
-"""A row's value columns, in :func:`_encode` order."""
+_NUMBERS = "seconds, occupancy, regs, reg_instructions"
+"""A row's measured columns, in :func:`_encode` order."""
+
+_KEY = "ctx, size, config"
+"""A row's address columns, in :func:`point_key` order."""
+
+_AT = "ctx = ? AND size = ? AND config = ?"
+"""One row, by its address."""
+
+_ADDRESS = "ctx TEXT, size INTEGER, config TEXT"
+_KEYED = f"PRIMARY KEY ({_KEY})) WITHOUT ROWID"
+"""A row table's address columns and the clause that closes its DDL:
+the rows of one context and size sit together in the key order."""
 
 _NUMBER = (int, float)
 
 
 def _encode(m: VariantMeasurement) -> tuple:
-    """A measurement's row values, in :data:`_COLUMNS` order."""
-    return (json.dumps(m.config), m.size, m.seconds, m.occupancy,
-            m.regs_per_thread, m.reg_instructions)
+    """A measurement's row values, in :data:`_NUMBERS` order."""
+    return m.seconds, m.occupancy, m.regs_per_thread, m.reg_instructions
 
 
-def _decode(values) -> VariantMeasurement:
-    """Row values back as a measurement.  Raises on any value of an
+def _decode(values) -> tuple:
+    """A row's measured numbers, as served.  Raises on any value of an
     unexpected type, so a damaged row -- or a NULL, which is how SQLite
     stores a NaN -- is never served."""
-    config, size, seconds, occupancy, regs, reg_instructions = values
-    if (type(config) is not str or type(size) is not int
-            or type(regs) is not int or type(seconds) not in _NUMBER
+    seconds, occupancy, regs, reg_instructions = values
+    if (type(regs) is not int or type(seconds) not in _NUMBER
             or type(occupancy) not in _NUMBER
             or type(reg_instructions) not in _NUMBER):
         raise TypeError(
             "unexpected column types "
             + ", ".join(type(v).__name__ for v in values)
         )
-    config = json.loads(config)
-    if type(config) is not dict:
-        raise TypeError(f"config is a {type(config).__name__}, not a dict")
-    return VariantMeasurement(config, size, seconds, occupancy, regs,
-                              reg_instructions)
+    return values
 
 
 BUSY_TIMEOUT_MS = 10_000
 """How long a contended write waits before ``database is locked``."""
 
 _UPSERT = (
-    f"INSERT OR REPLACE INTO measurements (key, {_COLUMNS})"
+    f"INSERT OR REPLACE INTO measurements ({_KEY}, {_NUMBERS})"
     " VALUES (?, ?, ?, ?, ?, ?, ?)"
 )
 
@@ -195,7 +209,9 @@ def _row_format(conn: sqlite3.Connection) -> int:
 
 
 class CacheStore:
-    """On-disk key -> :class:`VariantMeasurement` store.
+    """On-disk store of measurements, addressed by :func:`point_key`: a
+    :class:`VariantMeasurement` goes in, its four measured numbers come
+    back.
 
     ``path`` may be a directory (the database file is created inside it)
     or an explicit ``*.sqlite`` / ``*.db`` file path.  Stores are
@@ -219,6 +235,8 @@ class CacheStore:
         self.misses = 0
         self.corrupt = 0
         """Rows that failed to decode and were quarantined."""
+        self.flush_errors = 0
+        """Errors (``sqlite3.Error``) that :meth:`flush` swallowed."""
         self.recovered_path: Path | None = None
         """Where a corrupt database file was moved aside, if one was."""
         # One connection per thread: SQLite connections are not safe to
@@ -297,13 +315,11 @@ class CacheStore:
         :class:`~repro.service.store.MeasurementStore` extends it)."""
         conn.execute(
             "CREATE TABLE IF NOT EXISTS measurements ("
-            f" key TEXT PRIMARY KEY, {_COLUMNS}, tick INTEGER)"
+            f" {_ADDRESS}, {_NUMBERS}, tick INTEGER, {_KEYED}"
         )
         conn.execute(
             "CREATE TABLE IF NOT EXISTS quarantine ("
-            " key TEXT PRIMARY KEY,"
-            " payload TEXT,"
-            " error TEXT)"
+            f" {_ADDRESS}, payload TEXT, error TEXT, {_KEYED}"
         )
 
     def _sideline_database(self) -> Path:
@@ -324,65 +340,75 @@ class CacheStore:
                 sibling.unlink()
         return target
 
-    def _quarantine(self, key: str, values, error: Exception) -> None:
+    def _quarantine(self, key: tuple, values, error: Exception) -> None:
         """Move a row that failed to decode to the quarantine table; the
         caller reports it as a miss, so the point is re-measured."""
         self.corrupt += 1
         conn = self._conn
         conn.execute(
-            "INSERT OR REPLACE INTO quarantine (key, payload, error)"
-            " VALUES (?, ?, ?)",
-            (key, repr(values), f"{type(error).__name__}: {error}"),
+            f"INSERT OR REPLACE INTO quarantine ({_KEY}, payload, error)"
+            " VALUES (?, ?, ?, ?, ?)",
+            (*key, repr(values), f"{type(error).__name__}: {error}"),
         )
-        conn.execute("DELETE FROM measurements WHERE key = ?", (key,))
+        conn.execute(f"DELETE FROM measurements WHERE {_AT}", key)
         conn.commit()
 
     # -- single-item API -----------------------------------------------------
 
-    def get(self, key: str) -> VariantMeasurement | None:
+    def get(self, key: tuple) -> tuple | None:
         return self.get_many([key]).get(key)
 
-    def put(self, key: str, measurement: VariantMeasurement) -> None:
+    def put(self, key: tuple, measurement: VariantMeasurement) -> None:
         self.put_many([(key, measurement)])
 
     # -- batch API (what the engine uses) ------------------------------------
 
     def get_many(self, keys) -> dict:
-        """``{key: measurement}`` for every key present in the store."""
+        """``{address: (seconds, occupancy, regs, reg_instructions)}`` for
+        every :func:`point_key` address present in the store.  Each
+        (context, size) group is read with one indexed ``IN`` query per
+        chunk of config texts; the caller pairs a hit's numbers with the
+        config and size it asked with, so nothing is parsed."""
         keys = list(keys)
+        groups: dict = {}
+        for ctx, size, config in keys:
+            groups.setdefault((ctx, size), []).append(config)
         found: dict = {}
+        conn = self._conn
         CHUNK = 400  # stay well under SQLite's bound-variable limit
-        for lo in range(0, len(keys), CHUNK):
-            chunk = keys[lo:lo + CHUNK]
-            qs = ",".join("?" * len(chunk))
-            rows = self._conn.execute(
-                f"SELECT key, {_COLUMNS} FROM measurements"
-                f" WHERE key IN ({qs})",
-                chunk,
-            ).fetchall()
-            for row in rows:
-                try:
-                    found[row[0]] = _decode(row[1:])
-                except Exception as e:
-                    self._quarantine(row[0], row[1:], e)
+        for (ctx, size), configs in groups.items():
+            for lo in range(0, len(configs), CHUNK):
+                chunk = configs[lo:lo + CHUNK]
+                rows = conn.execute(
+                    f"SELECT config, {_NUMBERS} FROM measurements"
+                    " WHERE ctx = ? AND size = ? AND config IN"
+                    f" ({','.join('?' * len(chunk))})",
+                    (ctx, size, *chunk),
+                ).fetchall()
+                for row in rows:
+                    key = (ctx, size, row[0])
+                    try:
+                        found[key] = _decode(row[1:])
+                    except Exception as e:
+                        self._quarantine(key, row[1:], e)
         hits = sum(map(found.__contains__, keys))
         self.hits += hits
         self.misses += len(keys) - hits
         return found
 
     def put_many(self, items) -> None:
-        """Persist ``(key, measurement)`` pairs (idempotent upsert) as
+        """Persist ``(address, measurement)`` pairs (idempotent upsert) as
         one transaction."""
-        rows = [(k, *_encode(m)) for k, m in items]
+        rows = [(*k, *_encode(m)) for k, m in items]
         if not rows:
             return
         self._conn.executemany(_UPSERT, rows)
-        self._touch([row[0] for row in rows])
+        self._touch([row[:3] for row in rows])
         self._conn.commit()
 
     def _touch(self, keys) -> None:
-        """Record that ``keys`` were just used, inside the caller's
-        transaction (subclass hook: the service store's LRU)."""
+        """Record that the rows at ``keys`` were just used, inside the
+        caller's transaction (subclass hook: the service store's LRU)."""
 
     # -- maintenance ---------------------------------------------------------
 
@@ -393,11 +419,14 @@ class CacheStore:
         return int(n)
 
     def quarantined(self) -> list:
-        """``(key, error)`` of the rows sidelined by decode failures,
-        for post-mortem."""
-        return self._conn.execute(
-            "SELECT key, error FROM quarantine ORDER BY key"
-        ).fetchall()
+        """``(address, error)`` of the rows sidelined by decode failures,
+        in address order, for post-mortem."""
+        return [
+            ((ctx, size, config), error)
+            for ctx, size, config, error in self._conn.execute(
+                f"SELECT {_KEY}, error FROM quarantine ORDER BY {_KEY}"
+            )
+        ]
 
     def clear(self) -> None:
         self._conn.execute("DELETE FROM measurements")
@@ -417,8 +446,9 @@ class CacheStore:
             conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         except sqlite3.Error:
             # flush is advisory: a checkpoint blocked by a concurrent
-            # reader just leaves the WAL for the next one
-            pass
+            # reader leaves the WAL for the next one, and a failed commit
+            # leaves this thread's work to its next commit; both count
+            self.flush_errors += 1
 
     def close(self) -> None:
         """Idempotent; operations after close raise

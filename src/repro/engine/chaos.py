@@ -38,6 +38,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 from repro import obs
+from repro.engine.cache import _AT, _KEY
 from repro.util.hashing import stable_hash
 
 ENV_VAR = "REPRO_CHAOS"
@@ -162,16 +163,15 @@ def maybe_inject(indices, attempt: int = 0) -> None:
 def corrupt_rows(store, seed: int = 0, fraction: float = 1.0,
                  limit: int | None = None) -> list:
     """Overwrite the ``seconds`` of a deterministic subset of a store's
-    rows with text, returning the corrupted keys (in key order).
+    rows with text, returning the corrupted rows' addresses (the
+    :func:`~repro.engine.cache.point_key` triples, in address order).
 
     The engine must treat every corrupted row as a miss -- quarantined
     and re-measured, never a crash (see ``CacheStore``).
     """
-    keys = [
-        k for (k,) in store._conn.execute(
-            "SELECT key FROM measurements ORDER BY key"
-        )
-    ]
+    keys = store._conn.execute(
+        f"SELECT {_KEY} FROM measurements ORDER BY {_KEY}"
+    ).fetchall()
     chosen = [
         k for k in keys
         if int(stable_hash((seed, k))[:12], 16) / float(16 ** 12) < fraction
@@ -179,8 +179,8 @@ def corrupt_rows(store, seed: int = 0, fraction: float = 1.0,
     if limit is not None:
         chosen = chosen[:limit]
     store._conn.executemany(
-        "UPDATE measurements SET seconds = ? WHERE key = ?",
-        [("\x00chaos:" + k[:8], k) for k in chosen],
+        f"UPDATE measurements SET seconds = ? WHERE {_AT}",
+        [("\x00chaos:" + k[2][:8], *k) for k in chosen],
     )
     store._conn.commit()
     return chosen

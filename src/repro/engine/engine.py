@@ -7,8 +7,9 @@ deliberately explicit and debuggable:
 1. **Enumerate** the work list in the canonical serial order
    (:func:`~repro.engine.work.build_work_list`).
 2. **Probe** the persistent cache: every point already measured under the
-   same kernel/GPU/config/size/:class:`ModelParams` key is served from
-   disk (:mod:`repro.engine.cache`).
+   same kernel/GPU/config/size/:class:`ModelParams` address is served
+   from disk (:mod:`repro.engine.cache`), as the work item's own config
+   and size with the stored row's numbers.
 3. **Shard** the misses, one shard per compile key
    (:func:`~repro.engine.work.shard_work`).
 4. **Execute** the shards under supervision -- on worker processes, or
@@ -35,7 +36,11 @@ from pathlib import Path
 
 from repro import obs
 from repro.arch.specs import GPUSpec
-from repro.autotune.measure import Measurer, travels_by_name
+from repro.autotune.measure import (
+    Measurer,
+    VariantMeasurement,
+    travels_by_name,
+)
 from repro.autotune.space import ParameterSpace
 from repro.engine.cache import CacheStore, context_key, point_key
 from repro.engine.pool import PoolExecutor, resolve_jobs
@@ -195,9 +200,12 @@ class SweepEngine:
             found = self.cache.get_many(keys)
             misses = []
             for item, key in zip(items, keys):
-                hit = found.get(key)
-                if hit is not None:
-                    results[item.index] = hit
+                numbers = found.get(key)
+                if numbers is not None:
+                    # the item's config is the engine's own copy
+                    results[item.index] = VariantMeasurement(
+                        item.config, item.size, *numbers
+                    )
                 else:
                     misses.append(item)
         hits = len(items) - len(misses)

@@ -94,6 +94,7 @@ class MetricsRegistry:
         self.set_gauge("cache.hits", store.hits)
         self.set_gauge("cache.misses", store.misses)
         self.set_gauge("cache.quarantined_payloads", store.corrupt)
+        self.set_gauge("cache.flush_errors", store.flush_errors)
 
     def snapshot(self) -> dict:
         """The whole registry as a JSON-able document."""

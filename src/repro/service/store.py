@@ -4,10 +4,10 @@
 (:class:`~repro.engine.cache.CacheStore`) promoted to a long-lived,
 server-owned WAL database shared by every tuning session:
 
-- **content addressing** is unchanged -- keys come from
-  :func:`repro.engine.cache.measurement_key` /
-  :func:`repro.util.hashing.stable_hash`, so any session measuring the
-  same ``(kernel, GPU, config, size, model)`` point hits the same row
+- **content addressing** is the engine cache's -- a row's address is
+  the :func:`repro.engine.cache.point_key` triple (context digest,
+  size, canonical config text), so any session measuring the same
+  ``(kernel, GPU, config, size, model)`` point hits the same row
   regardless of which tenant or strategy produced it;
 - **one format stamp**: the base class's ``PRAGMA user_version``
   (:data:`~repro.engine.cache.ROW_FORMAT`) is the store's schema
@@ -34,7 +34,7 @@ import sqlite3
 import threading
 from pathlib import Path
 
-from repro.engine.cache import ROW_FORMAT, CacheStore
+from repro.engine.cache import _AT, _KEY, ROW_FORMAT, CacheStore
 
 __all__ = ["MeasurementStore"]
 
@@ -76,16 +76,16 @@ class MeasurementStore(CacheStore):
     # -- LRU bookkeeping -----------------------------------------------------
 
     def _stamp(self, keys) -> None:
-        """Stamp the rows of ``keys`` with the next ticks; the caller
-        commits.  A row deleted since it was read is simply not
-        updated."""
+        """Stamp the rows at the addresses ``keys`` with the next ticks;
+        the caller commits.  A row deleted since it was read is simply
+        not updated."""
         keys = list(keys)
         with self._lock:
             start = self._tick
             self._tick += len(keys)
         self._conn.executemany(
-            "UPDATE measurements SET tick = ? WHERE key = ?",
-            [(start + i, k) for i, k in enumerate(keys)],
+            f"UPDATE measurements SET tick = ? WHERE {_AT}",
+            [(start + i, *k) for i, k in enumerate(keys)],
         )
 
     def _touch(self, keys) -> None:
@@ -121,17 +121,17 @@ class MeasurementStore(CacheStore):
         """Keep the ``cap`` most recently stamped rows and delete the
         rest, inside the caller's write transaction; count and return
         how many went.  The count takes every row, whichever process
-        wrote it, and the pick runs on the tick index, where a NULL
-        (never stamped) sorts first."""
+        wrote it, and the pick runs on the tick index, which holds each
+        row's address and sorts a NULL (never stamped) first."""
         if cap is None:
             return 0
         conn = self._conn
         (rows,) = conn.execute("SELECT COUNT(*) FROM measurements").fetchone()
         victims = conn.execute(
-            "SELECT key FROM measurements ORDER BY tick LIMIT ?",
+            f"SELECT {_KEY} FROM measurements ORDER BY tick LIMIT ?",
             (max(rows - cap, 0),)).fetchall()
         evicted = conn.executemany(
-            "DELETE FROM measurements WHERE key = ?", victims).rowcount
+            f"DELETE FROM measurements WHERE {_AT}", victims).rowcount
         with self._lock:
             self.evicted += evicted
         return evicted

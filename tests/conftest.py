@@ -99,6 +99,18 @@ def reference_sweep(benchmark, gpu, space, sizes) -> list:
     return [measurer.measure(config, n) for n in sizes for config in space]
 
 
+def row_key(name: str) -> tuple:
+    """A store address with ``name`` in its config text's place: the
+    store never reads a config from its text, so any text names a row."""
+    return ("ctx", 16, name)
+
+
+def row_numbers(m) -> tuple:
+    """What a store serves for the measurement ``m``: its four measured
+    numbers, to go with the caller's own config and size."""
+    return m.seconds, m.occupancy, m.regs_per_thread, m.reg_instructions
+
+
 def reference_tune(benchmark, gpu, space, size, search="exhaustive",
                    budget=None, **search_kwargs):
     """Tune without the sweep engine: the plain-callable ask/tell driver

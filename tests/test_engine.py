@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.arch import get_gpu
-from repro.autotune.measure import VariantMeasurement
+from repro.autotune.measure import Measurer, VariantMeasurement
 from repro.autotune.space import Parameter, ParameterSpace
 from repro.autotune.tuner import Autotuner
 from repro.engine import (
@@ -18,6 +18,7 @@ from repro.engine import (
     SweepEngine,
     build_work_list,
     compile_key,
+    context_key,
     measurement_key,
     point_key,
     shard_work,
@@ -28,6 +29,7 @@ from repro.experiments.runner import main as runner_main
 from repro.kernels import get_benchmark
 from repro.sim.timing import DEFAULT_PARAMS, ModelParams
 from tests.conftest import reference_sweep, reference_tune
+from tests.conftest import row_numbers as _numbers
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +52,11 @@ def tiny_space() -> ParameterSpace:
 
 ATAX = get_benchmark("atax")
 K20 = get_gpu("kepler")
+
+
+def _at(m: VariantMeasurement) -> tuple:
+    """``m``'s store address under a stand-in context."""
+    return point_key("ctx", m.config, m.size)
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +103,15 @@ class TestCacheKeys:
         {},
     ])
     def test_point_key_hashes_the_canonical_point(self, config):
-        """``point_key`` writes the text ``stable_hash`` would dump."""
-        ctx = 'ctx "é"'
-        assert point_key(ctx, config, 128) == stable_hash(
+        """``point_key``'s address holds the text ``stable_hash`` dumps
+        for the config, and ``measurement_key`` is the digest of the
+        point that address names."""
+        ctx = context_key("atax", K20, DEFAULT_PARAMS)
+        assert point_key(ctx, config, 128) == (
+            ctx, 128, json.dumps(config, sort_keys=True, default=repr)
+        )
+        assert measurement_key("atax", K20, config, 128,
+                               DEFAULT_PARAMS) == stable_hash(
             {"ctx": ctx, "config": config, "size": 128}
         )
 
@@ -108,9 +121,9 @@ class TestCacheKeys:
             seconds=float("inf"), occupancy=0.0,
             regs_per_thread=32, reg_instructions=0.0,
         )
-        CacheStore(tmp_path).put("k", m)
-        back = CacheStore(tmp_path).get("k")
-        assert back == m and math.isinf(back.seconds)
+        CacheStore(tmp_path).put(_at(m), m)
+        back = CacheStore(tmp_path).get(_at(m))
+        assert back == _numbers(m) and math.isinf(back[0])
 
 
 class TestCacheStore:
@@ -119,25 +132,26 @@ class TestCacheStore:
         m = VariantMeasurement(config={"TC": 64}, size=32, seconds=1.5,
                                occupancy=0.5, regs_per_thread=20,
                                reg_instructions=10.0)
-        assert store.get("k") is None
+        assert store.get(_at(m)) is None
         assert store.misses == 1
-        store.put("k", m)
-        assert store.get("k") == m
+        store.put(_at(m), m)
+        assert store.get(_at(m)) == _numbers(m)
         assert store.hits == 1
         assert len(store) == 1
 
     def test_batch_api_and_clear(self, tmp_path):
         store = CacheStore(tmp_path / "sweeps.sqlite")
         items = {
-            f"k{i}": VariantMeasurement(
+            point_key("ctx", {"TC": i}, 32): VariantMeasurement(
                 config={"TC": i}, size=32, seconds=float(i),
                 occupancy=0.5, regs_per_thread=20, reg_instructions=1.0,
             )
             for i in range(500)  # > one SELECT chunk
         }
         store.put_many(items.items())
-        found = store.get_many(list(items) + ["absent"])
-        assert found == items
+        found = store.get_many(
+            list(items) + [point_key("ctx", {"TC": "absent"}, 32)])
+        assert found == {k: _numbers(m) for k, m in items.items()}
         assert store.misses == 1
         store.clear()
         assert len(store) == 0
@@ -146,8 +160,8 @@ class TestCacheStore:
         m = VariantMeasurement(config={"TC": 64}, size=32, seconds=1.5,
                                occupancy=0.5, regs_per_thread=20,
                                reg_instructions=10.0)
-        CacheStore(tmp_path).put("k", m)
-        assert CacheStore(tmp_path).get("k") == m
+        CacheStore(tmp_path).put(_at(m), m)
+        assert CacheStore(tmp_path).get(_at(m)) == _numbers(m)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +231,40 @@ class TestSweepEngine:
         assert engine.last_stats.hits == len(second)
         assert engine.last_stats.measured == 0
         assert second == first == self.serial()
+
+    def test_a_hit_carries_the_readers_config(self, tmp_path):
+        """A point written with its config keys in one order and read
+        with them in another is a hit, in the reader's key order."""
+        engine = SweepEngine(jobs=1, cache=CacheStore(tmp_path))
+        measurer = Measurer(ATAX, K20)
+        config = {"TC": 128, "BC": 48, "UIF": 1, "PL": 16, "CFLAGS": ""}
+        (written,) = engine.run(measurer, [(config, 64)])
+        reordered = dict(reversed(config.items()))
+        (read,) = engine.run(measurer, [(reordered, 64)])
+        assert engine.last_stats.hits == 1
+        assert read == written
+        assert list(read.config) == list(reordered)
+
+    @pytest.mark.parametrize("values", [
+        ((8, 8), (16, 4)),  # JSON would read a tuple back as a list
+        (frozenset({1}),),  # JSON cannot encode it at all
+    ], ids=["tuple", "frozenset"])
+    def test_a_cached_sweep_equals_a_fresh_one_for_any_value(self, tmp_path,
+                                                             values):
+        """A hit is the caller's config with the row's numbers, so a
+        parameter value that JSON cannot round-trip is served as it was
+        swept; the store keys it by its ``repr``."""
+        space = ParameterSpace([
+            Parameter("TC", (64, 128)),
+            Parameter("BC", (48,)),
+            Parameter("TILE", values),
+        ])
+        fresh = SweepEngine(jobs=1).sweep(ATAX, K20, space, [32])
+        engine = SweepEngine(jobs=1, cache=CacheStore(tmp_path))
+        measured = engine.sweep(ATAX, K20, space, [32])
+        served = engine.sweep(ATAX, K20, space, [32])
+        assert engine.last_stats.hits == len(served)
+        assert served == measured == fresh
 
     def test_context_digest_computed_once_per_context(self, tmp_path,
                                                       monkeypatch):

@@ -32,6 +32,7 @@ from repro.engine import (
 from repro.engine import chaos
 from repro.engine.work import split_shard
 from repro.kernels import get_benchmark
+from tests.conftest import row_key, row_numbers
 
 ATAX = get_benchmark("atax")
 K20 = get_gpu("kepler")
@@ -303,8 +304,8 @@ class TestCacheHardening:
     def test_concurrent_stores_interleave_writes(self, tmp_path, serial):
         a, b = CacheStore(tmp_path), CacheStore(tmp_path)
         for i in range(20):
-            (a if i % 2 else b).put(f"k{i}", serial[i])
-        assert len(a.get_many([f"k{i}" for i in range(20)])) == 20
+            (a if i % 2 else b).put(row_key(f"k{i}"), serial[i])
+        assert len(a.get_many([row_key(f"k{i}") for i in range(20)])) == 20
         a.close(), b.close()
 
     def test_corrupt_payload_quarantined_and_remeasured(self, tmp_path,
@@ -339,17 +340,17 @@ class TestCacheHardening:
         assert store.recovered_path.exists()
         assert store.recovered_path.name.endswith(".corrupt-1")
         assert len(store) == 0
-        store.put("k", serial[0])
-        assert store.get("k") == serial[0]
+        store.put(row_key("k"), serial[0])
+        assert store.get(row_key("k")) == row_numbers(serial[0])
         store.close()
 
     def test_context_manager_closes_deterministically(self, tmp_path,
                                                       serial):
         with CacheStore(tmp_path) as store:
-            store.put("k", serial[0])
-            assert store.get("k") == serial[0]
+            store.put(row_key("k"), serial[0])
+            assert store.get(row_key("k")) == row_numbers(serial[0])
         with pytest.raises(sqlite3.ProgrammingError):
-            store.get("k")
+            store.get(row_key("k"))
         store.close()  # idempotent
 
     def test_engine_context_manager_closes_owned_store_only(self, tmp_path,
@@ -357,12 +358,12 @@ class TestCacheHardening:
         with SweepEngine(jobs=1, cache=tmp_path / "owned") as engine:
             engine.sweep(ATAX, K20, tiny_space(), (SIZES[0],))
         with pytest.raises(sqlite3.ProgrammingError):
-            engine.cache.get("k")
+            engine.cache.get(row_key("k"))
 
         shared = CacheStore(tmp_path / "shared")
         with SweepEngine(jobs=1, cache=shared) as engine:
             engine.sweep(ATAX, K20, tiny_space(), (SIZES[0],))
-        shared.put("k", serial[0])  # caller's store stays open
+        shared.put(row_key("k"), serial[0])  # caller's store stays open
         shared.close()
 
 

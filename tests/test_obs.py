@@ -38,6 +38,7 @@ from repro.obs.trace import (
 )
 from repro.sim.emulator import emulate_kernel, run_benchmark_emulated
 from repro.util.rng import rng_for
+from tests.conftest import row_key
 
 ATAX = get_benchmark("atax")
 K20 = get_gpu("kepler")
@@ -214,7 +215,7 @@ class TestMetricsRegistry:
 
     def test_absorb_cache_stats_mirrors_not_accumulates(self, tmp_path):
         store = CacheStore(tmp_path)
-        store.get("absent")
+        store.get(row_key("absent"))
         m = MetricsRegistry()
         m.absorb_cache_stats(store)
         m.absorb_cache_stats(store)  # idempotent: gauges, not counters
