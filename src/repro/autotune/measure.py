@@ -248,10 +248,11 @@ class Measurer:
         self.gpu = gpu
         self.params = params
         self._plans: dict[tuple, _Plan] = {}
+        self._occupancy: dict[tuple, float] = {}
 
     def __reduce__(self):
-        # the plan memo stays behind; a registered benchmark travels by
-        # name (see travels_by_name)
+        # the plan and occupancy memos stay behind; a registered
+        # benchmark travels by name (see travels_by_name)
         if travels_by_name(self.benchmark):
             return _rebuild, (self.benchmark.name, self.gpu, self.params)
         return Measurer, (self.benchmark, self.gpu, self.params)
@@ -292,13 +293,14 @@ class Measurer:
         Each distinct compile key compiles at most once per process and
         address width (GPUs of one width share the compile), and each
         distinct (compile key, size) is planned once, for the
-        measurer's lifetime and regardless of order.  So a point does only its
-        launch arithmetic, its noise draw and its
+        measurer's lifetime and regardless of order; so is each
+        occupancy, per (``TC``, registers, shared memory).  So a point
+        does only its launch arithmetic, its noise draw and its
         :class:`VariantMeasurement`.  This is the unit of work a
         sweep-engine shard runs, so a failure is wrapped in
         :class:`MeasurementError` to pin the exact point that caused it.
         """
-        gpu = self.gpu
+        occupancy = self._occupancy
         out = []
         for config, size in items:
             try:
@@ -309,9 +311,10 @@ class Measurer:
                     tc, bc, l1_pref_kb=int(config.get("PL", 16))
                 )
                 seconds = measure_benchmark(timing, launch)
-                occ = hw_occupancy(
-                    gpu, tc, timing.regs_per_thread, timing.static_smem_bytes
-                )
+                shape = (tc, timing.regs_per_thread, timing.static_smem_bytes)
+                occ = occupancy.get(shape)
+                if occ is None:
+                    occ = occupancy[shape] = hw_occupancy(self.gpu, *shape)
                 t = tc * bc
                 reg_instr = 0.0  # summed left to right, like every measured float
                 for base, slope in reg_ops:

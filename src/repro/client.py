@@ -20,15 +20,21 @@ External (client-measured) sessions drive ask/tell themselves::
     result = client.result(status.session_id)
 
 Failures raise :class:`ServiceError` carrying the server's structured
-:class:`~repro.api.protocol.ErrorEnvelope`.
+:class:`~repro.api.protocol.ErrorEnvelope`.  A client keeps its HTTP
+connections open between requests; :meth:`ReproClient.close` (or a
+``with`` block) closes them.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import os
+import select
+import threading
 import time
 import urllib.parse
+import weakref
 
 from repro.api.protocol import (
     PROTOCOL_VERSION,
@@ -48,6 +54,16 @@ __all__ = ["ReproClient", "ServiceError", "connect"]
 
 _PROTOCOL_HEADER = "X-Repro-Protocol"
 
+_NO_RESPONSE = (ConnectionError, http.client.BadStatusLine)
+"""How a request fails when the server closed its connection before
+answering (``RemoteDisconnected`` is both)."""
+
+
+def _close_all(connections: list) -> None:
+    for conn in connections:
+        conn.close()
+    connections.clear()
+
 
 class ServiceError(RuntimeError):
     """The server answered with a structured error envelope."""
@@ -63,12 +79,31 @@ class ServiceError(RuntimeError):
 
 
 class ReproClient:
-    """A client bound to one server URL.
+    """A client bound to one server URL, safe to share between threads.
 
-    One HTTP connection per request keeps the client trivially
-    thread-safe (concurrent sessions from threads are the norm in the
-    acceptance test); the server's keep-alive support exists for
-    longer-lived callers.
+    It keeps its HTTP connections open.  A request takes an idle kept
+    connection, or opens one, and puts it back when the server's answer
+    leaves it open; so a thread's submit, polls, asks, tells and result
+    run over one socket, and two threads never share a connection at
+    once.  Before reusing a connection the client polls it without
+    blocking: if the server has closed it or answered its idle timeout
+    on it, the client drops it and connects afresh.  A request is sent
+    again, once and on a new connection, only when that cannot apply it
+    twice: when a kept connection answers 408 (the server read no
+    request on it, so no handler ran), or when a GET, which changes
+    nothing, gets no answer at all on a kept connection.  A POST that
+    gets no answer raises, so a submit, ask, tell or cancel is never
+    applied twice.
+
+    A client keeps as many connections as it has had requests in flight
+    at once: each thread that requests while others do can leave one
+    idle connection behind.  Every open connection counts toward the
+    server's ``MAX_CONNECTIONS`` (256), so a caller with many threads
+    should expect to hold up to one per thread until :meth:`close`
+    runs, the client is garbage-collected, or the server's idle
+    timeout (``REQUEST_TIMEOUT_S``, 30 s) closes them.  A client used
+    in a forked child opens its own connections and leaves the
+    parent's alone.
     """
 
     def __init__(self, url: str, timeout: float = 300.0):
@@ -80,23 +115,85 @@ class ReproClient:
         self.host = parsed.hostname
         self.port = parsed.port or 80
         self.timeout = timeout
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+        self._pid = os.getpid()
+        # a client dropped without close() closes its idle connections too
+        weakref.finalize(self, _close_all, self._idle)
+
+    def close(self) -> None:
+        """Close every idle kept connection.  A later request opens a
+        new one."""
+        self._check_fork()
+        with self._lock:
+            _close_all(self._idle)
+
+    def __enter__(self) -> "ReproClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- transport -----------------------------------------------------------
 
-    def _request(self, method: str, path: str, body=None) -> dict:
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            payload = None
-            headers = {_PROTOCOL_HEADER: PROTOCOL_VERSION}
-            if body is not None:
-                payload = json.dumps(body, allow_nan=False).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-        finally:
+    def _check_fork(self) -> None:
+        """In a forked child, drop the parent's kept connections (the
+        child's sockets are copies of them) and the lock, which a parent
+        thread may have held at the fork."""
+        if self._pid != os.getpid():
+            self._lock, self._pid = threading.Lock(), os.getpid()
+            _close_all(self._idle)  # the child's copies: the parent's stay open
+
+    def _kept(self) -> http.client.HTTPConnection | None:
+        """An idle kept connection the server has not closed, or None."""
+        self._check_fork()
+        while True:
+            with self._lock:
+                if not self._idle:
+                    return None
+                conn = self._idle.pop()
+            try:
+                # between requests a kept socket has nothing to read
+                # unless the server closed it or answered a 408 on it
+                readable = select.select([conn.sock], [], [], 0)[0]
+            except ValueError:  # a descriptor select cannot watch
+                readable = True
+            if not readable:
+                return conn
             conn.close()
+
+    def _request(self, method: str, path: str, body=None) -> dict:
+        payload = None
+        headers = {_PROTOCOL_HEADER: PROTOCOL_VERSION}
+        if body is not None:
+            payload = json.dumps(body, allow_nan=False).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        conn = self._kept()
+        reused = conn is not None
+        while True:
+            if conn is None:
+                conn = http.client.HTTPConnection(self.host, self.port,
+                                                  timeout=self.timeout)
+            try:
+                conn.request(method, path, body=payload, headers=headers)
+                response = conn.getresponse()
+                raw = response.read()
+            except _NO_RESPONSE:
+                conn.close()
+                if reused and method == "GET":
+                    conn, reused = None, False  # a GET changes nothing
+                    continue
+                raise
+            except BaseException:
+                conn.close()  # in an unknown state: never kept
+                raise
+            if not response.will_close:
+                with self._lock:
+                    self._idle.append(conn)
+            elif reused and response.status == 408:
+                conn, reused = None, False  # no handler ran
+                continue
+            break
         try:
             doc = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):

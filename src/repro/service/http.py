@@ -20,6 +20,10 @@ responses.  Strictness rules:
 - handlers (and the session layer under them) raise :class:`HttpError`
   to produce non-200 statuses; any other exception answers 500 and is
   counted as ``service.errors{where=handler}``.
+
+Every request read is counted as ``service.requests``; beside the
+server's ``service.connections`` it shows how many requests a client
+sends over each connection it keeps.
 """
 
 from __future__ import annotations
@@ -205,6 +209,7 @@ async def serve_connection(reader: asyncio.StreamReader,
                 request = await _read_request(reader)
                 if request is None:
                     return
+                obs.add("service.requests")
                 keep_alive = (
                     request.headers.get("connection", "keep-alive").lower()
                     != "close"

@@ -137,6 +137,7 @@ class Server:
                 "retry later",
             ))
             return
+        obs.add("service.connections")
         # a plain callback, so a connection's task is in the set from its
         # creation and stop() cannot miss one that has not started yet
         task = asyncio.get_running_loop().create_task(

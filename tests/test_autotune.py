@@ -888,10 +888,10 @@ class TestMeasurerPickling:
         cfg = {"TC": 64, "BC": 48, "UIF": 1, "PL": 16, "CFLAGS": ""}
         measurer = Measurer(get_benchmark("atax"), K20)
         expected = measurer.measure(cfg, 64)
-        assert measurer._plans
+        assert measurer._plans and measurer._occupancy
         clone = pickle.loads(pickle.dumps(measurer))
         assert clone is not measurer
-        assert clone._plans == {}
+        assert clone._plans == clone._occupancy == {}
         assert clone.measure(cfg, 64) == expected
 
 
@@ -1419,6 +1419,24 @@ class TestMeasurementPlans:
         for bm in list_benchmarks():
             for gpu in (K20, P100):
                 self._assert_batch_matches_single_points(bm, gpu)
+
+    def test_each_occupancy_is_computed_once(self, monkeypatch):
+        """A measurer computes the occupancy of each (``TC``, registers,
+        shared memory) once, however many points share it."""
+        from repro.autotune import measure
+
+        shapes = []
+        real = measure.hw_occupancy
+
+        def counting(gpu, *shape):
+            shapes.append(shape)
+            return real(gpu, *shape)
+
+        monkeypatch.setattr(measure, "hw_occupancy", counting)
+        bm = get_benchmark("atax")
+        points = self._points(bm, "occupancy")
+        Measurer(bm, K20).measure_many(points)
+        assert 0 < len(shapes) == len(set(shapes)) < len(points)
 
     def test_plans_change_no_bytes_of_an_unregistered_copy(self):
         import dataclasses

@@ -760,6 +760,205 @@ def test_connections_beyond_the_cap_get_503(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# kept connections: reuse, and never applying a request twice
+
+
+def test_a_client_keeps_its_connections(tmp_path, traced):
+    """A client sends a thread's requests over one kept connection, and
+    four threads sharing a client use at most four and get in-process
+    results; closing a client ends its connections on the server too."""
+    baselines = [wire_doc(run_tune_request(r)) for r in REQUESTS]
+
+    def served():
+        return (traced.metrics.value("service.connections"),
+                traced.metrics.value("service.requests"))
+
+    with ThreadedServer(cache_dir=tmp_path, drainers=2) as ts:
+        held = ts.server._connections
+        with ReproClient(ts.url) as client:
+            for _ in range(20):
+                client.hello()
+            assert len(held) == 1
+            assert served() == (1, 20)
+        wait_until(lambda: not held, timeout=10)
+
+        shared = ReproClient(ts.url)
+        results: dict[int, str] = {}
+        errors: list = []
+
+        def drive(i: int) -> None:
+            try:
+                sid = shared.submit(REQUESTS[i]).session_id
+                results[i] = wire_doc(shared.wait(sid, timeout=120))
+            except Exception as e:  # surfaced below
+                errors.append((i, e))
+
+        threads = [threading.Thread(target=drive, args=(i,))
+                   for i in range(len(REQUESTS))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=180)
+        assert not errors, errors
+        assert [results.get(i) for i in range(len(REQUESTS))] == baselines
+        connections, requests = served()
+        assert 1 < connections <= 1 + len(REQUESTS) < requests
+        assert len(held) == connections - 1
+        shared.close()
+        wait_until(lambda: not held, timeout=10)
+
+
+def test_a_forked_client_opens_its_own_connections(server, traced):
+    """A client whose process id changed (a forked child) closes its
+    copies of the kept sockets and connects afresh."""
+    client = ReproClient(server.url)
+    client.hello()
+    [kept] = client._idle
+    client._pid = -1  # what a forked child's client sees
+    client.hello()
+    assert kept.sock is None and client._idle != [kept]
+    assert traced.metrics.value("service.connections") == 2
+
+
+def _external_session(client) -> str:
+    return client.submit(TuneRequest(
+        kernel="atax", gpu="kepler", size=16, search="exhaustive",
+        mode="external", space=SMALL_SPACE,
+    )).session_id
+
+
+def test_threads_sharing_a_client_never_share_a_connection(server):
+    """Eight threads, more than a small host has cores, poll their own
+    sessions through one client while the interpreter switches threads
+    as often as it can: every answer names the poller's session, and
+    the client keeps each of its connections once, one per server
+    connection, until it closes them."""
+    import sys
+
+    client = ReproClient(server.url)
+    sids = [_external_session(client) for _ in range(8)]
+    errors: list = []
+
+    def poll(sid: str) -> None:
+        try:
+            for _ in range(25):
+                assert client.status(sid).session_id == sid
+        except Exception as e:  # surfaced below
+            errors.append(e)
+
+    threads = [threading.Thread(target=poll, args=(sid,)) for sid in sids]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    kept = {id(conn) for conn in client._idle}
+    assert 0 < len(kept) == len(client._idle) <= len(sids)
+    assert len(server.server._connections) == len(kept)
+    client.close()
+    wait_until(lambda: not server.server._connections, timeout=10)
+
+
+def test_a_tell_after_an_idle_408_is_applied_once(server, monkeypatch,
+                                                  traced):
+    """The server answers 408 on a kept connection left idle past its
+    request timeout and closes it; the client's next request, a tell,
+    goes over a fresh connection and is applied once."""
+    from repro.service import http
+
+    monkeypatch.setattr(http, "REQUEST_TIMEOUT_S", 0.2)
+    client = ReproClient(server.url)
+    sid = _external_session(client)
+    batch = client.ask(sid)
+    before = client.status(sid)
+    wait_until(lambda: not server.server._connections, timeout=10)
+    connections = traced.metrics.value("service.connections")
+    after = client.tell(batch, [1.0] * len(batch.configs))
+    assert traced.metrics.value("service.connections") == connections + 1
+    assert after.rounds == client.status(sid).rounds == before.rounds + 1
+    assert after.evaluations == before.evaluations + len(batch.configs)
+
+
+def test_a_408_on_a_kept_connection_is_sent_again(server, monkeypatch,
+                                                  traced):
+    """A request sent on a kept connection just as the server answered
+    its idle 408 (the check before reuse saw nothing yet) is sent again
+    on a fresh connection: the server read no request, so no handler
+    ran."""
+    from repro import client as client_module
+    from repro.service import http
+
+    monkeypatch.setattr(http, "REQUEST_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(client_module, "select", SimpleNamespace(
+        select=lambda *fds: ([], [], [])))
+    client = ReproClient(server.url)
+    sid = _external_session(client)
+    wait_until(lambda: not server.server._connections, timeout=10)
+    assert client.status(sid).session_id == sid
+    assert traced.metrics.value("service.connections") == 2
+
+
+def _answered_then_dropped(monkeypatch, name: str) -> list:
+    """Wrap ``Server.<name>`` so that its first call runs and then drops
+    the connection unanswered; returns the list of calls made."""
+    from repro.service.server import Server
+
+    real = getattr(Server, name)
+    calls = []
+
+    async def wrapped(self, request, **params):
+        calls.append(params)
+        result = await real(self, request, **params)
+        if len(calls) == 1:
+            raise ConnectionResetError("dropped after the handler ran")
+        return result
+
+    monkeypatch.setattr(Server, name, wrapped)
+    return calls
+
+
+def test_a_post_whose_answer_is_lost_is_not_sent_again(tmp_path,
+                                                       monkeypatch):
+    """A tell that the server applied but never answered raises on the
+    client instead of being sent again, and the session counts its
+    round once; so does a submit, which makes one session."""
+    told = _answered_then_dropped(monkeypatch, "_tell")
+    submitted = _answered_then_dropped(monkeypatch, "_submit")
+    with ThreadedServer(cache_dir=tmp_path) as ts:
+        client = ReproClient(ts.url)
+        client.hello()  # the submit then goes over a kept connection
+        with pytest.raises(ConnectionError):
+            client.submit(REQUESTS[0])
+        assert len(submitted) == 1
+        assert len(client.sessions()) == 1
+
+        sid = _external_session(client)
+        batch = client.ask(sid)
+        with pytest.raises(ConnectionError):
+            client.tell(batch, [1.0] * len(batch.configs))
+        assert len(told) == 1
+        status = client.status(sid)
+        assert (status.rounds, status.evaluations) == (1, len(batch.configs))
+
+
+def test_a_get_whose_answer_is_lost_is_sent_again(tmp_path, monkeypatch):
+    """A status poll that the server dropped unanswered on a kept
+    connection is sent once more, on a fresh one, and answered."""
+    polled = _answered_then_dropped(monkeypatch, "_status")
+    with ThreadedServer(cache_dir=tmp_path) as ts:
+        client = ReproClient(ts.url)
+        sid = _external_session(client)
+        assert client.status(sid).session_id == sid
+        assert polled == [{"sid": sid}] * 2
+
+
+# ---------------------------------------------------------------------------
 # soak: a long mixed run under injected faults
 
 
