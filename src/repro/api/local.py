@@ -1,11 +1,11 @@
 """In-process execution of the protocol: one :class:`TuneRequest` in,
 one :class:`SessionResult` out.
 
-This is the *same* code path the service's session manager drives -- the
-server is a remote :func:`run_tune_request` multiplexed over a shared
-engine -- which is what makes the byte-identity acceptance test
-meaningful: both sides serialize the identical types produced by the
-identical tuner.
+:func:`resolve_request` builds a request's tuner and strategy for this
+path and for the service's session manager -- the server is a remote
+:func:`run_tune_request` multiplexed over a shared engine -- which is
+what makes the byte-identity acceptance test meaningful: both sides
+serialize the identical types produced by the identical tuner.
 """
 
 from __future__ import annotations
@@ -43,51 +43,45 @@ def unknown_name(kernels=(), archs=(), search=None) -> str | None:
 
 
 def resolve_request(request: TuneRequest):
-    """Validate a request against the registries; return
-    ``(benchmark, gpu, space)``.
+    """Validate a request; return ``(tuner, strategy)``: its
+    :class:`~repro.autotune.tuner.Autotuner` and the strategy
+    ``make_search`` builds for it.
 
     Raises :class:`ProtocolError` with :func:`unknown_name`'s message
-    for anything unknown, so the server can answer 400 with a structured
-    envelope.
+    for anything unknown, and for search arguments the strategy rejects,
+    so the server can answer 400 with a structured envelope.
     """
     from repro.arch.specs import get_gpu
+    from repro.autotune.tuner import Autotuner
     from repro.kernels import get_benchmark
 
     message = unknown_name([request.kernel], [request.gpu], request.search)
     if message is not None:
         raise ProtocolError(message)
     space = None if request.space is None else request.space.to_space()
-    return get_benchmark(request.kernel), get_gpu(request.gpu), space
+    tuner = Autotuner(get_benchmark(request.kernel), get_gpu(request.gpu),
+                      space=space)
+    try:
+        strategy = tuner.make_search(
+            request.search, use_rule=request.use_rule, size=request.size,
+            **dict(request.search_args),
+        )
+    except (KeyError, TypeError, ValueError) as e:  # an unknown inner too
+        raise ProtocolError(f"bad search_args: {e}") from None
+    return tuner, strategy
 
 
 def run_tune_request(
     request: TuneRequest,
     engine=None,
-    jobs: int = 1,
-    cache=None,
     session_id: str = "local",
 ) -> SessionResult:
-    """Execute one tuning request in this process.
-
-    ``engine``/``jobs``/``cache`` are forwarded to
-    :meth:`~repro.autotune.tuner.Autotuner.tune` untouched, so the call
-    supports everything the library path does -- parallel sharding and
-    the persistent measurement cache included.
-    """
-    from repro.autotune.tuner import Autotuner
-
-    benchmark, gpu, space = resolve_request(request)
-    tuner = Autotuner(benchmark, gpu, space=space)
-    outcome = tuner.tune(
-        request.size,
-        search=request.search,
-        use_rule=request.use_rule,
-        budget=request.budget,
-        engine=engine,
-        jobs=jobs,
-        cache=cache,
-        **dict(request.search_args),
-    )
+    """Execute one tuning request in this process, on ``engine`` (see
+    :meth:`~repro.autotune.tuner.Autotuner.tune`): parallel sharding and
+    the persistent measurement cache are the engine's."""
+    tuner, strategy = resolve_request(request)
+    outcome = tuner.tune(request.size, search=strategy,
+                         budget=request.budget, engine=engine)
     return SessionResult.from_search(
         session_id, outcome.search,
         measurements=outcome.results.measurements,
@@ -102,8 +96,6 @@ def tune(
     budget: int | None = None,
     use_rule: bool = False,
     space=None,
-    jobs: int = 1,
-    cache=None,
     engine=None,
     **search_args,
 ) -> SessionResult:
@@ -117,7 +109,8 @@ def tune(
 
     ``space`` may be a :class:`~repro.api.protocol.SpaceSpec`, a
     :class:`~repro.autotune.space.ParameterSpace`, or ``None`` (the
-    benchmark's default space).
+    benchmark's default space); ``engine`` is the
+    :class:`~repro.engine.engine.SweepEngine` to measure on, if any.
     """
     from repro.api.protocol import SpaceSpec
     from repro.autotune.space import ParameterSpace
@@ -132,4 +125,4 @@ def tune(
         kernel=kernel, gpu=gpu, size=size, search=search, budget=budget,
         use_rule=use_rule, space=space, search_args=dict(search_args),
     )
-    return run_tune_request(request, engine=engine, jobs=jobs, cache=cache)
+    return run_tune_request(request, engine=engine)

@@ -341,6 +341,8 @@ class BatchObjective:
     served from the persistent cache when the engine has them, inline
     otherwise -- and every measurement lands in ``results`` in
     evaluation order, so results are identical at any ``jobs`` setting.
+    A batch with a quarantined point raises the engine's
+    :class:`~repro.engine.resilience.BatchError`.
     """
 
     def __init__(self, engine, measurer: Measurer, size: int, results):
@@ -353,13 +355,6 @@ class BatchObjective:
         measurements = self.engine.run(
             self.measurer, [(config, self.size) for config in configs]
         )
-        failures = self.engine.last_failures
-        if failures:
-            # a search cannot go on from a partial batch
-            raise RuntimeError(
-                f"{len(failures)} point(s) quarantined after retry "
-                f"exhaustion; first: {failures[0].attempts[-1].error}"
-            )
         for m in measurements:
             self.results.add(m)
         return [m.seconds for m in measurements]

@@ -1,4 +1,6 @@
-"""The autotuner facade: the piece of Orio the paper plugs into."""
+"""The autotuner facade: the piece of Orio the paper plugs into.  It
+measures on the caller's ``engine``, or on a one-process, cacheless
+:class:`~repro.engine.engine.SweepEngine` built for the call."""
 
 from __future__ import annotations
 
@@ -61,30 +63,36 @@ class Autotuner:
 
     def make_search(self, search, use_rule: bool = False,
                     size: int | None = None, **kwargs) -> Search:
-        """Build a strategy; ``"static"`` wires in benchmark/GPU context."""
+        """Build a strategy; ``"static"`` wires in benchmark/GPU context
+        and takes ``inner`` plus the inner strategy's arguments.  An
+        argument the strategy does not take raises :class:`TypeError`."""
         if isinstance(search, Search):
+            if kwargs:
+                raise TypeError(f"a built strategy takes no arguments, "
+                                f"got {sorted(kwargs)}")
             return search
         if search == "static":
             if size is None:
                 raise ValueError("static search needs the input size")
             inner_name = kwargs.pop("inner", None)
-            inner = get_search(inner_name, **kwargs) if inner_name else None
+            if inner_name:
+                kwargs = {"inner": get_search(inner_name, **kwargs)}
             return StaticSearch(
                 self.benchmark, self.gpu, size=size, use_rule=use_rule,
-                inner=inner,
+                **kwargs,
             )
         return get_search(search, **kwargs)
 
-    def _engine(self, engine, jobs, cache):
-        """The engine to measure on: ``engine`` itself, left open for
-        its owner, or one built from ``jobs``/``cache`` and closed on
+    def _engine(self, engine):
+        """``engine`` itself, left open for its owner, or a one-process,
+        cacheless :class:`~repro.engine.engine.SweepEngine` closed on
         exit."""
         if engine is not None:
             return contextlib.nullcontext(engine)
         # imported lazily: repro.engine sits on top of repro.autotune
         from repro.engine import SweepEngine
 
-        return SweepEngine(jobs=jobs, cache=cache)
+        return SweepEngine()
 
     def tune(
         self,
@@ -93,8 +101,6 @@ class Autotuner:
         use_rule: bool = False,
         budget: int | None = None,
         engine=None,
-        jobs: int = 1,
-        cache=None,
         **search_kwargs,
     ) -> TuneOutcome:
         """Run one tuning sweep at one input size.
@@ -106,9 +112,10 @@ class Autotuner:
         whole space) and measures it in one
         :meth:`~repro.engine.engine.SweepEngine.run` on one
         :class:`Measurer`, whose modules compile once per process and
-        address width.
-        ``engine`` (or ``jobs``/``cache``) shards those batches across
-        worker processes and serves them from the persistent cache;
+        address width.  A batch with a quarantined point fails the tune
+        with :class:`~repro.engine.resilience.BatchError`.
+        An ``engine`` with workers or a cache shards those batches
+        across processes and serves them from the persistent store;
         results are identical in content and order either way.
         """
         measurer = Measurer(self.benchmark, self.gpu,
@@ -116,7 +123,7 @@ class Autotuner:
         results = TuningResults(self.benchmark.name, self.gpu.name)
         strategy = self.make_search(search, use_rule=use_rule, size=size,
                                     **search_kwargs)
-        with self._engine(engine, jobs, cache) as eng, obs.span(
+        with self._engine(engine) as eng, obs.span(
             "tune",
             key=f"{self.benchmark.name}/{self.gpu.name}/{strategy.name}",
             args={"size": size, "strategy": strategy.name},
@@ -128,19 +135,23 @@ class Autotuner:
         return TuneOutcome(search=sr, results=results)
 
     def sweep(self, sizes=None, space: ParameterSpace | None = None,
-              engine=None, jobs: int = 1, cache=None) -> TuningResults:
+              engine=None) -> TuningResults:
         """Exhaustively measure the whole space across input sizes,
         pooling measurements (the Fig. 4 / Table V data collection).
 
-        ``jobs`` shards the sweep across worker processes and ``cache``
-        backs it with the persistent store; results are identical at any
-        setting in content *and* order.
+        An ``engine`` with workers or a cache shards the sweep across
+        processes and backs it with the persistent store; results are
+        identical either way in content *and* order.  A quarantined
+        point raises :class:`~repro.engine.resilience.BatchError`, so
+        the results never hold a missing measurement.
         """
+        from repro.engine import BatchError
+
         sizes = sizes if sizes is not None else self.benchmark.sizes
         space = space if space is not None else self.space
-        results = TuningResults(self.benchmark.name, self.gpu.name)
-        with self._engine(engine, jobs, cache) as eng:
-            for m in eng.sweep(self.benchmark, self.gpu, space, sizes,
-                               params=self.model_params):
-                results.add(m)
-        return results
+        with self._engine(engine) as eng:
+            measurements = eng.sweep(self.benchmark, self.gpu, space, sizes,
+                                     params=self.model_params)
+        if eng.last_failures:
+            raise BatchError(eng.last_failures)
+        return TuningResults(self.benchmark.name, self.gpu.name, measurements)

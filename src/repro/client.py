@@ -89,11 +89,13 @@ class ReproClient:
     blocking: if the server has closed it or answered its idle timeout
     on it, the client drops it and connects afresh.  A request is sent
     again, once and on a new connection, only when that cannot apply it
-    twice: when a kept connection answers 408 (the server read no
-    request on it, so no handler ran), or when a GET, which changes
-    nothing, gets no answer at all on a kept connection.  A POST that
-    gets no answer raises, so a submit, ask, tell or cancel is never
-    applied twice.
+    twice: when its send fails on a kept connection (the server cannot
+    have read a request whose Content-Length it did not receive), when
+    a kept connection answers 408 (the server read no request on it, so
+    no handler ran), or when a GET, which changes nothing, gets no
+    answer at all on a kept connection.  A POST that was sent and gets
+    no answer raises, so a submit, ask, tell or cancel is never applied
+    twice.
 
     A client keeps as many connections as it has had requests in flight
     at once: each thread that requests while others do can leave one
@@ -176,6 +178,16 @@ class ReproClient:
                                                   timeout=self.timeout)
             try:
                 conn.request(method, path, body=payload, headers=headers)
+            except OSError:
+                conn.close()
+                if not reused:
+                    raise
+                conn, reused = None, False  # not sent in full: not applied
+                continue
+            except BaseException:
+                conn.close()
+                raise
+            try:
                 response = conn.getresponse()
                 raw = response.read()
             except _NO_RESPONSE:

@@ -38,6 +38,7 @@ from repro.engine.progress import NULL_PROGRESS, ProgressReporter, StderrProgres
 from repro.engine.resilience import (
     DEFAULT_POLICY,
     AttemptRecord,
+    BatchError,
     ExecutorReport,
     RetryPolicy,
     ShardFailure,
@@ -54,6 +55,7 @@ from repro.engine.work import (
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "AttemptRecord",
+    "BatchError",
     "CacheStore",
     "DEFAULT_POLICY",
     "ExecutorReport",

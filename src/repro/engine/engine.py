@@ -17,7 +17,7 @@ deliberately explicit and debuggable:
    workers are respawned and their shards retried with backoff, and a
    work item that keeps failing is bisected out and quarantined as a
    :class:`~repro.engine.resilience.ShardFailure` rather than aborting
-   the sweep.  Each completed shard's measurements are **checkpointed**
+   the run.  Each completed shard's measurements are **checkpointed**
    to the cache as they arrive, so an interrupted sweep resumes warm.
 5. **Reassemble** the canonical order, so parallel output is
    byte-identical to serial output.
@@ -45,6 +45,7 @@ from repro.autotune.space import ParameterSpace
 from repro.engine.cache import CacheStore, context_key, point_key
 from repro.engine.pool import PoolExecutor, resolve_jobs
 from repro.engine.progress import NULL_PROGRESS
+from repro.engine.resilience import BatchError
 from repro.engine.work import build_pairs, build_work_list, shard_work
 from repro.kernels.base import Benchmark
 from repro.sim.timing import DEFAULT_PARAMS, ModelParams
@@ -145,7 +146,9 @@ class SweepEngine:
         sizes,
         params: ModelParams = DEFAULT_PARAMS,
     ) -> list:
-        """Measure every configuration at every size, in canonical order."""
+        """Measure every configuration at every size, in canonical order.
+        A quarantined item's slot is ``None``, its record in
+        ``last_failures``."""
         return self._execute(
             Measurer(benchmark, gpu, params), build_work_list(space, sizes),
             label=f"sweep {benchmark.name}/{gpu.name}",
@@ -155,11 +158,15 @@ class SweepEngine:
         """Measure explicit ``(config, size)`` pairs on ``measurer``,
         preserving order (the batch path the search strategies use).
         Inline shards run on ``measurer`` itself, so its compiled modules
-        serve every batch."""
-        return self._execute(
+        serve every batch.  A quarantined item raises :class:`BatchError`
+        once the rest is checkpointed and counted, so a rerun is warm."""
+        results = self._execute(
             measurer, build_pairs(pairs),
             label=f"batch {measurer.benchmark.name}/{measurer.gpu.name}",
         )
+        if self.last_failures:
+            raise BatchError(self.last_failures)
+        return results
 
     # -- pipeline ------------------------------------------------------------
 

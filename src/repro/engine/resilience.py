@@ -16,6 +16,7 @@ behind:
   exhausted its retry budget even after poison-shard bisection isolated
   it.  A sweep never aborts on one: the item's result slot stays
   ``None`` and the record tells you exactly what happened.
+- :class:`BatchError` -- what a batch with a quarantined item raises.
 - :class:`ExecutorReport` -- per-run accounting (retries, recoveries,
   quarantines, the full fault event log, and whether the parallel path
   degraded to inline execution).
@@ -100,6 +101,18 @@ class ShardFailure:
     """:class:`AttemptRecord` history of the final, isolated shard."""
     bisected_from: int
     """Size of the original shard the item was isolated out of."""
+
+
+class BatchError(RuntimeError):
+    """A batch with quarantined items, whose :class:`ShardFailure`
+    records ``failures`` holds: no caller goes on from a partial batch."""
+
+    def __init__(self, failures):
+        self.failures = tuple(failures)
+        super().__init__(
+            f"{len(self.failures)} point(s) quarantined after retry "
+            f"exhaustion; first: {self.failures[0].attempts[-1].error}"
+        )
 
 
 @dataclass

@@ -19,6 +19,7 @@ from repro.autotune.tuner import Autotuner
 from repro.autotune.results import TuningResults
 from repro.engine import CacheStore, StderrProgress, SweepEngine
 from repro.kernels import get_benchmark
+from repro.util.memo import Memo, register
 
 KERNEL_ORDER = ("atax", "bicg", "ex14fj", "matvec2d")
 """Paper presentation order of the Table IV kernels."""
@@ -73,7 +74,9 @@ def resolve_kernels(kernels=None) -> list[str]:
     return out
 
 
-_SWEEP_CACHE: dict = {}
+_SWEEP_CACHE = register(Memo(32))
+"""``(kernel, GPU name, full)`` -> :func:`exhaustive_sweep`'s results;
+a runner pass sweeps 4 kernels x 4 GPUs x both space sizes."""
 
 _ENGINE_CONFIG = {"jobs": 1, "cache_dir": None, "progress": False}
 _SHARED_ENGINE: list = [None]
@@ -128,14 +131,10 @@ def exhaustive_sweep(
     process, since several experiments share it; the engine adds process
     parallelism and the persistent cross-run cache when configured."""
     key = (kernel, gpu.name, full)
-    if key not in _SWEEP_CACHE:
-        bm = get_benchmark(kernel)
-        tuner = Autotuner(bm, gpu, space=space_for(full))
-        _SWEEP_CACHE[key] = tuner.sweep(
+    results = _SWEEP_CACHE.get(key)
+    if results is None:
+        tuner = Autotuner(get_benchmark(kernel), gpu, space=space_for(full))
+        results = _SWEEP_CACHE.put(key, tuner.sweep(
             sizes=sizes_for(kernel, full), engine=shared_engine()
-        )
-    return _SWEEP_CACHE[key]
-
-
-def clear_sweep_cache() -> None:
-    _SWEEP_CACHE.clear()
+        ))
+    return results

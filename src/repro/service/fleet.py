@@ -30,12 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro import obs
 
-__all__ = ["FleetError", "WorkerFleet"]
-
-
-class FleetError(RuntimeError):
-    """A measurement job failed (quarantined work items or a worker
-    fault that supervision could not recover)."""
+__all__ = ["WorkerFleet"]
 
 
 class WorkerFleet:
@@ -93,10 +88,10 @@ class WorkerFleet:
                       parent_span_id: str = "") -> list:
         """Run one measurement batch on the session's
         :class:`~repro.autotune.measure.Measurer`; await its results
-        (input order).  Raises :class:`FleetError` if any point was
-        quarantined -- a session must never silently receive a partial
-        batch.  Cancelling the caller before the job starts withdraws
-        it."""
+        (input order).  A batch with a quarantined point raises the
+        engine's :class:`~repro.engine.resilience.BatchError`, so a
+        session never receives a partial batch.  Cancelling the caller
+        before the job starts withdraws it."""
         loop = asyncio.get_running_loop()
         job = object()
         self._waiting.add(job)
@@ -134,18 +129,10 @@ class WorkerFleet:
             engine = SweepEngine(jobs=self.drainer_jobs, cache=self.store)
             self._local.engine = engine
             self._engines.append(engine)
-        with obs.attach(parent_span_id):
-            measurements = engine.run(measurer, pairs)
-        stats = engine.last_stats
-        obs.add("service.fleet_measured", stats.measured)
-        obs.add("service.fleet_store_hits", stats.hits)
-        if engine.last_failures:
-            quarantined = sorted(
-                i for f in engine.last_failures for i in f.indices
-            )
-            raise FleetError(
-                f"{len(quarantined)} work item(s) quarantined after retry "
-                f"exhaustion (batch indices {quarantined[:5]}); "
-                "the session cannot receive a partial batch"
-            )
-        return measurements
+        measured, hits = engine.total_measured, engine.total_hits
+        try:
+            with obs.attach(parent_span_id):
+                return engine.run(measurer, pairs)
+        finally:
+            obs.add("service.fleet_measured", engine.total_measured - measured)
+            obs.add("service.fleet_store_hits", engine.total_hits - hits)

@@ -52,13 +52,11 @@ __all__ = ["Session", "SessionManager"]
 class Session:
     """One tuning session: request context + live strategy state."""
 
-    def __init__(self, session_id: str, request: TuneRequest,
-                 benchmark, gpu, space, strategy):
+    def __init__(self, session_id: str, request: TuneRequest, tuner,
+                 strategy):
         self.session_id = session_id
         self.request = request
-        self.benchmark = benchmark
-        self.gpu = gpu
-        self.space = space
+        self.tuner = tuner
         self.strategy = strategy
         self.state = "pending"
         self.rounds = 0
@@ -141,7 +139,7 @@ class Session:
         if self._asked is None:
             self.state = "running"
             await asyncio.to_thread(
-                strategy.reset, self.space, self.request.budget
+                strategy.reset, self.tuner.space, self.request.budget
             )
         self._asked = (time.time(), time.monotonic())
         configs = await asyncio.to_thread(strategy.ask)
@@ -237,19 +235,9 @@ class SessionManager:
             )
         for sid in finished[:max(len(finished) - self.max_sessions, 0)]:
             del self._sessions[sid]
-        benchmark, gpu, space = resolve_request(request)
-        if space is None:
-            space = benchmark.default_space()
-        from repro.autotune.tuner import Autotuner
-
-        tuner = Autotuner(benchmark, gpu, space=space)
-        strategy = tuner.make_search(
-            request.search, use_rule=request.use_rule, size=request.size,
-            **dict(request.search_args),
-        )
+        tuner, strategy = resolve_request(request)
         session_id = f"s{next(self._counter):04d}-{request.tenant}"
-        session = Session(session_id, request, benchmark, gpu, space,
-                          strategy)
+        session = Session(session_id, request, tuner, strategy)
         self._sessions[session_id] = session
         obs.add("service.sessions", mode=request.mode,
                 strategy=strategy.name)
@@ -289,10 +277,11 @@ class SessionManager:
     async def _drive(self, session: Session) -> None:
         """Answer each of the session's batches from the fleet, on one
         :class:`~repro.autotune.measure.Measurer` held while the session
-        runs."""
+        runs.  A batch with a quarantined point fails the session with
+        the :class:`~repro.engine.resilience.BatchError` message."""
         from repro.autotune.measure import Measurer
 
-        measurer = Measurer(session.benchmark, session.gpu)
+        measurer = Measurer(session.tuner.benchmark, session.tuner.gpu)
         size = session.request.size
         try:
             while configs := await session.next_batch():

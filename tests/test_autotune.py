@@ -437,6 +437,31 @@ class TestStaticSearchIntegration:
         with pytest.raises(ValueError, match="size"):
             tuner.make_search("static")
 
+    @pytest.mark.parametrize("search,kwargs", [
+        ("random", {"bogus": 1}),
+        ("static", {"bogus": 1}),
+        ("static", {"seed": 7}),
+        ("static", {"inner": "random", "bogus": 1}),
+        ("random", {"jobs": 4}),
+        (RandomSearch(), {"seed": 7}),
+    ])
+    def test_an_argument_the_strategy_does_not_take_is_rejected(
+            self, search, kwargs):
+        """Static takes ``inner`` and the inner strategy's arguments and
+        nothing else; no argument is silently dropped."""
+        tuner = Autotuner(get_benchmark("atax"), K20, space=_engine_space())
+        name = next(k for k in kwargs if k != "inner")
+        with pytest.raises(TypeError, match=repr(name)):
+            tuner.make_search(search, size=64, **kwargs)
+        with pytest.raises(TypeError, match=repr(name)):
+            tuner.tune(size=64, search=search, **kwargs)
+
+    def test_static_inner_takes_its_own_arguments(self):
+        tuner = Autotuner(get_benchmark("atax"), K20)
+        strategy = tuner.make_search("static", size=64, inner="random",
+                                     seed=7, block=4)
+        assert (strategy.inner.seed, strategy.inner.block) == (7, 4)
+
 
 class TestStaticSearchReadsTheMeasuredModule:
     """Static search prunes from the measurement view a measurer holds at
@@ -809,23 +834,10 @@ class TestBatchedStrategies:
             assert warm.search.history == cold.search.history
             assert warm.best_config == cold.best_config
 
-    def test_tuner_jobs_cache_args_reach_every_strategy(self, tmp_path):
-        """The jobs=/cache= shorthand must batch heuristic strategies,
-        not only exhaustive/static."""
-        base, _ = reference_tune(get_benchmark("atax"), K20, _engine_space(),
-                                 64, "random", budget=12)
-        cached = Autotuner(get_benchmark("atax"), K20,
-                           space=_engine_space()).tune(
-            size=64, search="random", budget=12,
-            jobs=TEST_JOBS, cache=tmp_path,
-        )
-        assert cached.search.history == base.history
-        assert cached.best_config == base.best_config
-
-    def test_engine_built_from_jobs_or_cache_is_closed(self, tmp_path,
-                                                       monkeypatch):
-        """An engine the tuner builds for itself is closed when the tune
-        or sweep returns; one the caller passes in is left open."""
+    def test_engine_built_by_the_tuner_is_closed(self, monkeypatch):
+        """Without an engine, a tune or sweep runs on a one-process,
+        cacheless engine closed when it returns; one the caller passes
+        in is left open."""
         from repro.engine import SweepEngine
 
         closed = []
@@ -837,13 +849,14 @@ class TestBatchedStrategies:
 
         monkeypatch.setattr(SweepEngine, "close", counting_close)
         tuner = Autotuner(get_benchmark("atax"), K20, space=_engine_space())
-        tuner.tune(size=64, search="random", budget=4, jobs=2)
+        tuner.tune(size=64, search="random", budget=4)
         assert len(closed) == 1
-        tuner.sweep(sizes=(64,), cache=tmp_path)
+        tuner.sweep(sizes=(64,))
         assert len(closed) == 2
-        assert closed[1].cache._closed
+        assert [(e.jobs, e.cache) for e in closed] == [(1, None)] * 2
         with SweepEngine(jobs=1) as engine:
             tuner.tune(size=64, search="random", budget=4, engine=engine)
+            tuner.sweep(sizes=(64,), engine=engine)
             assert len(closed) == 2
 
     def test_failing_point_fails_the_tune(self):
@@ -853,6 +866,18 @@ class TestBatchedStrategies:
         space = ParameterSpace([Parameter("TC", (64,))])  # no BC axis
         with pytest.raises(RuntimeError, match="KeyError: 'BC'"):
             Autotuner(get_benchmark("atax"), K20, space=space).tune(size=64)
+
+    def test_failing_point_fails_the_sweep(self):
+        """A sweep with a quarantined point raises the engine's
+        BatchError instead of returning results with a missing
+        measurement, which best() and ranked() could not read."""
+        from repro.engine import BatchError
+
+        space = ParameterSpace([Parameter("TC", (64,))])  # no BC axis
+        tuner = Autotuner(get_benchmark("atax"), K20, space=space)
+        with pytest.raises(BatchError, match="KeyError: 'BC'") as e:
+            tuner.sweep(sizes=(64,))
+        assert [f.indices for f in e.value.failures] == [(0,)]
 
     def test_genetic_tune_compiles_each_key_once(self, monkeypatch,
                                                  cold_module_cache):

@@ -28,6 +28,7 @@ from repro.experiments import common
 from repro.experiments.runner import main as runner_main
 from repro.kernels import get_benchmark
 from repro.sim.timing import DEFAULT_PARAMS, ModelParams
+from repro.util.memo import clear_all
 from tests.conftest import reference_sweep, reference_tune
 from tests.conftest import row_numbers as _numbers
 
@@ -37,7 +38,7 @@ def _reset_experiment_state():
     """Runner tests mutate the process-wide sweep policy; undo it."""
     yield
     common.configure_sweeps()
-    common.clear_sweep_cache()
+    clear_all()
 
 
 def tiny_space() -> ParameterSpace:
@@ -441,13 +442,6 @@ class TestTunerIntegration:
         assert out.search.space_reduction == base.space_reduction
         assert engine.last_stats is not None, "engine was never consulted"
 
-    def test_tuner_jobs_cache_shorthand(self, tmp_path):
-        serial = reference_sweep(ATAX, K20, tiny_space(), (64,))
-        cached = Autotuner(ATAX, K20, space=tiny_space()).sweep(
-            sizes=(64,), jobs=2, cache=tmp_path
-        )
-        assert cached.measurements == serial
-
 
 # ---------------------------------------------------------------------------
 # the fig6 acceptance bar: every strategy batches through the engine
@@ -466,7 +460,7 @@ class TestFig6Batching:
         engine = common.shared_engine()
         measured = engine.total_measured
         assert measured > 0
-        common.clear_sweep_cache()
+        clear_all()
         warm = fig6_search_improvement.run(**kwargs)
         assert engine.total_measured == measured, (
             "warm fig6 re-run performed fresh measurements"
@@ -505,12 +499,12 @@ class TestRunnerCLI:
         assert runner_main(
             ["--no-cache", "--out", str(serial_out)] + self.ARGS
         ) == 0
-        common.clear_sweep_cache()
+        clear_all()
         assert runner_main(
             ["--jobs", "2", "--cache-dir", str(cache),
              "--out", str(par_out)] + self.ARGS
         ) == 0
-        common.clear_sweep_cache()
+        clear_all()
         assert runner_main(
             ["--jobs", "2", "--cache-dir", str(cache),
              "--out", str(warm_out)] + self.ARGS

@@ -21,7 +21,9 @@ import pytest
 from repro.arch import get_gpu
 from repro.autotune.measure import Measurer, MeasurementError
 from repro.autotune.space import Parameter, ParameterSpace
+from repro import obs
 from repro.engine import (
+    BatchError,
     CacheStore,
     PoolExecutor,
     ProgressReporter,
@@ -201,6 +203,45 @@ class TestFaultRecovery:
         stats = engine.last_stats
         assert stats.failures == 1
         assert stats.measured == len(serial) - 1
+
+    def test_a_partial_batch_raises_after_it_is_checkpointed(self, tmp_path,
+                                                              serial):
+        """A run batch with a quarantined item raises BatchError once
+        every other item is checkpointed and counted: the rerun is warm,
+        and the engine's metrics still reconcile."""
+        poison = 5
+        store = CacheStore(tmp_path)
+        pairs = [(m.config, m.size) for m in serial]
+        spec = chaos.ChaosSpec(seed=4, raise_rate=1.0, attempts=-1,
+                               only_indices=(poison,))
+        engine = SweepEngine(
+            jobs=1, cache=store,
+            policy=RetryPolicy(max_attempts=2, backoff_base_s=0.002),
+        )
+        obs.enable(trace=False)
+        try:
+            with chaos.injected(spec), pytest.raises(BatchError) as e:
+                engine.run(Measurer(ATAX, K20), pairs)
+            labels = {"kernel": ATAX.name, "gpu": K20.name}
+            points, hits, measured, quarantined = (
+                obs.metrics.value(name, **labels) for name in (
+                    "engine.points", "engine.cache_hits", "engine.measured",
+                    "engine.quarantined")
+            )
+        finally:
+            obs.disable()
+        assert e.value.failures == tuple(engine.last_failures)
+        assert [f.indices for f in e.value.failures] == [(poison,)]
+        assert "ChaosError" in str(e.value)
+        assert points == hits + measured + quarantined
+        assert (points, measured, quarantined) == (
+            len(serial), len(serial) - 1, 1)
+        assert len(store) == len(serial) - 1
+
+        out = engine.run(Measurer(ATAX, K20), pairs)
+        assert (engine.last_stats.hits, engine.last_stats.measured) == (
+            len(serial) - 1, 1)
+        assert_byte_identical(out, serial)
 
     def test_parallel_path_failure_degrades_inline(self, serial):
         """If no worker can be spawned at all, the run warns and

@@ -97,3 +97,29 @@ class TestRunner:
         # table1 accepts no kwargs; passing arch must not break it
         text = run_experiment("table1", archs=["kepler"], full=True)
         assert "M2050" in text
+
+
+class TestSweepMemo:
+    def test_clear_all_empties_the_sweep_memo(self, monkeypatch, request):
+        """The pooled sweeps are a registered process memo, so the one
+        switch that empties the process memos empties them too."""
+        from repro.arch import K20
+        from repro.autotune.space import Parameter, ParameterSpace
+        from repro.experiments import common
+        from repro.util.memo import REGISTRY, clear_all
+
+        space = ParameterSpace([
+            Parameter("TC", (64, 128)),
+            Parameter("BC", (48,)),
+        ])
+        monkeypatch.setattr(common, "space_for", lambda full: space)
+        request.addfinalizer(clear_all)  # leave no sweep of this space
+        first = common.exhaustive_sweep("atax", K20)
+        assert common.exhaustive_sweep("atax", K20) is first
+        assert any(memo is common._SWEEP_CACHE for memo in REGISTRY)
+        assert common._SWEEP_CACHE.limit >= 4 * 4 * 2  # a runner pass
+        clear_all()
+        assert not common._SWEEP_CACHE
+        again = common.exhaustive_sweep("atax", K20)
+        assert again is not first
+        assert again.measurements == first.measurements

@@ -101,6 +101,24 @@ class TestReplay:
         assert rep.regret >= 0.0
         assert "replay" in rep.summary()
 
+    def test_replay_fails_on_a_quarantined_point(self):
+        """A pruned point that keeps failing fails the replay with the
+        engine's BatchError, not on the missing measurement."""
+        from repro.engine import BatchError, chaos
+
+        bm = get_benchmark("atax")
+        space = ParameterSpace([
+            Parameter("TC", (32, 64, 128, 256)),
+            Parameter("BC", (48,)),
+        ])
+        rec = SessionRecorder(bm, K20, space=space).run(size=256)
+        assert rec.searched_threads == [128, 256]
+        spec = chaos.ChaosSpec(seed=1, raise_rate=1.0, attempts=-1,
+                               only_indices=(0,))
+        with chaos.injected(spec), pytest.raises(BatchError) as e:
+            replay_with_empirical_testing(rec, bm, K20)
+        assert [f.indices for f in e.value.failures] == [(0,)]
+
     def test_dial_endpoints(self):
         space = _tiny_space()
         t_star = (128, 256, 512, 1024)

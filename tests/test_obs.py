@@ -37,6 +37,7 @@ from repro.obs.trace import (
     spans_from_chrome,
 )
 from repro.sim.emulator import emulate_kernel, run_benchmark_emulated
+from repro.util.memo import clear_all
 from repro.util.rng import rng_for
 from tests.conftest import row_key
 
@@ -452,7 +453,7 @@ class TestRunnerObs:
     def _reset_experiment_state(self):
         yield
         common.configure_sweeps()
-        common.clear_sweep_cache()
+        clear_all()
 
     def test_traced_suite_run_produces_valid_artifacts(
         self, tmp_path, capsys

@@ -357,19 +357,93 @@ def test_cancelled_session_refuses_a_tell(traced, server):
 
 def test_in_process_tune_facade(tmp_path):
     """repro.api.tune is the same engine-backed path, usable without a
-    server (and accepts a cache for warm reuse)."""
+    server (and takes an engine with a cache for warm reuse)."""
     from repro.api import tune
+    from repro.engine import SweepEngine
 
-    first = tune("atax", "kepler", 16, space=SMALL_SPACE,
-                 cache=tmp_path)
-    again = tune("atax", "kepler", 16, space=SMALL_SPACE,
-                 cache=tmp_path)
+    with SweepEngine(cache=tmp_path) as engine:
+        first = tune("atax", "kepler", 16, space=SMALL_SPACE,
+                     engine=engine)
+        again = tune("atax", "kepler", 16, space=SMALL_SPACE,
+                     engine=engine)
+    assert (engine.total_measured, engine.total_hits) == (4, 4)
     assert wire_doc(first) == wire_doc(again)
     assert first.evaluations == 4
     assert first.best_config in [dict(c) for c in (
         {"TC": 32, "BC": 48}, {"TC": 32, "BC": 96},
         {"TC": 64, "BC": 48}, {"TC": 64, "BC": 96},
     )]
+
+
+BAD_SEARCH_ARGS = [
+    # (search, search_args, what the error names)
+    ("random", {"bogus": 1}, "'bogus'"),
+    ("static", {"bogus": 1}, "'bogus'"),
+    ("static", {"seed": 7}, "'seed'"),
+    ("genetic", {"population": 2}, "population must be >= 4"),
+    ("static", {"inner": "nope"}, "unknown search 'nope'"),
+]
+
+
+def test_unknown_search_arguments_are_a_bad_request(tmp_path, traced):
+    """A search argument the strategy does not take, or a value it
+    rejects, answers 400 naming it, for a registry strategy and for
+    static alike: no session, and no handler error."""
+    with ThreadedServer(cache_dir=tmp_path) as ts:
+        client = ReproClient(ts.url)
+        for search, args, named in BAD_SEARCH_ARGS:
+            with pytest.raises(ServiceError) as e:
+                client.submit(TuneRequest(
+                    kernel="atax", gpu="kepler", size=16, search=search,
+                    space=SMALL_SPACE, search_args=args,
+                ))
+            assert (e.value.status, e.value.code) == (400, "bad-request")
+            assert named in e.value.envelope.message
+        assert client.sessions() == []
+    assert traced.metrics.value("service.errors", where="handler") == 0
+
+
+@pytest.mark.parametrize("search,args,named", BAD_SEARCH_ARGS)
+def test_unknown_search_arguments_fail_in_process(search, args, named):
+    """The in-process faces reject them too, with the same error, so a
+    stale ``tune(..., jobs=4)`` fails instead of vanishing."""
+    from repro.api import ProtocolError, tune
+
+    request = TuneRequest(kernel="atax", gpu="kepler", size=16,
+                          search=search, space=SMALL_SPACE,
+                          search_args=args)
+    with pytest.raises(ProtocolError, match=named):
+        run_tune_request(request)
+    with pytest.raises(ProtocolError, match=named):
+        tune("atax", "kepler", 16, search=search, space=SMALL_SPACE,
+             **args)
+    with pytest.raises(ProtocolError, match="'jobs'"):
+        tune("atax", "kepler", 16, search=search, space=SMALL_SPACE,
+             jobs=4)
+
+
+def test_a_poisoned_batch_fails_its_session(tmp_path, traced):
+    """A managed session whose batch has a point that keeps failing
+    ends ``failed`` with the engine's BatchError message, and the fleet
+    still counts what the batch measured."""
+    from repro.engine import chaos
+
+    spec = chaos.ChaosSpec(seed=1, raise_rate=1.0, attempts=-1,
+                           only_indices=(0,))
+    with chaos.injected(spec), ThreadedServer(cache_dir=tmp_path) as ts:
+        client = ReproClient(ts.url)
+        sid = client.submit(REQUESTS[0]).session_id
+        wait_until(lambda: client.status(sid).state == "failed")
+        status = client.status(sid)
+        with pytest.raises(ServiceError) as e:
+            client.result(sid)
+    assert status.error.code == e.value.code == "session-failed"
+    assert status.error.message == e.value.envelope.message
+    assert status.error.message.startswith(
+        "BatchError: 1 point(s) quarantined after retry exhaustion; "
+        "first: ChaosError")
+    assert traced.metrics.value("service.fleet_measured") == 3
+    assert traced.metrics.value("service.errors", where="handler") == 0
 
 
 def test_session_cap_counts_only_unfinished(tmp_path):
@@ -902,6 +976,35 @@ def test_a_408_on_a_kept_connection_is_sent_again(server, monkeypatch,
     wait_until(lambda: not server.server._connections, timeout=10)
     assert client.status(sid).session_id == sid
     assert traced.metrics.value("service.connections") == 2
+
+
+def test_a_tell_whose_send_fails_is_sent_again(server, monkeypatch,
+                                               traced):
+    """A tell whose body cannot be sent on a kept connection was never
+    read in full by the server, so it is sent again on a fresh
+    connection and applied once."""
+    import http.client
+
+    client = ReproClient(server.url)
+    sid = _external_session(client)
+    batch = client.ask(sid)
+    before = client.status(sid)
+    connections = traced.metrics.value("service.connections")
+    real_send = http.client.HTTPConnection.send
+    failed = []
+
+    def send(self, data):
+        if not failed and data.startswith(b"{"):  # the tell's body
+            failed.append(data)
+            raise BrokenPipeError("body send failed")
+        return real_send(self, data)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "send", send)
+    after = client.tell(batch, [1.0] * len(batch.configs))
+    assert len(failed) == 1
+    assert traced.metrics.value("service.connections") == connections + 1
+    assert after.rounds == client.status(sid).rounds == before.rounds + 1
+    assert after.evaluations == before.evaluations + len(batch.configs)
 
 
 def _answered_then_dropped(monkeypatch, name: str) -> list:
